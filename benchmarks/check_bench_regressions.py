@@ -38,10 +38,16 @@ def _flatten(metrics: dict, prefix: str = "") -> dict:
 
 
 def compare(baseline: dict, current: dict, tolerance: float) -> list:
-    """Regression messages for counters that grew beyond tolerance."""
+    """Regression messages for counters that grew beyond tolerance.
+
+    A baseline that tracks no counters is itself a failure: the figure is
+    named in a gate but nothing about it would ever be compared.
+    """
     problems = []
     base = _flatten(baseline.get("cuda_sim_metrics", {}))
     cur = _flatten(current.get("cuda_sim_metrics", {}))
+    if not base:
+        problems.append(f"baseline tracks no counters ({', '.join(TRACKED_KEYS)})")
     for name, old in sorted(base.items()):
         if name not in cur:
             problems.append(f"{name}: missing from current run (baseline {old:g})")

@@ -363,18 +363,6 @@ class Backend(ABC):
         computation do not need a host→device copy before their next use.
         """
 
-    def kernel_graph(self, name: str):
-        """A capture/replay kernel graph for an iterative algorithm.
-
-        Real backends return a no-op graph (iterations run unchanged); the
-        simulated GPU returns a :class:`~repro.gpu.graph.KernelGraph` that
-        captures the first iteration's launch sequence and replays later
-        iterations under a single launch-overhead charge.
-        """
-        from ..gpu.graph import NullKernelGraph
-
-        return NullKernelGraph(name)
-
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
         """``t[k] = u[idx[k]]`` keeping only present source entries."""
         idx = np.asarray(idx, dtype=np.int64)

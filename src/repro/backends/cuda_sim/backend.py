@@ -33,7 +33,6 @@ from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
 from ...gpu import reuse
 from ...gpu.device import Device, get_device
-from ...gpu.graph import KernelGraph, NullKernelGraph
 from ...gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
 from ...gpu.residency import RESIDENT_CAP, ResidentSet
 from .. import dispatch
@@ -104,6 +103,10 @@ class CudaSimBackend(Backend):
     def _dev(self) -> Device:
         return self._device or get_device()
 
+    def devices(self) -> list[Device]:
+        """The devices a lazy flush on this backend charges (loop capture)."""
+        return [self._dev()]
+
     # ------------------------------------------------------------------
     # Residency management
     # ------------------------------------------------------------------
@@ -122,12 +125,6 @@ class CudaSimBackend(Backend):
         that reads it elides the H2D copy (the data never left the device).
         """
         self._mark_resident(container)
-
-    def kernel_graph(self, name: str):
-        """A capture/replay graph when enabled, else the no-op variant."""
-        if reuse.graphs_enabled():
-            return KernelGraph(name, device=self._device)
-        return NullKernelGraph(name)
 
     def download(self, container) -> Any:
         """Model an explicit D2H copy of a result; returns the container."""

@@ -13,6 +13,11 @@ Execution semantics (see ``docs/distributed.md`` for the full accounting):
 - **P = 1 delegates.**  Every operation short-circuits to the single
   executor, so a one-device cluster is bit- and counter-identical to
   ``cuda_sim`` by construction.
+- **Lazy by default.**  Like ``cuda_sim``, the backend records onto the
+  lazy tape (:mod:`repro.lazy`) and its flushes run the full pass set;
+  loop capture enters every device, so each shard's launch sequence
+  replays independently.  The per-shard executors stay eager: they run
+  inside this backend's own operations.
 - **Pull products are decomposed by row** — each device computes its owned
   output rows from a replicated input vector; the concatenation is
   bit-identical to the unsharded kernel for *any* semiring.
@@ -47,7 +52,7 @@ from ...core.descriptor import DEFAULT, Descriptor
 from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
-from ...distributed.cluster import ClusterKernelGraph, SimCluster
+from ...distributed.cluster import SimCluster
 from ...distributed.partition import (
     PartitionedCSR,
     PartitionedVector,
@@ -75,6 +80,8 @@ from ..cuda_sim.kernels import (
     EWISE_APPLY_FUSED_V,
     EWISE_MULT_M,
     EWISE_MULT_V,
+    EWISE_REDUCE_FUSED_V,
+    FILL_EWISE_FUSED_V,
     GATHER,
     REDUCE_ROWS,
     REDUCE_TREE,
@@ -86,6 +93,7 @@ from ..cuda_sim.kernels import (
     SPMV_CSR_VECTOR,
     _frontier_assign,
     laned,
+    mask_restrict,
     pull_lane,
     push_lane,
     spgemm_lane,
@@ -104,11 +112,16 @@ def _noop() -> None:
 #: no rounding, so associativity holds exactly.
 _EXACT_ADDS = frozenset({"MIN", "MAX", "LOR", "LAND", "BOR", "BAND", "ANY"})
 
+#: Container ``_aux`` key of the sliced-residency stamp (see _mark_sliced).
+_SLICED = "multi_sim.sliced"
+
 
 class MultiSimBackend(Backend):
     """GraphBLAS kernels sharded across P simulated devices."""
 
     name = "multi_sim"
+    # The lazy layer records against this backend in ``auto`` mode.
+    lazy_by_default = True
 
     def __init__(
         self,
@@ -125,8 +138,9 @@ class MultiSimBackend(Backend):
         # Partition memos, keyed by id(matrix): (ref, version, PartitionedCSR).
         self._parts: dict = {}
         self._tparts: dict = {}
-        # Containers whose devices hold only their owned slice: id -> (ref, version).
-        self._sliced: dict = {}
+        # Sliced-residency epoch: a container whose _aux stamp is this token
+        # is held as owned slices.  Replacing the token forgets every stamp.
+        self._epoch = object()
 
     # ------------------------------------------------------------------
     # Configuration / introspection
@@ -157,7 +171,7 @@ class MultiSimBackend(Backend):
         self._cluster = SimCluster(self.nparts, self.props, self.topology)
         self._parts.clear()
         self._tparts.clear()
-        self._sliced.clear()
+        self._epoch = object()
         return self
 
     @property
@@ -171,13 +185,13 @@ class MultiSimBackend(Backend):
     def reset(self) -> None:
         """Fresh clocks/profilers/residency on every device + comm counters."""
         self._cluster.reset()
-        self._sliced.clear()
+        self._epoch = object()
 
     def evict_all(self) -> None:
         """Forget device residency (benchmark repetition boundary)."""
         for ex in self._cluster.executors:
             ex.evict_all()
-        self._sliced.clear()
+        self._epoch = object()
 
     def _ex(self, p: int):
         return self._cluster.executors[p]
@@ -185,20 +199,21 @@ class MultiSimBackend(Backend):
     def _dev(self, p: int) -> Device:
         return self._cluster.devices[p]
 
+    def devices(self) -> list[Device]:
+        """The devices a lazy flush on this backend charges (loop capture)."""
+        return list(self._cluster.devices)
+
     # ------------------------------------------------------------------
     # Residency: replicated vs sliced
     # ------------------------------------------------------------------
 
     def _is_sliced(self, c) -> bool:
-        hit = self._sliced.get(id(c))
-        return hit is not None and hit[0] is c and hit[1] == c.version
+        return c._aux.get(_SLICED) is self._epoch
 
     def _mark_sliced(self, c) -> None:
-        if len(self._sliced) >= 1024:
-            self._sliced = {
-                k: v for k, v in self._sliced.items() if v[0].version == v[1]
-            }
-        self._sliced[id(c)] = (c, c.version)
+        # The stamp lives on the container, so bump_version (which clears
+        # _aux) retires it with the data it describes.
+        c._aux[_SLICED] = self._epoch
         san = _gbsan.ACTIVE
         if san is not None:
             # Each device holds its owned slice: give every device a derived
@@ -211,7 +226,7 @@ class MultiSimBackend(Backend):
         if self._is_sliced(c):
             # Devices hold disjoint slices: gather the full container
             # everywhere over the peer links.
-            del self._sliced[id(c)]
+            del c._aux[_SLICED]
             dt = self._cluster.comm.allgather(float(c.nbytes))
             self._cluster.charge_comm("allgather", dt, float(c.nbytes))
             for ex in self._cluster.executors:
@@ -265,12 +280,6 @@ class MultiSimBackend(Backend):
                 container.nbytes, "d2h", device=self._dev(0), container=container
             )
         return container
-
-    def kernel_graph(self, name: str):
-        """One capture/replay graph per device, entered as a single scope."""
-        if self.nparts == 1:
-            return self._ex(0).kernel_graph(name)
-        return ClusterKernelGraph(name, self._cluster, enabled=reuse.graphs_enabled())
 
     # ------------------------------------------------------------------
     # Partition caches
@@ -657,6 +666,89 @@ class MultiSimBackend(Backend):
         return self._ewise_sharded_mat(
             EWISE_APPLY_FUSED_M, a, b, (binop, unop, union), semantic
         )
+
+    # ------------------------------------------------------------------
+    # Lazy-optimizer hooks (fused chains and mask sinking), sharded
+    # ------------------------------------------------------------------
+
+    def ewise_reduce_vector(self, u, v, binop, unop, union, monoid, out_type):
+        """Fused ewise→reduce: one launch per shard, then a scalar allreduce.
+
+        The communication is exactly the unfused pair's: sliced operands,
+        a sliced result, and the reduction's allreduce.  The value is the
+        full-vector fold, bit-identical to the unfused reduce.
+        """
+        if self.nparts == 1:
+            return self._ex(0).ewise_reduce_vector(
+                u, v, binop, unop, union, monoid, out_type
+            )
+        self._ensure_available(u)
+        self._ensure_available(v)
+        sp = equal_rows_splitters(u.size, self.nparts)
+        pu, pv = PartitionedVector(u, sp), PartitionedVector(v, sp)
+        san = _gbsan.ACTIVE
+        outs = []
+        for p in range(self.nparts):
+            su, sv = pu.shard(p), pv.shard(p)
+            args = (su, sv, binop, unop, union, monoid, out_type)
+            n = su.nvals + sv.nvals
+            if not n:
+                outs.append(EWISE_REDUCE_FUSED_V.run(*args)[0])
+                continue
+            if san is not None:
+                san.note_derived(self._dev(p), su, u)
+                san.note_derived(self._dev(p), sv, v)
+            t_p, _ = launch(
+                EWISE_REDUCE_FUSED_V, LaunchConfig.cover(n), *args, device=self._dev(p)
+            )
+            outs.append(t_p)
+        t = PartitionedVector.reassemble(outs, sp, typ=out_type)
+        self._mark_sliced(t)
+        rt = monoid.result_type(t.type)
+        dt = self._cluster.comm.allreduce_scalar(rt.nbytes)
+        self._cluster.charge_comm("allreduce", dt, float(2 * (self.nparts - 1) * rt.nbytes))
+        return t, rt.cast(monoid.reduce_array(t.values, t.type))
+
+    def fill_ewise_vector(self, value, size, fill_type, other, binop, fill_first):
+        """Fused fill→ewise: each device generates its owned fill range."""
+        if self.nparts == 1:
+            return self._ex(0).fill_ewise_vector(
+                value, size, fill_type, other, binop, fill_first
+            )
+        self._ensure_available(other)
+        sp = equal_rows_splitters(int(size), self.nparts)
+        po = PartitionedVector(other, sp)
+        san = _gbsan.ACTIVE
+        outs = []
+        for p in range(self.nparts):
+            lo, hi = int(sp[p]), int(sp[p + 1])
+            so = po.shard(p)
+            if san is not None:
+                san.note_derived(self._dev(p), so, other)
+            outs.append(
+                launch(
+                    FILL_EWISE_FUSED_V,
+                    LaunchConfig.cover(max(hi - lo, 1) + so.nvals),
+                    value, hi - lo, fill_type, so, binop, fill_first,
+                    device=self._dev(p),
+                )
+            )
+        out = PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
+        self._mark_sliced(out)
+        return out
+
+    def sink_restrict(self, container, mask):
+        """Mask sinking: each device restricts its owned slice on-device."""
+        if self.nparts == 1:
+            return self._ex(0).sink_restrict(container, mask)
+        if mask is None:
+            return container
+        self._ensure_available(container)
+        self._ensure_available(mask)
+        out = mask_restrict(container, mask)
+        if out is not container:
+            self._mark_sliced(out)
+        return out
 
     # ------------------------------------------------------------------
     # Fused BFS frontier step

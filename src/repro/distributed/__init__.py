@@ -15,7 +15,7 @@ shard-local work through the existing cuda_sim kernel layer.  See
 """
 
 from .comm import CommModel, CommStats
-from .cluster import ClusterKernelGraph, SimCluster
+from .cluster import SimCluster
 from .partition import (
     PartitionedCSR,
     PartitionedVector,
@@ -27,7 +27,6 @@ from .topology import DGX_NVLINK, PCIE_ONLY, LinkSpec, Topology
 __all__ = [
     "CommModel",
     "CommStats",
-    "ClusterKernelGraph",
     "SimCluster",
     "PartitionedCSR",
     "PartitionedVector",

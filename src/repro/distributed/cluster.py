@@ -25,19 +25,17 @@ meaning exactly what they mean on one device.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..gpu.device import Device, DeviceProperties, K40
-from ..gpu.graph import GraphStats, KernelGraph, NullKernelGraph
 from ..gpu.profiler import LaunchRecord
 from ..gpu.stream import Stream
 from ..sanitizer import runtime as _gbsan
 from .comm import CommModel
 from .topology import DGX_NVLINK, Topology
 
-__all__ = ["OrderingEdge", "SimCluster", "ClusterKernelGraph"]
+__all__ = ["OrderingEdge", "SimCluster"]
 
 
 @dataclass(frozen=True)
@@ -211,41 +209,3 @@ class SimCluster:
             f"{self.topology.name} t={self.makespan_us:.1f}us>"
         )
 
-
-class ClusterKernelGraph:
-    """Per-device capture/replay graphs entered as one scope.
-
-    Each device captures its own shard-local launch sequence (signatures
-    can legitimately differ across devices — degree-balanced shards do
-    different work), so replay elides per-launch overhead independently on
-    every device, exactly as P concurrent CUDA Graphs would.
-    """
-
-    __slots__ = ("name", "_graphs")
-
-    def __init__(self, name: str, cluster: SimCluster, enabled: bool = True) -> None:
-        self.name = name
-        if enabled:
-            self._graphs = [
-                KernelGraph(name, device=dev) for dev in cluster.devices
-            ]
-        else:
-            self._graphs = [NullKernelGraph(name)]
-
-    @contextmanager
-    def iteration(self):
-        with ExitStack() as stack:
-            for g in self._graphs:
-                stack.enter_context(g.iteration())
-            yield self
-
-    @property
-    def stats(self) -> GraphStats:
-        """Summed capture/replay counters across the member graphs."""
-        agg = GraphStats()
-        for g in self._graphs:
-            agg.captures += g.stats.captures
-            agg.replays += g.stats.replays
-            agg.launches_elided += g.stats.launches_elided
-            agg.overhead_saved_us += g.stats.overhead_saved_us
-        return agg

@@ -13,7 +13,7 @@ simulated clock; kernels advance the clock by their modeled duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .costmodel import CostModel
 from .memory import DeviceAllocator
@@ -35,11 +35,12 @@ __all__ = [
 # Reading ``Device.profiler`` is an *observation point*: pending lazy work
 # must be forced and open loop-capture aggregates closed before the counters
 # are meaningful.  The hook receives "observe" (profiler read) or "reset"
-# (device reset — pending accounting is discarded with the profiler).
-_OBSERVE_HOOK = None
+# (device reset — pending accounting is discarded with the profiler) and
+# the device concerned.
+_OBSERVE_HOOK: Optional[Callable[[str, "Device"], None]] = None
 
 
-def set_observe_hook(hook) -> None:
+def set_observe_hook(hook: Callable[[str, "Device"], None]) -> None:
     """Install the lazy-evaluation observation hook (see repro.lazy)."""
     global _OBSERVE_HOOK
     _OBSERVE_HOOK = hook
@@ -112,9 +113,14 @@ class Device:
         self.cost_model = CostModel(props)
         self._profiler = Profiler()
         self.clock_us = 0.0
-        # Kernel graph currently capturing/replaying launches (see
-        # repro.gpu.graph); None outside graph iteration scopes.
+        # Loop-capture aggregate of the lazy flush now executing (see
+        # repro.lazy.capture); None outside flushes.
         self.active_graph = None
+        # Times a container that already held a buffer here was bound to a
+        # new one (re-upload after a host write, or after eviction).  A
+        # captured loop replays only while this is unchanged: its launches
+        # would otherwise dereference the old buffers.
+        self.rebinds = 0
         # H2D payload discounts registered by the lazy optimizer's
         # dead-materialization pass: (id(container), version) -> bytes the
         # upload may skip (iso-valued payloads filled on-device instead of
@@ -131,7 +137,7 @@ class Device:
         launches recorded *during* the forced flush go straight through).
         """
         if _OBSERVE_HOOK is not None:
-            _OBSERVE_HOOK("observe")
+            _OBSERVE_HOOK("observe", self)
         return self._profiler
 
     def advance(self, dt_us: float) -> float:
@@ -148,7 +154,7 @@ class Device:
         if _OBSERVE_HOOK is not None:
             # Discard pending lazy accounting alongside the profiler it
             # would have landed in (a reset abandons the measurement).
-            _OBSERVE_HOOK("reset")
+            _OBSERVE_HOOK("reset", self)
         san = _gbsan.ACTIVE
         if san is not None:
             # Leak report: buffers still allocated that no resident set

@@ -77,8 +77,8 @@ class Kernel:
     accesses: Optional[Callable[..., Access]] = None
     # Load-balancing lane this variant is pinned to (see
     # repro.gpu.loadbalance).  Profiler records carry it as a
-    # "name[lane]" label; kernel-graph signatures use the bare name, so a
-    # lane flip between iterations re-costs the launch without forcing a
+    # "name[lane]" label; loop-capture signatures are structural, so a lane
+    # flip between iterations re-costs the launch without forcing a
     # recapture.
     lane: Optional[str] = None
 
@@ -124,6 +124,13 @@ def launch(
             divergence=work.divergence,
             coalescing=work.coalescing,
         )
+    graph = dev.active_graph if stream is None else None
+    # Inside a lazy flush: a capture charges normally; a replay charges the
+    # busy time now and defers the record to the aggregate's commit (one
+    # launch overhead for the whole loop).  Semantics always execute — the
+    # data changes every iteration.  The aggregate decides first, so the
+    # sanitizer checks bindings against a replay that really happens.
+    deferred = graph is not None and graph.on_launch(kernel, work, dev)
     san = _gbsan.ACTIVE
     read_labels: Tuple[str, ...] = ()
     write_labels: Tuple[str, ...] = ()
@@ -137,14 +144,8 @@ def launch(
         san.on_launch(kernel.name, access, dev, stream)
         read_labels = tuple(label(o) for o in access.reads if is_tracked(o))
         write_labels = tuple(label(o) for o in access.writes if is_tracked(o))
-    graph = dev.active_graph
-    if graph is not None and stream is None:
-        # Inside a graph iteration: capture records the name and charges
-        # normally; replay defers charging to the graph's commit (one
-        # aggregated launch-overhead for the whole sequence).  Semantics
-        # always execute — the data changes every iteration.
-        if graph.on_launch(kernel, work, dev):
-            return kernel.run(*args, **kwargs)
+    if deferred:
+        return kernel.run(*args, **kwargs)
     dt = dev.cost_model.kernel_time_us(work)
     if stream is not None:
         start = stream.enqueue(dt)

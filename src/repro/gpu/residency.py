@@ -86,6 +86,7 @@ class ResidentSet:
             # Free the old block (it lands in the pool) and re-upload.
             entry[1].free()
             del self._entries[key]
+            dev.rebinds += 1
             if san is not None:
                 san.on_resident_evict(dev, container)
         nbytes = container.nbytes
@@ -111,13 +112,23 @@ class ResidentSet:
         entry = self._entries.get(key)
         dev = self._device_fn()
         san = _gbsan.ACTIVE
+        # The stamp outlives eviction (not a version bump, which clears
+        # _aux), so a container bound here again is counted as a rebind.
+        aux = getattr(container, "_aux", None)
+        bound_key = ("bound", id(dev))
         if entry is not None:
             # Refresh the stamp: device-produced data is clean by definition.
             self._entries[key] = (container, entry[1], version)
             self._entries.move_to_end(key)
+            if aux is not None:
+                aux[bound_key] = True
             if san is not None:
                 san.on_resident_mark(dev, container, entry[1])
             return
+        if aux is not None:
+            if aux.get(bound_key):
+                dev.rebinds += 1
+            aux[bound_key] = True
         buf = dev.allocator.reserve(container.nbytes, record_h2d=record_h2d)
         self._entries[key] = (container, buf, version)
         self._entries.move_to_end(key)

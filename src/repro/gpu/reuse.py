@@ -1,17 +1,17 @@
 """Reuse-layer switches.
 
-The iteration-aware reuse layer has three independently toggleable parts:
+The iteration-aware reuse layer has two independently toggleable parts:
 
 - ``aux_cache`` — version-stamped memoisation of auxiliary structures
   (transpose/CSC, degree vectors, row-nnz maxima) on the containers;
 - ``elision`` — identity-preserving trivial merges plus device-resident
-  result marking, so clean containers skip repeated H2D uploads;
-- ``graphs`` — capture/replay kernel graphs (the CUDA Graphs analogue)
-  collapsing a steady-state iteration to one charged launch.
+  result marking, so clean containers skip repeated H2D uploads.
 
-All three default to on.  :func:`reuse_disabled` restores the pre-reuse
+Both default to on.  :func:`reuse_disabled` restores the pre-reuse
 behaviour — benchmarks and the acceptance tests use it to measure the layer
-against its own baseline within one process.
+against its own baseline within one process.  Capture/replay (the CUDA
+Graphs analogue) is the lazy optimizer's ``capture`` pass, switched with
+:func:`repro.lazy.passes_configured`.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ from typing import Iterator, Optional
 __all__ = [
     "aux_cache_enabled",
     "elision_enabled",
-    "graphs_enabled",
     "configure",
     "reuse_disabled",
 ]
 
 
 class _Flags:
-    __slots__ = ("aux_cache", "elision", "graphs")
+    __slots__ = ("aux_cache", "elision")
 
     def __init__(self) -> None:
         self.aux_cache = True
         self.elision = True
-        self.graphs = True
 
 
 _FLAGS = _Flags()
@@ -48,30 +46,26 @@ def elision_enabled() -> bool:
     return _FLAGS.elision
 
 
-def graphs_enabled() -> bool:
-    return _FLAGS.graphs
-
-
 def configure(
     aux_cache: Optional[bool] = None,
     elision: Optional[bool] = None,
-    graphs: Optional[bool] = None,
 ) -> None:
     """Set individual reuse switches (None leaves a switch untouched)."""
     if aux_cache is not None:
         _FLAGS.aux_cache = bool(aux_cache)
     if elision is not None:
         _FLAGS.elision = bool(elision)
-    if graphs is not None:
-        _FLAGS.graphs = bool(graphs)
 
 
 @contextmanager
 def reuse_disabled() -> Iterator[None]:
-    """Run with every reuse mechanism off (the pre-reuse baseline)."""
-    prev = (_FLAGS.aux_cache, _FLAGS.elision, _FLAGS.graphs)
-    _FLAGS.aux_cache = _FLAGS.elision = _FLAGS.graphs = False
+    """Run with both reuse switches off.
+
+    With the lazy ``capture`` pass also off, this is the pre-reuse baseline.
+    """
+    prev = (_FLAGS.aux_cache, _FLAGS.elision)
+    _FLAGS.aux_cache = _FLAGS.elision = False
     try:
         yield
     finally:
-        _FLAGS.aux_cache, _FLAGS.elision, _FLAGS.graphs = prev
+        _FLAGS.aux_cache, _FLAGS.elision = prev

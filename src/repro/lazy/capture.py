@@ -1,35 +1,42 @@
 """Automatic whole-loop capture for lazily flushed kernel sequences.
 
 Iterative algorithms (BFS, PageRank, delta-stepping) flush an identical
-node sequence every iteration.  Manual capture (``kernel_graph`` +
-``graph.iteration()`` in every algorithm) is gone; instead the flush
-computes a structural *signature* of each tape it executes:
+node sequence every iteration.  The flush computes a structural
+*signature* of each tape it executes and enters one :class:`LoopAgg` per
+device of the flushing backend:
 
-- the first time a signature is seen, the flush executes and charges
-  normally (the capture iteration);
-- every later occurrence runs its launches through a :class:`LoopAgg` —
-  semantics execute as always, but charging is deferred and *accumulated
-  across iterations*.  When the loop ends (a config barrier, a profiler
-  read, a ``use_backend`` exit — any :func:`repro.lazy.schedule.wait`),
-  one ``graph_replay[lazy:<name>]`` record is emitted carrying a single
-  launch overhead plus the summed busy times of every member kernel.
+- the first time a signature is seen on a device, the flush executes and
+  charges normally (the capture iteration);
+- every later occurrence runs its launches through the aggregate —
+  semantics execute as always, each launch's busy time lands on the device
+  clock at once, but the launch overhead and the profiler record are
+  deferred and *accumulated across iterations*.  When the loop ends (a
+  config barrier, a profiler read, a ``use_backend`` exit — any
+  :func:`repro.lazy.schedule.wait`), one ``graph_replay[lazy:<name>]``
+  record is emitted carrying a single launch overhead plus the summed busy
+  times of every member kernel.
+
+Capture removes launch overhead only, never compute: because busy time is
+charged when the launch runs, a cluster barrier or collective issued later
+in the same flush sees every device's compute on its clock.
 
 Signatures are structural: op names, input arities, operator/monoid names
 and descriptor flags — never data values, so a BFS frontier changing size
 or a PageRank residual shrinking does not break the match, while a
 push→pull flip (different params) correctly re-captures.
 
-State is held per :class:`~repro.gpu.device.Device` in a weak-key map so
-``reset_device()`` naturally abandons stale captures with the device.
+State is held per :class:`~repro.gpu.device.Device` in a weak-key map, so
+the P devices of a multi-device backend capture and replay their
+shard-local launch sequences independently (P concurrent CUDA Graphs), and
+a device reset abandons its stale captures with it.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from ..gpu.costmodel import KernelWork
-from ..gpu.graph import REPLAY_PREFIX
 from ..gpu.profiler import LaunchRecord
 from .ir import Node
 
@@ -37,29 +44,55 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu.device import Device
     from ..gpu.kernel import Kernel
 
-__all__ = ["LoopAgg", "close", "discard", "enter", "signature"]
+__all__ = ["LoopAgg", "REPLAY_PREFIX", "close", "discard", "enter", "signature"]
 
+REPLAY_PREFIX = "graph_replay["
 LAZY_REPLAY_PREFIX = REPLAY_PREFIX + "lazy:"
 
 
 class LoopAgg:
-    """Accumulates deferred launches for one repeated flush signature.
+    """One flush signature on one device: its capture, then its replays.
 
-    Implements the ``on_launch`` protocol of
-    :class:`repro.gpu.graph.KernelGraph` (see ``repro.gpu.kernel.launch``):
-    returning True defers the charge to :meth:`commit`, which emits one
-    aggregated record for *all* accumulated iterations.
+    Installed as ``device.active_graph`` while a flush of the signature
+    executes (see ``repro.gpu.kernel.launch``).  During the capture flush
+    :meth:`on_launch` returns False and launches charge normally; once
+    ``replaying``, it charges each launch's busy time to the clock, returns
+    True, and :meth:`commit` later emits one aggregated record (plus the
+    single launch overhead) for *all* accumulated iterations.
+
+    A replay is only valid while the device buffers bound at capture are
+    still the ones in use: when the device counts a rebind (a re-upload
+    after a host write, or after eviction), the loop is re-instantiated —
+    its accumulated replays commit and the flush charges as a new capture.
     """
 
-    __slots__ = ("name", "_pending")
+    __slots__ = ("name", "replaying", "rebinds", "_start", "_pending")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, rebinds: int) -> None:
         self.name = name
+        self.replaying = False
+        # The device's rebind count when the current capture began; it
+        # identifies the capture (it changes on every re-instantiation).
+        self.rebinds = rebinds
+        self._start = 0.0
         self._pending: List[Tuple[str, float, KernelWork]] = []
 
     def on_launch(self, kernel: "Kernel", work: KernelWork, dev: "Device") -> bool:
-        busy = dev.cost_model.kernel_time_us(work) - dev.props.launch_overhead_us
-        self._pending.append((kernel.display_name, max(busy, 0.0), work))
+        if self.replaying and dev.rebinds != self.rebinds:
+            # Re-instantiate.  The stamp is taken before the capture reads
+            # anything, so a rebind later in the capture also re-captures.
+            self.commit(dev)
+            self.replaying = False
+            self.rebinds = dev.rebinds
+        if not self.replaying:
+            return False
+        busy = max(
+            dev.cost_model.kernel_time_us(work) - dev.props.launch_overhead_us, 0.0
+        )
+        if not self._pending:
+            self._start = dev.clock_us
+        dev.advance(busy)
+        self._pending.append((kernel.display_name, busy, work))
         return True
 
     def commit(self, dev: "Device") -> None:
@@ -67,15 +100,13 @@ class LoopAgg:
         if not pending:
             return
         overhead = dev.props.launch_overhead_us
-        dt = overhead + sum(busy for _, busy, _ in pending)
-        start = dev.clock_us
-        dev.advance(dt)
+        dev.advance(overhead)
         dev._profiler.record(
             LaunchRecord(
                 name=f"{LAZY_REPLAY_PREFIX}{self.name}]",
                 kind="kernel",
-                start_us=start,
-                duration_us=dt,
+                start_us=self._start,
+                duration_us=overhead + sum(busy for _, busy, _ in pending),
                 flops=sum(w.flops for _, _, w in pending),
                 bytes=sum(w.bytes_total for _, _, w in pending),
                 threads=max(w.threads for _, _, w in pending),
@@ -90,12 +121,12 @@ class LoopAgg:
 class _State:
     """Per-device capture bookkeeping."""
 
-    __slots__ = ("seen", "open")
+    __slots__ = ("loops", "open")
 
     def __init__(self) -> None:
-        # signature -> aggregate name (first occurrence executed plainly).
-        self.seen: Dict[Tuple[Any, ...], str] = {}
-        # signature -> accumulating aggregate for repeat occurrences.
+        # signature -> its aggregate (first occurrence captured plainly).
+        self.loops: Dict[Tuple[Any, ...], LoopAgg] = {}
+        # signature -> aggregate holding uncommitted replays.
         self.open: Dict[Tuple[Any, ...], LoopAgg] = {}
 
 
@@ -138,41 +169,39 @@ def signature(nodes: List[Node]) -> Tuple[Any, ...]:
     return tuple(_node_sig(n) for n in nodes)
 
 
-def enter(nodes: List[Node]) -> Optional[LoopAgg]:
-    """Route one flush through capture; None means execute/charge plainly.
+def enter(nodes: List[Node], devices: Sequence["Device"]) -> List[LoopAgg]:
+    """The aggregate of this flush's signature on each of ``devices``.
 
-    The first occurrence of a signature is the capture iteration; repeats
-    return the (possibly already accumulating) aggregate for it.
+    A signature's first flush on a device is its capture; every later one
+    replays into the aggregate, which stays open until :func:`close`.
     """
-    from ..gpu.device import get_device
-
-    dev = get_device()
-    state = _STATES.get(dev)
-    if state is None:
-        state = _STATES[dev] = _State()
     sig = signature(nodes)
-    agg = state.open.get(sig)
-    if agg is not None:
-        return agg
-    name = state.seen.get(sig)
-    if name is not None:
-        agg = LoopAgg(name)
-        state.open[sig] = agg
-        return agg
-    state.seen[sig] = f"{nodes[0].op}x{len(nodes)}"
-    return None
+    aggs: List[LoopAgg] = []
+    for dev in devices:
+        state = _STATES.get(dev)
+        if state is None:
+            state = _STATES[dev] = _State()
+        agg = state.loops.get(sig)
+        if agg is None:
+            agg = LoopAgg(f"{nodes[0].op}x{len(nodes)}", dev.rebinds)
+            state.loops[sig] = agg
+        else:
+            agg.replaying = True
+            state.open[sig] = agg
+        aggs.append(agg)
+    return aggs
 
 
-def close(dev: "Device") -> None:
-    """Commit and clear every open aggregate (loop-exit barrier)."""
-    state = _STATES.get(dev)
-    if state is None or not state.open:
-        return
-    open_aggs, state.open = state.open, {}
-    for agg in open_aggs.values():
-        agg.commit(dev)
+def close() -> None:
+    """Commit every open aggregate on every device (loop-exit barrier)."""
+    for dev, state in list(_STATES.items()):
+        if not state.open:
+            continue
+        open_aggs, state.open = state.open, {}
+        for agg in open_aggs.values():
+            agg.commit(dev)
 
 
 def discard(dev: "Device") -> None:
-    """Drop all capture state without charging (device reset)."""
+    """Drop one device's capture state without charging (device reset)."""
     _STATES.pop(dev, None)

@@ -4,7 +4,7 @@ The lazy evaluation layer has one mode knob and five independently
 toggleable optimizer passes:
 
 - ``mode`` — ``"auto"`` (record on backends that opt in via their
-  ``lazy_by_default`` attribute, i.e. the single-device cuda_sim backend),
+  ``lazy_by_default`` attribute, i.e. the cuda_sim and multi_sim backends),
   ``"on"`` (record on every backend), or ``"off"`` (eager, the pre-lazy
   behaviour).  The environment variable ``REPRO_LAZY`` overrides the
   initial mode (``0``/``off`` or ``1``/``on``);
@@ -18,8 +18,8 @@ toggleable optimizer passes:
 - ``direction`` — loop-level push/pull selection from cached degree stats,
   replacing the per-op runtime heuristic for frontier-style products;
 - ``capture`` — whole-loop capture: steady-state flush signatures are
-  aggregated into one replay record (the CUDA Graphs analogue, applied
-  automatically instead of via manual capture scopes).
+  aggregated into one replay record per device (the CUDA Graphs
+  analogue, and the only capture/replay mechanism).
 
 Every mode or pass transition is an observation point: pending recorded
 work is forced (and open capture aggregates closed) *before* the switch

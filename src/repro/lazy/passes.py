@@ -21,7 +21,7 @@ and materializations change.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.accumulate import merge_vector
 from .ir import LazyValue, Node
@@ -234,26 +234,27 @@ def choose_directions(nodes: List[Node]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def register_iso_hints(nodes: List[Node]) -> None:
+def register_iso_hints(nodes: List[Node], devices: Sequence[Any]) -> None:
     """Register upload-demotion hints for iso-valued matrix operands.
 
     An unweighted graph stored with constant weights (BFS adjacency, a
     uniformly weighted benchmark matrix) need not ship its value array
     host→device — a real backend materialises the constant on-device.  The
-    scan runs once per ``(id, version)`` (negative results cache as 0.0);
-    :meth:`repro.gpu.residency.ResidentSet.ensure` subtracts the hint when
+    scan runs once per ``(id, version)`` (negative results cache as 0.0)
+    and the hint lands on every device of the flushing backend;
+    :meth:`repro.gpu.residency.ResidentSet.ensure` subtracts it when
     charging the upload.
     """
-    from ..gpu.device import get_device
-
-    hints = get_device().h2d_hints
+    tables = [dev.h2d_hints for dev in devices]
     for n in nodes:
         for v in n.inputs.values():
             if v is None or isinstance(v, LazyValue) or not hasattr(v, "indptr"):
                 continue
             key = (id(v), getattr(v, "version", 0))
-            if key in hints:
+            missing = [t for t in tables if key not in t]
+            if not missing:
                 continue
             vals = v.values
             iso = bool(vals.size) and bool((vals == vals.flat[0]).all())
-            hints[key] = float(vals.nbytes) if iso else 0.0
+            for t in missing:
+                t[key] = float(vals.nbytes) if iso else 0.0

@@ -32,8 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import weakref
 
 from ..backends.dispatch import current_backend, set_sync_hook
-from ..gpu import reuse
-from ..gpu.device import get_device, set_observe_hook
+from ..gpu.device import set_observe_hook
 from . import config
 from .ir import LazyValue, Node, RunFn
 
@@ -198,7 +197,7 @@ def wait() -> None:
     sync()
     from . import capture
 
-    capture.close(get_device())
+    capture.close()
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +251,31 @@ def _flush(tape: List[Node], root: Optional[LazyValue]) -> None:
     uniform = all(n.backend is be for n in nodes)
     if uniform and flags.fuse:
         nodes = passes.fuse(nodes)
-    gpu_single = uniform and bool(getattr(be, "lazy_by_default", False))
-    if gpu_single:
+    # The device passes run for a lazy front-end backend (cuda_sim, and
+    # multi_sim on all of its shard devices).
+    lazy_be = uniform and bool(getattr(be, "lazy_by_default", False))
+    devices = be.devices() if lazy_be else []
+    if lazy_be:
         if flags.sink:
             passes.sink(nodes)
         if flags.direction:
             passes.choose_directions(nodes)
         if flags.dme:
-            passes.register_iso_hints(nodes)
-    agg = None
-    if gpu_single and flags.capture and reuse.graphs_enabled():
-        agg = capture.enter(nodes)
-    if agg is None:
+            passes.register_iso_hints(nodes, devices)
+    if not (lazy_be and flags.capture):
         for node in nodes:
             _execute(node)
         return
-    dev = get_device()
-    prev = dev.active_graph
-    dev.active_graph = agg
+    aggs = capture.enter(nodes, devices)
+    prev = [dev.active_graph for dev in devices]
+    for dev, agg in zip(devices, aggs):
+        dev.active_graph = agg
     try:
         for node in nodes:
             _execute(node)
     finally:
-        dev.active_graph = prev
+        for dev, graph in zip(devices, prev):
+            dev.active_graph = graph
 
 
 def _resolve(v: Any) -> Any:
@@ -316,18 +317,17 @@ def _execute(node: Node) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _observe(event: str) -> None:
+def _observe(event: str, dev: Any) -> None:
     from . import capture
 
-    if event == "reset":
-        # A device reset abandons the measurement: execute pending
-        # semantics (the handles stay valid) into the profiler that is
-        # about to be wiped, then drop the capture state with it.
-        sync()
-        capture.discard(get_device())
-        return
     sync()
-    capture.close(get_device())
+    if event == "reset":
+        # A device reset abandons the measurement: pending semantics ran
+        # (the handles stay valid) into the profiler that is about to be
+        # wiped; the device's capture state is dropped with it.
+        capture.discard(dev)
+        return
+    capture.close()
 
 
 set_observe_hook(_observe)

@@ -1,6 +1,6 @@
 """gbsan — sanitizer suite for the simulated GPU stack.
 
-Runtime checkers (race / residency / pool-lifetime / graph-replay, see
+Runtime checkers (race / residency / pool-lifetime / loop-replay, see
 :mod:`repro.sanitizer.runtime`) plus the static kernel-contract lint
 (:mod:`repro.sanitizer.lint`).
 

@@ -42,19 +42,18 @@ The reason is mandatory and must say *why* the flagged pattern is safe at
 this site; a bare ``ok(...)`` does not suppress, and the gbcheck
 suppression audit (:mod:`repro.analysis`) rejects placeholder reasons and
 directives that no longer match a live finding.  Run from the command line
-via ``tools/lint_kernels.py`` or ``python -m repro.sanitizer.lint``.
+via ``python tools/gbcheck.py``, which applies these rules tree-wide.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
-__all__ = ["LintFinding", "lint_source", "lint_file", "lint_tree", "main"]
+__all__ = ["LintFinding", "lint_source", "lint_file", "lint_tree"]
 
 #: Container payload attributes no non-kernel code may store through.
 _PAYLOAD_ATTRS = frozenset({"values", "indices", "indptr", "data"})
@@ -278,24 +277,3 @@ def lint_tree(package_root: Path) -> List[LintFinding]:
     for path in sorted(package_root.rglob("*.py")):
         findings.extend(lint_file(path, package_root))
     return findings
-
-
-def _default_root() -> Path:
-    return Path(__file__).resolve().parent.parent
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    root = Path(args[0]).resolve() if args else _default_root()
-    findings = lint_tree(root)
-    for f in findings:
-        print(f)
-    if findings:
-        print(f"gbsan-lint: {len(findings)} violation(s)")
-        return 1
-    print("gbsan-lint: clean")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI shim
-    raise SystemExit(main())

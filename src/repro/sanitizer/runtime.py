@@ -36,12 +36,14 @@ references it is a ``pool-alias``; buffers alive at ``Device.reset()`` (or
 an explicit :meth:`Sanitizer.check_leaks`) that no resident set references
 are ``leak`` findings.
 
-**Graph replay** — at capture, each kernel graph records the (container,
-device-buffer) bindings its launches read; a matched replay whose reads
-resolve to a *different* device buffer (the container was re-uploaded after
-a host mutation — a real CUDA graph would still dereference the captured
-pointer) is a ``stale-replay``.  The binding check requires transfer
-elision (stable buffers) and is skipped when elision is off.
+**Loop replay** — the capture flush of a lazy loop signature
+(:mod:`repro.lazy.capture`) binds the (container, device-buffer) pairs its
+launches read; a replayed flush whose reads resolve to a *different* device
+buffer is a ``stale-replay`` — a real CUDA graph would still dereference
+the captured pointer.  Rebinds the device counts re-instantiate the loop
+(see ``LoopAgg``), so a finding means a residency path moved a buffer
+without counting it.  The binding check requires transfer elision (stable
+buffers) and is skipped when elision is off.
 """
 
 from __future__ import annotations
@@ -124,17 +126,6 @@ class _AllocState:
         self.retired: Dict[int, "weakref.ref[Any]"] = {}
 
 
-class _GraphState:
-    """Per-KernelGraph capture bindings and current-iteration reads."""
-
-    __slots__ = ("captured", "current")
-
-    def __init__(self) -> None:
-        # id(container) -> (container, device buffer bound at capture)
-        self.captured: Dict[int, Tuple[Any, Optional[Any]]] = {}
-        self.current: List[Tuple[Any, Optional[Any]]] = []
-
-
 class Sanitizer:
     """Collects hazards from the instrumented simulated-GPU stack."""
 
@@ -150,7 +141,11 @@ class Sanitizer:
         self._mirror: Dict[int, Dict[int, _ResEntry]] = {}  # id(device) -> shadow
         self._events: Dict[int, Dict[int, int]] = {}  # id(event) -> vc snapshot
         self._alloc: Dict[int, _AllocState] = {}  # id(allocator) -> shadow
-        self._graphs: Dict[int, _GraphState] = {}  # id(graph) -> state
+        # id(loop aggregate) -> (its capture's rebind stamp,
+        #                        {id(container): (container, buffer at capture)})
+        self._bindings: Dict[
+            int, Tuple[int, Dict[int, Tuple[Any, Optional[Any]]]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # reporting
@@ -246,18 +241,16 @@ class Sanitizer:
             tl, _ = self._sync_epoch(device, kernel_name)
         else:
             tl, _ = self._async_epoch(stream)
-        graph = getattr(device, "active_graph", None) if stream is None else None
-        gstate = self._graphs.get(id(graph)) if graph is not None else None
+        loop = getattr(device, "active_graph", None) if stream is None else None
         shadow = self._mirror.setdefault(id(device), {})
         for obj in access.reads:
             if not is_tracked(obj):
                 continue
             self._check_read(obj, tl, kernel_name, device, shadow)
-            if gstate is not None:
+            if loop is not None:
                 entry = shadow.get(id(obj))
-                gstate.current.append(
-                    (obj, entry.buffer if entry is not None else None)
-                )
+                buf = entry.buffer if entry is not None else None
+                self._check_binding(loop, obj, buf)
         for obj in access.writes:
             if not is_tracked(obj):
                 continue
@@ -581,53 +574,41 @@ class Sanitizer:
         self._alloc.pop(id(device.allocator), None)
 
     # ------------------------------------------------------------------
-    # kernel-graph replay
+    # loop-capture replay
     # ------------------------------------------------------------------
 
-    def on_graph_enter(self, graph: Any) -> None:
-        gs = self._graphs.get(id(graph))
-        if gs is None:
-            gs = _GraphState()
-            self._graphs[id(graph)] = gs
-            self._anchors[id(graph)] = graph
-        gs.current = []
-
-    def on_graph_commit(self, graph: Any, replayed: bool) -> None:
-        """Capture rebinds; a matched replay checks bindings against capture.
+    def _check_binding(self, loop: Any, obj: Any, buf: Optional[Any]) -> None:
+        """A capture flush binds its reads; a replayed flush must match them.
 
         Binding identity is only stable when transfer elision keeps clean
         containers on their original device buffers, so the check is skipped
         when elision is disabled.
         """
-        gs = self._graphs.get(id(graph))
-        if gs is None:
-            return
-        current, gs.current = gs.current, []
-        if not replayed:
-            gs.captured = {id(c): (c, buf) for c, buf in current}
+        entry = self._bindings.get(id(loop))
+        if entry is None or entry[0] != loop.rebinds:
+            # A new capture (the first, or a re-instantiation) binds afresh.
+            entry = self._bindings[id(loop)] = (loop.rebinds, {})
+            self._anchors[id(loop)] = loop
+        bindings = entry[1]
+        if not loop.replaying:
+            bindings[id(obj)] = (obj, buf)
             return
         from ..gpu import reuse
 
-        if not reuse.elision_enabled():
+        cap = bindings.get(id(obj))
+        if cap is None or cap[0] is not obj or not reuse.elision_enabled():
             return
-        for c, buf_now in current:
-            cap = gs.captured.get(id(c))
-            if cap is None:
-                continue
-            c_cap, buf_cap = cap
-            if c_cap is not c:
-                continue
-            if buf_cap is not None and buf_now is not None and buf_cap is not buf_now:
-                self._emit(
-                    "stale-replay",
-                    "replayed graph reads a container that was re-uploaded to a "
-                    "new device buffer after capture (host mutated it); a real "
-                    "CUDA graph would still dereference the captured pointer — "
-                    "re-instantiate the graph after host writes",
-                    f"graph[{getattr(graph, 'name', '?')}]",
-                    "<graph replay>",
-                    label(c),
-                )
+        if cap[1] is not None and buf is not None and cap[1] is not buf:
+            self._emit(
+                "stale-replay",
+                "replayed loop reads a container that was re-uploaded to a "
+                "new device buffer after capture (host mutated it); a real "
+                "CUDA graph would still dereference the captured pointer — "
+                "re-instantiate the graph after host writes",
+                f"graph[{loop.name}]",
+                "<graph replay>",
+                label(obj),
+            )
 
 
 #: The process-wide sanitizer; ``None`` == disabled (the zero-overhead state).

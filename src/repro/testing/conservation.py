@@ -1,6 +1,6 @@
 """Counter-conservation invariants on cuda_sim / multi_sim profiles.
 
-The simulator's performance layers (transfer elision, kernel graphs,
+The simulator's performance layers (transfer elision, loop capture,
 P-way sharding) must change *when* work is charged, never *how much* total
 logical work exists.  Three conservation laws capture that:
 
@@ -11,16 +11,16 @@ logical work exists.  Three conservation laws capture that:
   a sharded pull product equals the single-device flop count: block-row
   sharding repartitions rows, it does not change per-row work;
 - **replay conservation** — expanding ``graph_replay[...]`` records back
-  to their member kernels reproduces the per-kernel launch counts of a
-  graphs-off run, and the expanded view's total time still equals
-  ``kernel_time_us`` (attribution is lossless).
+  to their member kernels reproduces, device by device, the per-kernel
+  launch counts of a capture-off run, and the expanded view's total time
+  still equals ``kernel_time_us`` (attribution is lossless).
 
 Each check returns ``None`` on success or a failure description.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..core.semiring import MIN_PLUS, PLUS_TIMES
 from ..core.vector import Vector
 from ..gpu import reuse
 from ..gpu.device import get_device, reset_device
+from ..lazy import passes_configured
 from ..types import FP64
 from .executor import execute
 from .programs import Program, build_env
@@ -144,47 +145,65 @@ def _counts_by_kernel(profiler, expand: bool) -> Dict[str, int]:
     }
 
 
+def _bfs_profile(
+    graph, source: int, nparts: Optional[int]
+) -> List[Tuple[Dict[str, int], Dict[str, int], float, float]]:
+    """Per device of one BFS run on cuda_sim (``nparts`` None) or multi_sim:
+    (replay-expanded counts, plain counts, expanded time, kernel time)."""
+    if nparts is None:
+        be = _fresh_cuda_sim()
+    else:
+        be = get_backend("multi_sim").configure(nparts=nparts)
+        be.reset()
+    with use_backend(be):
+        algorithms.bfs_levels(graph, source % graph.nrows)
+    out = []
+    for dev in be.devices():
+        prof = dev.profiler
+        expanded = prof.by_kernel(expand_replays=True)
+        out.append((
+            _counts_by_kernel(prof, expand=True),
+            _counts_by_kernel(prof, expand=False),
+            sum(r["time_us"] for r in expanded.values()),
+            prof.kernel_time_us,
+        ))
+    if nparts is None:
+        be.evict_all()
+    return out
+
+
 def check_replay_conservation(program: Program, source: int = 0) -> Optional[str]:
-    """Replay-expanded launch counts match a kernel-graphs-off run of BFS.
+    """Replay-expanded launch counts match a capture-off run of BFS.
 
-    Also checks the documented lossless-attribution property: the expanded
-    per-kernel view sums to exactly ``kernel_time_us``.
+    Checked per device on cuda_sim and on multi_sim at P ∈ {2, 4}, where
+    every shard device captures and replays independently.  Also checks
+    the documented lossless-attribution property: the expanded per-kernel
+    view sums to exactly ``kernel_time_us``.
     """
-    env = build_env(program)
-    graph = env.matrices[0]
-
-    def run_bfs():
-        return algorithms.bfs_levels(graph, source % graph.nrows)
-
-    _fresh_cuda_sim()
-    with use_backend("cuda_sim"):
-        run_bfs()
-    prof_on = get_device().profiler
-    expanded = _counts_by_kernel(prof_on, expand=True)
-    exp_time = sum(r["time_us"] for r in prof_on.by_kernel(expand_replays=True).values())
-    if not np.isclose(exp_time, prof_on.kernel_time_us, rtol=1e-9):
-        return (
-            f"replay expansion lost time: expanded sum {exp_time:g}us vs "
-            f"kernel_time_us {prof_on.kernel_time_us:g}us"
-        )
-
-    be = _fresh_cuda_sim()
-    reuse.configure(graphs=False)
-    try:
-        with use_backend("cuda_sim"):
-            run_bfs()
-    finally:
-        reuse.configure(graphs=True)
-    plain = _counts_by_kernel(get_device().profiler, expand=False)
-    be.evict_all()
-
-    if expanded != plain:
-        diff = {
-            k: (expanded.get(k, 0), plain.get(k, 0))
-            for k in sorted(set(expanded) | set(plain))
-            if expanded.get(k, 0) != plain.get(k, 0)
-        }
-        return f"replay-expanded launch counts disagree with graphs-off run: {diff}"
+    graph = build_env(program).matrices[0]
+    for nparts in (None, 2, 4):
+        where = "cuda_sim" if nparts is None else f"multi_sim P={nparts}"
+        on = _bfs_profile(graph, source, nparts)
+        with passes_configured(capture=False):
+            off = _bfs_profile(graph, source, nparts)
+        for p, ((expanded, _, exp_time, kernel_us), (_, plain, _, _)) in enumerate(
+            zip(on, off)
+        ):
+            if not np.isclose(exp_time, kernel_us, rtol=1e-9):
+                return (
+                    f"{where} device {p}: replay expansion lost time: expanded "
+                    f"sum {exp_time:g}us vs kernel_time_us {kernel_us:g}us"
+                )
+            if expanded != plain:
+                diff = {
+                    k: (expanded.get(k, 0), plain.get(k, 0))
+                    for k in sorted(set(expanded) | set(plain))
+                    if expanded.get(k, 0) != plain.get(k, 0)
+                }
+                return (
+                    f"{where} device {p}: replay-expanded launch counts "
+                    f"disagree with the capture-off run: {diff}"
+                )
     return None
 
 

@@ -6,7 +6,7 @@ A *backend spec* is a string naming one execution configuration:
 - ``"cuda_sim"`` — the simulated GPU with the reuse layer in its default
   (fully enabled) state;
 - ``"cuda_sim:noreuse"`` — same kernels with aux caches, transfer elision,
-  and kernel graphs all off (the pre-reuse baseline);
+  and loop capture all off (the pre-reuse baseline);
 - ``"cuda_sim:lanes=<mode>"`` — the load-balancing lane policy pinned to
   ``mode`` (a lane name, ``auto``, or ``off`` — see
   :mod:`repro.gpu.loadbalance`), e.g. ``"cuda_sim:lanes=merge"``: lane
@@ -15,11 +15,11 @@ A *backend spec* is a string naming one execution configuration:
   and the named block-row splitter, e.g. ``"multi_sim:4:degree_balanced"``.
 
 Any spec may append ``:lazy=on`` / ``:lazy=off`` to pin the lazy
-evaluation mode (:mod:`repro.lazy`) for the run — e.g.
-``"cuda_sim:lazy=off"`` replays eagerly on the simulated GPU and
-``"multi_sim:2:equal_rows:lazy=on"`` forces tape recording on a backend
-that is eager by default.  The optimizer is pure scheduling, so results
-must stay bit-identical either way.
+evaluation mode (:mod:`repro.lazy`) for the run — both simulated backends
+record lazily by default, so ``"cuda_sim:lazy=off"`` and
+``"multi_sim:2:equal_rows:lazy=off"`` keep the eager paths covered.  The
+optimizer is pure scheduling, so results must stay bit-identical either
+way.
 
 :func:`run_differential` replays the program on the reference backend, then
 on every other spec, comparing op-by-op under the shared equivalence policy
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ SMOKE_SPECS = (
     "cpu",
     "cuda_sim",
     "cuda_sim:lazy=off",
-    "multi_sim:2:equal_rows:lazy=on",
+    "multi_sim:2:equal_rows:lazy=off",
 )
 
 DEFAULT_SPECS = (
@@ -90,7 +90,7 @@ DEFAULT_SPECS = (
     "cuda_sim:lanes=merge",
     "multi_sim:1:equal_rows",
     "multi_sim:2:equal_rows",
-    "multi_sim:2:equal_rows:lazy=on",
+    "multi_sim:2:equal_rows:lazy=off",
     "multi_sim:2:degree_balanced",
     "multi_sim:4:equal_rows",
     "multi_sim:4:degree_balanced",
@@ -346,6 +346,13 @@ def execute(
 
 
 @contextmanager
+def _noreuse() -> Iterator[None]:
+    """The pre-reuse baseline: reuse layer off and no loop capture."""
+    with reuse.reuse_disabled(), lazy_config.passes_configured(capture=False):
+        yield
+
+
+@contextmanager
 def backend_session(spec: str):
     """Enter one backend spec end-to-end: resolve the backend, reset
     device state, apply the suffix contexts (``:noreuse`` / ``:lanes=`` /
@@ -363,7 +370,7 @@ def backend_session(spec: str):
             backend.evict_all()
             reset_device()
     noreuse = spec.endswith(":noreuse")
-    ctx = reuse.reuse_disabled() if noreuse else nullcontext()
+    ctx = _noreuse() if noreuse else nullcontext()
     lane_ctx: Any = nullcontext()
     lazy_ctx: Any = nullcontext()
     for part in spec.split(":")[1:]:

@@ -270,22 +270,29 @@ class TestMultiSimBackend:
 
     def test_p1_counters_match_cuda_sim(self):
         g = rmat(8, 8, seed=5)
-        # Eager-to-eager comparison: multi_sim shards execute eagerly, so
-        # pin the single-device run eager too (no lazy loop aggregation).
-        with gb.lazy.lazy_disabled(), use_backend("cuda_sim"):
-            gb.algorithms.bfs_levels(g, 0)
-        dev = get_device()
-        base_launches = dev.profiler.launch_count
-        base_h2d = dev.profiler.h2d_bytes
+        # Both backends record lazily and capture loops, so the one-device
+        # cluster matches cuda_sim with every optimizer pass on — including
+        # PageRank's fused fill/ewise/reduce chains.
+        for algo in (
+            lambda: gb.algorithms.bfs_levels(g, 0),
+            lambda: gb.algorithms.pagerank(g, tol=0.0, max_iter=5),
+        ):
+            get_backend("cuda_sim").evict_all()
+            dev = reset_device()
+            with use_backend("cuda_sim"):
+                expect = algo().to_lists()
+            base_launches = dev.profiler.launch_count
+            base_h2d = dev.profiler.h2d_bytes
 
-        ms = multi_sim(1)
-        ms.reset()
-        with use_backend("multi_sim"):
-            gb.algorithms.bfs_levels(g, 0)
-        m = ms.metrics()
-        assert m["kernel_launches"] == base_launches
-        assert m["h2d_bytes"] == pytest.approx(base_h2d)
-        assert m["comm"]["total_bytes"] == 0
+            ms = multi_sim(1)
+            ms.reset()
+            with use_backend("multi_sim"):
+                got = algo().to_lists()
+            m = ms.metrics()
+            assert got == expect
+            assert m["kernel_launches"] == base_launches
+            assert m["h2d_bytes"] == pytest.approx(base_h2d)
+            assert m["comm"]["total_bytes"] == 0
 
     def test_p1_results_bitwise_cuda_sim(self):
         g = rmat(7, 6, seed=3, weighted=True)

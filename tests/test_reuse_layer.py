@@ -1,4 +1,4 @@
-"""Iteration-aware reuse layer: aux caches, pooling, elision, kernel graphs.
+"""Iteration-aware reuse layer: aux caches, pooling, elision, loop capture.
 
 Covers the PR's tentpole pieces end to end:
 
@@ -7,7 +7,7 @@ Covers the PR's tentpole pieces end to end:
   the mutation counter;
 - the pooled device allocator and its hit accounting;
 - host→device transfer elision via per-container residency dirty bits;
-- capture/replay kernel graphs and their launch-overhead amortisation;
+- lazy loop capture/replay and its launch-overhead amortisation;
 - the acceptance comparison: PageRank with the reuse layer vs the same code
   with every reuse feature disabled (the PR 1 cost model), bit-identical
   results with far fewer charged launches and uploaded bytes.
@@ -26,9 +26,10 @@ from repro.core.semiring import LOR_LAND, PLUS_TIMES
 from repro.gpu import reuse
 from repro.gpu.costmodel import KernelWork
 from repro.gpu.device import get_device, reset_device
-from repro.gpu.graph import KernelGraph
 from repro.gpu.kernel import Kernel, LaunchConfig, launch
 from repro.gpu.memory import DeviceAllocator
+from repro.lazy import capture, passes_configured
+from repro.lazy.ir import Node
 
 
 @pytest.fixture(autouse=True)
@@ -274,7 +275,7 @@ class TestTransferElision:
 
 
 # ---------------------------------------------------------------------------
-# Capture/replay kernel graphs
+# Lazy loop capture/replay
 # ---------------------------------------------------------------------------
 
 
@@ -288,20 +289,30 @@ def _kernel(name, flops=1e6, nbytes=8e5):
     )
 
 
-class TestKernelGraph:
+def _flush(dev, *kernels, op="unit"):
+    """One lazy flush of a one-node tape ``op`` that launches ``kernels``."""
+    (agg,) = capture.enter([Node(op, None, {}, {}, None)], [dev])
+    dev.active_graph = agg
+    try:
+        for k in kernels:
+            launch(k, LaunchConfig.cover(1 << 18), device=dev)
+    finally:
+        dev.active_graph = None
+    return agg
+
+
+class TestLoopCapture:
     def test_capture_then_replay_single_record(self):
         dev = get_device()
         k1, k2 = _kernel("ka"), _kernel("kb")
-        g = KernelGraph("unit")
         for _ in range(3):
-            with g.iteration():
-                launch(k1, LaunchConfig.cover(1 << 18))
-                launch(k2, LaunchConfig.cover(1 << 18))
-        assert g.stats.captures == 1
-        assert g.stats.replays == 2
-        assert g.stats.launches_elided == 2
+            _flush(dev, k1, k2)
+        # Replays accumulate across iterations until the loop ends (here:
+        # the profiler read), then commit as one record.
         names = [r.name for r in dev.profiler.records if r.kind == "kernel"]
-        assert names == ["ka", "kb", "graph_replay[unit]", "graph_replay[unit]"]
+        assert names == ["ka", "kb", "graph_replay[lazy:unitx1]"]
+        (replay,) = [r for r in dev.profiler.records if r.members]
+        assert [m[0] for m in replay.members] == ["ka", "kb", "ka", "kb"]
 
     def test_replay_charges_one_overhead(self):
         dev = get_device()
@@ -309,33 +320,35 @@ class TestKernelGraph:
         overhead = dev.props.launch_overhead_us
         dt1 = dev.cost_model.kernel_time_us(k1.work())
         dt2 = dev.cost_model.kernel_time_us(k2.work())
-        g = KernelGraph("unit")
         for _ in range(2):
-            with g.iteration():
-                launch(k1, LaunchConfig.cover(1 << 18))
-                launch(k2, LaunchConfig.cover(1 << 18))
+            _flush(dev, k1, k2)
         replay = [r for r in dev.profiler.records if r.name.startswith("graph_replay")]
         assert len(replay) == 1
         expected = overhead + (dt1 - overhead) + (dt2 - overhead)
         assert replay[0].duration_us == pytest.approx(expected)
-        assert g.stats.overhead_saved_us == pytest.approx(overhead)
+        assert dev.clock_us == pytest.approx(dt1 + dt2 + expected)
+
+    def test_replay_charges_busy_time_at_launch(self):
+        # Only the overhead waits for the commit: compute is on the clock
+        # before any later barrier or collective could read it.
+        dev = get_device()
+        k = _kernel("ka")
+        dt = dev.cost_model.kernel_time_us(k.work())
+        overhead = dev.props.launch_overhead_us
+        _flush(dev, k)
+        agg = _flush(dev, k)
+        assert dev.clock_us == pytest.approx(dt + (dt - overhead))
+        agg.commit(dev)
+        assert dev.clock_us == pytest.approx(2 * dt)
 
     def test_sequence_divergence_recaptures(self):
         dev = get_device()
         k1, k2, k3 = _kernel("ka"), _kernel("kb"), _kernel("kc")
-        g = KernelGraph("unit")
-        with g.iteration():
-            launch(k1, LaunchConfig.cover(1 << 18))
-        with g.iteration():  # diverges: charged per-kernel, re-captured
-            launch(k2, LaunchConfig.cover(1 << 18))
-            launch(k3, LaunchConfig.cover(1 << 18))
-        with g.iteration():  # matches the new signature: replay
-            launch(k2, LaunchConfig.cover(1 << 18))
-            launch(k3, LaunchConfig.cover(1 << 18))
-        assert g.stats.captures == 2
-        assert g.stats.replays == 1
+        _flush(dev, k1, op="a")
+        _flush(dev, k2, k3, op="b")  # new signature: a capture
+        _flush(dev, k2, k3, op="b")  # matches it: replay
         names = [r.name for r in dev.profiler.records if r.kind == "kernel"]
-        assert names == ["ka", "kb", "kc", "graph_replay[unit]"]
+        assert names == ["ka", "kb", "kc", "graph_replay[lazy:bx1]"]
 
     def test_replay_preserves_semantics(self):
         # The semantic function must run on every iteration, replay or not.
@@ -345,18 +358,17 @@ class TestKernelGraph:
             run=lambda: calls.append(1),
             work=lambda: KernelWork(flops=1e6, bytes_read=8e5, threads=1 << 18),
         )
-        g = KernelGraph("unit")
+        dev = get_device()
         for _ in range(4):
-            with g.iteration():
-                launch(k, LaunchConfig.cover(1 << 18))
+            _flush(dev, k)
         assert len(calls) == 4
 
-    def test_disabled_graphs_use_null_graph(self):
-        with reuse.reuse_disabled():
-            g = get_backend("cuda_sim").kernel_graph("x")
-        with g.iteration():
-            pass
-        assert g.stats.captures == 0 and g.stats.replays == 0
+    def test_capture_pass_off_never_replays(self):
+        g = gb.generators.rmat(scale=7, edge_factor=6, seed=5)
+        with passes_configured(capture=False):
+            with use_backend("cuda_sim"):
+                gb.algorithms.pagerank(g, tol=0.0, max_iter=5)
+        assert get_device().profiler.replay_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +424,7 @@ class TestPageRankAcceptance:
             return r, dev.profiler.launch_count, dev.profiler.h2d_bytes
 
         r_new, launches_new, h2d_new = run()
-        with reuse.reuse_disabled():
+        with reuse.reuse_disabled(), passes_configured(capture=False):
             r_old, launches_old, h2d_old = run()
         assert r_new.to_lists() == r_old.to_lists()  # bit-identical
         assert launches_old >= 5 * launches_new, (launches_old, launches_new)
@@ -429,7 +441,7 @@ class TestPageRankAcceptance:
             return levels, get_device().profiler.replay_count
 
         levels_new, replays = run()
-        with reuse.reuse_disabled():
+        with reuse.reuse_disabled(), passes_configured(capture=False):
             levels_old, replays_off = run()
         assert levels_new.to_lists() == levels_old.to_lists()
         assert replays > 0 and replays_off == 0

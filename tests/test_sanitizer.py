@@ -1,7 +1,8 @@
 """gbsan: planted hazards must be caught; clean workloads must stay clean.
 
 Each planted-hazard test constructs the minimal buggy interaction pattern
-directly against the gpu layer (streams, residency, allocator, graphs) and
+directly against the gpu layer (streams, residency, allocator, loop
+capture) and
 asserts both that the sanitizer reports the expected hazard class and that
 the diagnostic message carries enough context to act on.  The zero-FP tests
 run real algorithm workloads on every simulated backend and assert gbsan
@@ -19,8 +20,7 @@ from repro import sanitizer as sz
 from repro.backends.dispatch import get_backend, use_backend
 from repro.exceptions import SanitizerError
 from repro.gpu.costmodel import KernelWork
-from repro.gpu.device import Device
-from repro.gpu.graph import KernelGraph
+from repro.gpu.device import Device, get_device, reset_device
 from repro.gpu.kernel import Kernel, LaunchConfig, launch
 from repro.gpu.residency import ResidentSet
 from repro.gpu.stream import Stream
@@ -206,37 +206,86 @@ class TestPoolLifetime:
 
 
 # ---------------------------------------------------------------------------
-# Hazard 4: stale kernel-graph replay
+# Hazard 4: stale loop replay
 # ---------------------------------------------------------------------------
 
 
+def _mxv_loop(a, u, iterations, between=None):
+    """A lazy loop on cuda_sim: one ``w = a·u`` flush per iteration."""
+    from repro.core import operations as ops
+    from repro.core.semiring import PLUS_TIMES
+
+    get_backend("cuda_sim").evict_all()
+    reset_device()
+    with use_backend("cuda_sim"):
+        for i in range(iterations):
+            if i and between is not None:
+                between()
+            w = gb.Vector.sparse(gb.FP64, u.size)
+            ops.mxv(w, a, u, PLUS_TIMES)
+            w.nvals  # forces the flush: the first is the capture
+    return get_device().profiler.replay_count
+
+
 class TestGraphReplayChecker:
-    def test_replay_after_reupload_is_stale(self, dev, san):
-        c = _vec()
-        rs = ResidentSet(lambda: dev)
-        rs.ensure(c)
-        g = KernelGraph("iter", device=dev)
-        with g.iteration():
-            launch(NOP, CFG, device=dev, san_reads=(c,))  # capture
-        c.bump_version()
-        rs.ensure(c)  # host mutated: re-upload lands in a NEW device buffer
-        with g.iteration():
-            launch(NOP, CFG, device=dev, san_reads=(c,))  # replayed
+    def test_replay_after_reupload_is_stale(self, san):
+        a = gb.Matrix.from_dense(np.eye(8) + np.eye(8, k=1))
+        u = gb.Vector.from_lists(list(range(8)), [1.0] * 8, 8, gb.FP64)
+
+        def rebind_behind_capture():
+            # A residency path that moves u to a NEW device buffer without
+            # counting the rebind: the loop keeps replaying the old binding.
+            rs = get_backend("cuda_sim")._resident
+            c = u.container
+            rs._entries.pop(id(c))[1].free()
+            c._aux.clear()
+            rs.mark(c)
+
+        _mxv_loop(a, u, 2, between=rebind_behind_capture)
         assert "stale-replay" in kinds(san)
         f = next(f for f in san.findings if f.kind == "stale-replay")
-        assert "re-instantiate" in f.message and "iter" in f.site
+        assert "re-instantiate" in f.message and "mxv" in f.site
         san.drain()
 
-    def test_stable_buffers_replay_clean(self, dev, san):
+    def test_host_write_reinstantiates_loop(self, san):
+        # The real flow: a host write re-uploads u into a new buffer, the
+        # device counts the rebind, and the loop re-captures instead of
+        # replaying stale bindings.
+        a = gb.Matrix.from_dense(np.eye(8) + np.eye(8, k=1))
+        u = gb.Vector.from_lists(list(range(8)), [1.0] * 8, 8, gb.FP64)
+        assert _mxv_loop(a, u, 3, between=lambda: u.set_element(0, 5.0)) == 0
+        assert san.findings == []
+
+    def test_recapture_binds_afresh(self, dev, san):
+        # A re-instantiated loop's capture did not read c; its later replay
+        # reads c's new buffer and must not be held to the old capture.
+        from repro.lazy import capture
+        from repro.lazy.ir import Node
+
         c = _vec()
         rs = ResidentSet(lambda: dev)
         rs.ensure(c)
-        g = KernelGraph("iter", device=dev)
-        for _ in range(3):
-            with g.iteration():
-                launch(NOP, CFG, device=dev, san_reads=(c,))
+
+        def flush(*reads):
+            (agg,) = capture.enter([Node("iter", None, {}, {}, None)], [dev])
+            dev.active_graph = agg
+            try:
+                launch(NOP, CFG, device=dev, san_reads=reads)
+            finally:
+                dev.active_graph = None
+
+        flush(c)  # capture binds c
+        rs.evict_all()
+        rs.ensure(c)  # a counted rebind: c moves to a new buffer
+        flush()  # re-instantiated; this capture reads nothing
+        flush(c)  # replay
         assert san.findings == []
-        assert g.stats.replays >= 1
+
+    def test_stable_buffers_replay_clean(self, san):
+        a = gb.Matrix.from_dense(np.eye(8) + np.eye(8, k=1))
+        u = gb.Vector.from_lists(list(range(8)), [1.0] * 8, 8, gb.FP64)
+        assert _mxv_loop(a, u, 3) >= 1
+        assert san.findings == []
 
 
 # ---------------------------------------------------------------------------
