@@ -55,7 +55,7 @@ from repro.algorithms.components import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.bench.tables import format_table
 from repro.gpu.device import get_device
-from repro.lazy import config as lazy_config
+from repro.policy import policy
 from repro.streaming import (
     DynamicGraph,
     IncrementalBFS,
@@ -259,7 +259,7 @@ def test_fig10_render(benchmark):
         # -- cuda_sim: the gated work-ratio A/B (eager launch accounting) --
         fresh_device_state()
         inc_attr, full_attr = _Attribution(), _Attribution()
-        with lazy_config.lazy_disabled(), gb.use_backend("cuda_sim"):
+        with policy(lazy="off"), gb.use_backend("cuda_sim"):
             inc_results, views, inc_tot = _run_incremental(
                 base, batches, QUERIES_PER_BATCH, inc_attr
             )
@@ -291,7 +291,7 @@ def test_fig10_render(benchmark):
 
         # -- delete fallback sub-case (ungated) ---------------------------
         fresh_device_state()
-        with lazy_config.lazy_disabled(), gb.use_backend("cuda_sim"):
+        with policy(lazy="off"), gb.use_backend("cuda_sim"):
             delete_case = _delete_case(base)
 
         # -- multi_sim P∈{1,2,4}: distributed bit-identity on a prefix ----

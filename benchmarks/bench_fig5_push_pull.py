@@ -20,7 +20,7 @@ from repro.bench.tables import format_series
 from repro.bench.workloads import random_frontier
 from repro.core import operations as ops
 from repro.core.semiring import MIN_PLUS
-from repro.gpu import loadbalance
+from repro.policy import policy
 
 from conftest import bench_backend, save_table
 
@@ -60,7 +60,7 @@ def test_fig5_render(benchmark):
                 # This figure ablates *direction* with each kernel's native
                 # schedule; lane rebinning (bench_table6) would otherwise
                 # narrow pull's short-row penalty and blur the crossover.
-                with loadbalance.lanes_disabled():
+                with policy(lanes="off"):
                     sim[d].append(
                         time_operation("cuda_sim", make_case(f, d)).seconds
                     )

@@ -25,8 +25,8 @@ from repro.bench.tables import format_table
 from repro.bench.workloads import random_frontier
 from repro.core import operations as ops
 from repro.core.semiring import PLUS_TIMES
-from repro.gpu import loadbalance
 from repro.gpu.device import get_device, reset_device
+from repro.policy import policy
 
 from conftest import save_table
 
@@ -66,7 +66,7 @@ def simulated_kernel_us(g, kernel: str, overrides) -> float:
     g.csc()  # pre-built column view so push pays no transpose
     # This table ablates the cost model *per kernel style*; pin the lane so
     # the load balancer doesn't swap styles out from under the claim.
-    with loadbalance.forced(lane), use_backend("cuda_sim"):
+    with policy(lanes=lane), use_backend("cuda_sim"):
         w = gb.Vector.sparse(gb.FP64, n)
         ops.mxv(w, g, u, PLUS_TIMES, direction=direction)
     return dev.profiler.kernel_time_us

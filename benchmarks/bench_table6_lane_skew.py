@@ -31,8 +31,8 @@ from repro.backends.dispatch import get_backend, use_backend
 from repro.bench.tables import format_table
 from repro.core import operations as ops
 from repro.core.semiring import PLUS_TIMES
-from repro.gpu import loadbalance
 from repro.gpu.device import get_device, reset_device
+from repro.policy import policy
 from repro.testing.equivalence import assert_same
 
 from conftest import fresh_device_state, save_json, save_table
@@ -76,8 +76,7 @@ def run_push_spmv(g, lane):
     fresh_device_state()
     dev = get_device()
     u = dense_frontier(g.nrows)
-    ctx = loadbalance.forced(lane)
-    with ctx, use_backend("cuda_sim"):
+    with policy(lanes=lane), use_backend("cuda_sim"):
         w = gb.Vector.sparse(gb.FP64, g.nrows)
         ops.mxv(w, g, u, PLUS_TIMES, direction="push")
     prof = dev.profiler
@@ -87,7 +86,7 @@ def run_push_spmv(g, lane):
 def run_bfs(g, lane, source=0):
     fresh_device_state()
     dev = get_device()
-    with loadbalance.forced(lane), use_backend("cuda_sim"):
+    with policy(lanes=lane), use_backend("cuda_sim"):
         levels = gb.algorithms.bfs_levels(g, source)
     prof = dev.profiler
     return levels, prof.kernel_time_us, prof.launch_count, prof.h2d_bytes
@@ -119,7 +118,7 @@ def test_table6_multi_sim_parity(benchmark):
 
     def build():
         g = graph("rmat_s13_a57")
-        with loadbalance.forced("scalar"), use_backend("cuda_sim"):
+        with policy(lanes="scalar"), use_backend("cuda_sim"):
             ref = gb.algorithms.bfs_levels(g, 0)
         for nparts in (1, 2, 4):
             backend = get_backend("multi_sim").configure(nparts=nparts)
@@ -128,11 +127,11 @@ def test_table6_multi_sim_parity(benchmark):
             with use_backend("multi_sim"):
                 gb.algorithms.bfs_levels(g, 0)
             backend.reset()
-            with loadbalance.forced("auto"), use_backend("multi_sim"):
+            with policy(lanes="auto"), use_backend("multi_sim"):
                 auto = gb.algorithms.bfs_levels(g, 0)
             auto_launch = backend.metrics()["kernel_launches"]
             backend.reset()
-            with loadbalance.forced("scalar"), use_backend("multi_sim"):
+            with policy(lanes="scalar"), use_backend("multi_sim"):
                 forced_ = gb.algorithms.bfs_levels(g, 0)
             forced_launch = backend.metrics()["kernel_launches"]
             assert_same(auto, ref, exact=True)

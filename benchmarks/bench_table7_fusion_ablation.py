@@ -3,8 +3,8 @@
 Runs three pipelines — BFS on the Graph500-skew s13 R-MAT, PageRank on the
 s12 R-MAT pinned to 20 power iterations, and a masked-SpGEMM statistics
 pipeline — under every optimizer configuration: ``eager`` (the pre-lazy
-baseline, ``lazy_disabled()``), ``lazy`` (all five passes on), and one
-ablation per pass (``passes_configured(<pass>=False)``).
+baseline, ``policy(lazy="off")``), ``lazy`` (all five passes on), and one
+ablation per pass (``policy(<pass>=False)``).
 
 Shape claims:
 
@@ -23,8 +23,6 @@ Emits ``BENCH_table7.json`` with the deterministic cuda_sim counters that
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import pytest
 
 import repro as gb
@@ -36,7 +34,7 @@ from repro.core.monoid import PLUS_MONOID
 from repro.core.operators import TIMES
 from repro.core.semiring import PLUS_TIMES
 from repro.gpu.device import get_device
-from repro.lazy import config as lazy_config
+from repro.policy import policy
 from repro.testing.equivalence import assert_same
 
 from conftest import fresh_device_state, save_json, save_table
@@ -68,10 +66,10 @@ def graph(name):
 def mode_ctx(mode):
     """The lazy-layer configuration for one table column."""
     if mode == "eager":
-        return lazy_config.lazy_disabled()
+        return policy(lazy="off")
     if mode == "lazy":
-        return nullcontext()  # cuda_sim records by default; all passes on
-    return lazy_config.passes_configured(**{mode[3:]: False})
+        return policy()  # cuda_sim records by default; all passes on
+    return policy(**{mode[3:]: False})
 
 
 def run_bfs():

@@ -31,10 +31,10 @@ from ...core.descriptor import DEFAULT, Descriptor
 from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
-from ...gpu import reuse
 from ...gpu.device import Device, get_device
 from ...gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
 from ...gpu.residency import RESIDENT_CAP, ResidentSet
+from ...policy import current
 from .. import dispatch
 from ..base import Backend
 from ..cpu.spmv import choose_direction, mask_pull_rows
@@ -151,7 +151,7 @@ class CudaSimBackend(Backend):
         same key as :meth:`CSRMatrix.cached_transpose`, so host- and
         device-side consumers share one transpose per version.
         """
-        if not reuse.aux_cache_enabled():
+        if not current().aux_cache:
             out = launch(
                 TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a, device=self._dev()
             )
@@ -190,7 +190,7 @@ class CudaSimBackend(Backend):
         CSC was materialised on the host, so its device use charges an
         upload of the transposed copy.
         """
-        if reuse.aux_cache_enabled():
+        if current().aux_cache:
             return self._device_transpose(a)
         if csc is not None:
             self._ensure_resident(csc.tcsr)

@@ -63,9 +63,9 @@ from ...distributed.partition import (
 )
 from ...distributed.topology import DGX_NVLINK, Topology
 from ...exceptions import InvalidValueError
-from ...gpu import reuse
 from ...gpu.device import Device, DeviceProperties, K40
 from ...gpu.kernel import LaunchConfig, charge_transfer, launch
+from ...policy import current
 from ...sanitizer import runtime as _gbsan
 from ..base import Backend
 from ..cpu.ewise import ewise_add_vec, ewise_mult_vec
@@ -130,17 +130,10 @@ class MultiSimBackend(Backend):
         topology: Topology = DGX_NVLINK,
         props: DeviceProperties = K40,
     ) -> None:
-        self.nparts = int(nparts)
-        self.splitter = splitter
-        self.topology = topology
-        self.props = props
-        self._cluster = SimCluster(self.nparts, props, topology)
         # Partition memos, keyed by id(matrix): (ref, version, PartitionedCSR).
         self._parts: dict = {}
         self._tparts: dict = {}
-        # Sliced-residency epoch: a container whose _aux stamp is this token
-        # is held as owned slices.  Replacing the token forgets every stamp.
-        self._epoch = object()
+        self.configure(nparts, splitter, topology, props)
 
     # ------------------------------------------------------------------
     # Configuration / introspection
@@ -153,16 +146,20 @@ class MultiSimBackend(Backend):
         topology: Optional[Topology] = None,
         props: Optional[DeviceProperties] = None,
     ) -> "MultiSimBackend":
-        """Rebuild the cluster with new parameters; drops all device state."""
+        """Rebuild the cluster with new parameters; drops all device state.
+
+        The constructor builds through here too.  Bad values raise before
+        anything changes.
+        """
+        if nparts is not None and nparts < 1:
+            raise InvalidValueError(f"nparts must be >= 1, got {nparts}")
+        if splitter is not None and splitter not in SPLITTERS:
+            raise InvalidValueError(
+                f"unknown splitter {splitter!r}; known: {SPLITTERS}"
+            )
         if nparts is not None:
-            if nparts < 1:
-                raise InvalidValueError(f"nparts must be >= 1, got {nparts}")
             self.nparts = int(nparts)
         if splitter is not None:
-            if splitter not in SPLITTERS:
-                raise InvalidValueError(
-                    f"unknown splitter {splitter!r}; known: {SPLITTERS}"
-                )
             self.splitter = splitter
         if topology is not None:
             self.topology = topology
@@ -171,6 +168,8 @@ class MultiSimBackend(Backend):
         self._cluster = SimCluster(self.nparts, self.props, self.topology)
         self._parts.clear()
         self._tparts.clear()
+        # Sliced-residency epoch: a container whose _aux stamp is this token
+        # is held as owned slices.  Replacing the token forgets every stamp.
         self._epoch = object()
         return self
 
@@ -332,7 +331,7 @@ class MultiSimBackend(Backend):
         self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
         for ex, shard in zip(self._cluster.executors, part.shards):
             ex._mark_resident(shard)
-        if reuse.aux_cache_enabled():
+        if current().aux_cache:
             self._tparts[id(a)] = (a, a.version, part)
         return part
 

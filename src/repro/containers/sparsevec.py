@@ -13,6 +13,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..exceptions import IndexOutOfBoundsError, InvalidObjectError, InvalidValueError
+from ..policy import current
 from ..types import GrBType, from_dtype
 from ..core.operators import BinaryOp
 
@@ -51,9 +52,7 @@ class SparseVector:
         return self._version
 
     def _cached(self, key: str, build):
-        from ..gpu import reuse
-
-        if not reuse.aux_cache_enabled():
+        if not current().aux_cache:
             return build()
         hit = self._aux.get(key)
         if hit is None:

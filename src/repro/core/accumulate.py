@@ -27,6 +27,7 @@ import numpy as np
 
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
+from ..policy import current
 from ..types import GrBType, promote
 from .descriptor import DEFAULT, Descriptor
 from .mask import check_mask_shape, flat_keys, matrix_mask_at, vector_mask_at
@@ -45,9 +46,8 @@ def _note_result(container):
     charging PCIe traffic (transfer elision).
     """
     from ..backends.dispatch import current_backend
-    from ..gpu import reuse
 
-    if reuse.elision_enabled():
+    if current().elision:
         current_backend().note_result(container)
     return container
 
@@ -62,10 +62,8 @@ def _trivial_merge(mask, accum, desc: Descriptor) -> bool:
     residency — across the write pipeline, which is what lets iterative
     algorithms skip per-iteration H2D re-uploads.
     """
-    from ..gpu import reuse
-
     del desc  # replace flag is irrelevant once the mask admits everything
-    return mask is None and accum is None and reuse.elision_enabled()
+    return mask is None and accum is None and current().elision
 
 
 def _accumulate(

@@ -13,10 +13,10 @@ the existing cost model.
 
 Lane selection is a pure *schedule* decision: the semantic functions are
 untouched, so results are bit-identical to the single-lane kernels on
-every backend.  Like the reuse layer, the policy has an explicit A/B
-switch — ``configure(mode=...)`` / :func:`lanes_disabled` /
-:func:`forced` — so benchmarks can measure the lane layer against its own
-baseline within one process.
+every backend.  The policy's ``lanes`` field (:mod:`repro.policy`) is the
+A/B switch — ``policy(lanes=...)`` pins a lane or turns selection off — so
+benchmarks can measure the lane layer against its own baseline within one
+process.
 
 Lane vocabulary:
 
@@ -32,26 +32,20 @@ Lane vocabulary:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidValueError
+from ..policy import current
 from .simt import divergence_thread_per_row, divergence_warp_per_row
 
 __all__ = [
     "LANES",
-    "MODES",
     "LanePlan",
     "LaneSchedule",
     "choose_lanes",
-    "configure",
-    "current_mode",
-    "forced",
-    "lanes_disabled",
-    "lanes_enabled",
     "merge_partitions",
     "plan_rows",
     "schedule",
@@ -62,88 +56,13 @@ _IDX = 8  # bytes per index (int64), matching the kernel estimators
 #: The three concrete lanes a row bin can run in.
 LANES: Tuple[str, ...] = ("scalar", "vector", "merge")
 
-#: Valid policy modes: ``auto`` bins per launch, a lane name forces that
-#: lane everywhere, ``off`` keeps each kernel's native single-lane
-#: schedule (the pre-lanes baseline).
-MODES: Tuple[str, ...] = ("auto", "scalar", "vector", "merge", "off")
-
-
-class _Config:
-    __slots__ = ("mode", "scalar_cutoff", "vector_cutoff", "merge_tile")
-
-    def __init__(self) -> None:
-        self.mode = "auto"
-        # Rows with <= scalar_cutoff entries: thread-per-row is already
-        # balanced.  Rows in (scalar_cutoff, vector_cutoff]: warp-per-row
-        # with a row-sized vector width.  Longer rows: merge-path.
-        self.scalar_cutoff = 4
-        self.vector_cutoff = 256
-        # Work units (nnz + nrows) per merge-path partition.
-        self.merge_tile = 256
-
-
-_CONFIG = _Config()
-
-
-def configure(
-    mode: Optional[str] = None,
-    scalar_cutoff: Optional[int] = None,
-    vector_cutoff: Optional[int] = None,
-    merge_tile: Optional[int] = None,
-) -> None:
-    """Set lane-policy switches (None leaves a switch untouched)."""
-    if mode is not None:
-        if mode not in MODES:
-            raise InvalidValueError(f"unknown lane mode {mode!r}; known: {MODES}")
-        _CONFIG.mode = mode
-    if scalar_cutoff is not None:
-        if scalar_cutoff < 1:
-            raise InvalidValueError(f"scalar_cutoff must be >= 1, got {scalar_cutoff}")
-        _CONFIG.scalar_cutoff = int(scalar_cutoff)
-    if vector_cutoff is not None:
-        if vector_cutoff <= _CONFIG.scalar_cutoff:
-            raise InvalidValueError(
-                f"vector_cutoff must exceed scalar_cutoff "
-                f"({_CONFIG.scalar_cutoff}), got {vector_cutoff}"
-            )
-        _CONFIG.vector_cutoff = int(vector_cutoff)
-    if merge_tile is not None:
-        if merge_tile < 2:
-            raise InvalidValueError(f"merge_tile must be >= 2, got {merge_tile}")
-        _CONFIG.merge_tile = int(merge_tile)
-
-
-def current_mode() -> str:
-    return _CONFIG.mode
-
-
-def lanes_enabled() -> bool:
-    return _CONFIG.mode != "off"
-
-
-@contextmanager
-def lanes_disabled() -> Iterator[None]:
-    """Run with lane selection off (every kernel keeps its native lane)."""
-    prev = _CONFIG.mode
-    _CONFIG.mode = "off"
-    try:
-        yield
-    finally:
-        _CONFIG.mode = prev
-
-
-@contextmanager
-def forced(mode: str) -> Iterator[None]:
-    """Run with the lane policy pinned to ``mode`` (a lane name or
-    ``auto``/``off``) — the benchmark A/B harness."""
-    if mode not in MODES:
-        raise InvalidValueError(f"unknown lane mode {mode!r}; known: {MODES}")
-    prev = _CONFIG.mode
-    _CONFIG.mode = mode
-    try:
-        yield
-    finally:
-        _CONFIG.mode = prev
+# Rows with <= SCALAR_CUTOFF entries: thread-per-row is already balanced.
+# Rows in (SCALAR_CUTOFF, VECTOR_CUTOFF]: warp-per-row with a row-sized
+# vector width.  Longer rows: merge-path.
+SCALAR_CUTOFF = 4
+VECTOR_CUTOFF = 256
+#: Work units (nnz + nrows) per merge-path partition.
+MERGE_TILE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +101,8 @@ class LanePlan:
 def plan_rows(lens: np.ndarray) -> LanePlan:
     """Bin rows by length into the three lanes (an exact partition)."""
     lens = np.asarray(lens)
-    sc, vc = _CONFIG.scalar_cutoff, _CONFIG.vector_cutoff
-    short = lens <= sc
-    long_ = lens > vc
+    short = lens <= SCALAR_CUTOFF
+    long_ = lens > VECTOR_CUTOFF
     return LanePlan(
         scalar=np.flatnonzero(short),
         vector=np.flatnonzero(~short & ~long_),
@@ -192,7 +110,7 @@ def plan_rows(lens: np.ndarray) -> LanePlan:
     )
 
 
-def merge_partitions(units: int, tile: Optional[int] = None) -> np.ndarray:
+def merge_partitions(units: int, tile: int = MERGE_TILE) -> np.ndarray:
     """Per-partition sizes for ``units`` merge-path work items.
 
     Partitions are ``<= tile`` units each and differ by at most one unit —
@@ -202,8 +120,7 @@ def merge_partitions(units: int, tile: Optional[int] = None) -> np.ndarray:
     total = int(units)
     if total <= 0:
         return np.zeros(0, dtype=np.int64)
-    t = int(tile) if tile is not None else _CONFIG.merge_tile
-    nparts = max(1, -(-total // t))
+    nparts = max(1, -(-total // int(tile)))
     base, rem = divmod(total, nparts)
     out = np.full(nparts, base, dtype=np.int64)
     out[:rem] += 1
@@ -228,7 +145,7 @@ def choose_lanes(
     ``native`` is the kernel's built-in lane, returned when the policy is
     off.  Returns a lane name or ``"binned"``.
     """
-    mode = _CONFIG.mode
+    mode = current().lanes
     if mode == "off":
         return native
     if mode in LANES:
@@ -236,7 +153,7 @@ def choose_lanes(
     lens = np.asarray(lens)
     if lens.size == 0:
         return native
-    if nnz_max is not None and nnz_max <= _CONFIG.scalar_cutoff:
+    if nnz_max is not None and nnz_max <= SCALAR_CUTOFF:
         return "scalar"
     return plan_rows(lens).label
 
@@ -266,9 +183,7 @@ def _pow2_at_least(x: float, lo: int, hi: int) -> int:
     return v
 
 
-def _merge_schedule(
-    lens: np.ndarray, threads_per_row: int, tile: Optional[int] = None
-) -> LaneSchedule:
+def _merge_schedule(lens: np.ndarray, threads_per_row: int) -> LaneSchedule:
     """Merge-path lane: equal partitions over ``nnz + nrows`` work units.
 
     Divergence is the path-length inflation (row-boundary bookkeeping
@@ -280,7 +195,7 @@ def _merge_schedule(
     """
     useful = float(lens.sum())
     units = int(useful) + int(lens.size)
-    parts = merge_partitions(units, tile)
+    parts = merge_partitions(units)
     if parts.size == 0:
         return LaneSchedule("merge", 1.0, threads_per_row)
     imbalance = float(parts.max()) / (float(parts.sum()) / parts.size)

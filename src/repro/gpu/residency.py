@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
+from ..policy import current
 from ..sanitizer import runtime as _gbsan
 from .device import Device, get_device
 from .kernel import charge_transfer
@@ -65,8 +66,6 @@ class ResidentSet:
 
     def ensure(self, container: Any) -> None:
         """Charge an H2D upload unless the container is clean on-device."""
-        from . import reuse
-
         key = id(container)
         entry = self._entries.get(key)
         version = getattr(container, "version", 0)
@@ -75,7 +74,7 @@ class ResidentSet:
         if entry is not None:
             if entry[2] == version:
                 self._entries.move_to_end(key)
-                if reuse.elision_enabled():
+                if current().elision:
                     dev.allocator.record_h2d_elided(container.nbytes)
                 if san is not None:
                     # Self-heal a sanitizer enabled mid-session: the shadow
@@ -97,7 +96,7 @@ class ResidentSet:
         # (repro.testing.conservation) requires every saved byte to appear in
         # the elided counter, and the elision flag to gate the whole
         # mechanism.
-        if dev.h2d_hints and reuse.elision_enabled():
+        if dev.h2d_hints and current().elision:
             skip = dev.h2d_hints.get((key, version), 0.0)
             if skip:
                 nbytes = max(nbytes - skip, 0.0)

@@ -8,32 +8,20 @@ runs an optimizer over the whole pending program: ewise-chain fusion,
 dead-materialization elimination, mask sinking, loop-level push/pull
 selection, and automatic whole-loop capture.
 
-Eager mode (:func:`lazy_disabled`, or ``REPRO_LAZY=0``) executes the same
+Eager mode (``policy(lazy="off")``, or ``REPRO_LAZY=0``) executes the same
 run closures immediately and is bit-identical by construction — every
-optimizer decision is a pure launch/transfer/materialization choice.
+optimizer decision is a pure launch/transfer/materialization choice.  The
+mode and each pass are fields of :class:`repro.policy.Policy`, switched with
+the settling :func:`repro.policy.policy` scope.
 
 See ``docs/optimizer.md`` for the pass-by-pass walkthrough.
 """
 
 from __future__ import annotations
 
-from .config import (
-    configure,
-    lazy_disabled,
-    lazy_enabled,
-    lazy_mode,
-    pass_enabled,
-    passes_configured,
-)
 from .schedule import sync, tape_len, wait
 
 __all__ = [
-    "configure",
-    "lazy_disabled",
-    "lazy_enabled",
-    "lazy_mode",
-    "pass_enabled",
-    "passes_configured",
     "sync",
     "tape_len",
     "wait",

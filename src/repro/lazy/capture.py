@@ -11,7 +11,7 @@ device of the flushing backend:
   semantics execute as always, each launch's busy time lands on the device
   clock at once, but the launch overhead and the profiler record are
   deferred and *accumulated across iterations*.  When the loop ends (a
-  config barrier, a profiler read, a ``use_backend`` exit — any
+  policy scope, a profiler read, a ``use_backend`` exit — any
   :func:`repro.lazy.schedule.wait`), one ``graph_replay[lazy:<name>]``
   record is emitted carrying a single launch overhead plus the summed busy
   times of every member kernel.

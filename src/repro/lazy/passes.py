@@ -15,7 +15,7 @@ All passes are linear walks over the program-ordered node list produced by
   the upload charges indices only.
 
 Every pass is a pure schedule decision: the values produced are bitwise
-those of the eager pipeline (``lazy_disabled()``), only launches, transfers,
+those of the eager pipeline (``policy(lazy="off")``), only launches, transfers,
 and materializations change.
 """
 

@@ -5,7 +5,7 @@ Vector-valued frontend operations call :func:`emit` with a run closure
 active the call appends a :class:`~repro.lazy.ir.Node` to the process-wide
 tape and returns immediately; otherwise the closure executes on the spot —
 eager mode is the same code path minus the tape, which is what makes
-``lazy_disabled()`` bit-identical by construction.
+``policy(lazy="off")`` bit-identical by construction.
 
 Evaluation is forced at *observation points*:
 
@@ -18,7 +18,8 @@ Evaluation is forced at *observation points*:
   :func:`repro.gpu.device.set_observe_hook`);
 - leaving a ``use_backend`` scope (hooked via
   :func:`repro.backends.dispatch.set_sync_hook`);
-- explicit :func:`wait`, and every lazy-config transition.
+- explicit :func:`wait`, and entering or leaving every
+  :func:`repro.policy.policy` scope.
 
 A flush runs the optimizer over the whole pending tape in program order:
 dead-materialization elimination (liveness from the owning handles), fusion,
@@ -33,7 +34,7 @@ import weakref
 
 from ..backends.dispatch import current_backend, set_sync_hook
 from ..gpu.device import set_observe_hook
-from . import config
+from ..policy import current
 from .ir import LazyValue, Node, RunFn
 
 __all__ = [
@@ -62,7 +63,7 @@ def recording() -> bool:
     """True when frontend ops should record instead of executing."""
     if _FLUSHING:
         return False
-    mode = config._FLAGS.mode
+    mode = current().lazy
     if mode == "off":
         return False
     if mode == "on":
@@ -243,26 +244,26 @@ def _live_nodes(tape: List[Node], root: Optional[LazyValue]) -> List[Node]:
 def _flush(tape: List[Node], root: Optional[LazyValue]) -> None:
     from . import capture, passes
 
-    flags = config._FLAGS
-    nodes = _live_nodes(tape, root) if flags.dme else list(tape)
+    pol = current()
+    nodes = _live_nodes(tape, root) if pol.dme else list(tape)
     if not nodes:
         return
     be = nodes[0].backend
     uniform = all(n.backend is be for n in nodes)
-    if uniform and flags.fuse:
+    if uniform and pol.fuse:
         nodes = passes.fuse(nodes)
     # The device passes run for a lazy front-end backend (cuda_sim, and
     # multi_sim on all of its shard devices).
     lazy_be = uniform and bool(getattr(be, "lazy_by_default", False))
     devices = be.devices() if lazy_be else []
     if lazy_be:
-        if flags.sink:
+        if pol.sink:
             passes.sink(nodes)
-        if flags.direction:
+        if pol.direction:
             passes.choose_directions(nodes)
-        if flags.dme:
+        if pol.dme:
             passes.register_iso_hints(nodes, devices)
-    if not (lazy_be and flags.capture):
+    if not (lazy_be and pol.capture):
         for node in nodes:
             _execute(node)
         return

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..exceptions import SanitizerError
+from ..policy import current
 from .access import Access, is_tracked, label
 from .hb import Epoch, Timeline, join, merge_frontier
 
@@ -593,10 +594,8 @@ class Sanitizer:
         if not loop.replaying:
             bindings[id(obj)] = (obj, buf)
             return
-        from ..gpu import reuse
-
         cap = bindings.get(id(obj))
-        if cap is None or cap[0] is not obj or not reuse.elision_enabled():
+        if cap is None or cap[0] is not obj or not current().elision:
             return
         if cap[1] is not None and buf is not None and cap[1] is not buf:
             self._emit(

@@ -29,9 +29,8 @@ from ..backends.dispatch import get_backend, use_backend
 from ..core import operations as ops
 from ..core.semiring import MIN_PLUS, PLUS_TIMES
 from ..core.vector import Vector
-from ..gpu import reuse
 from ..gpu.device import get_device, reset_device
-from ..lazy import passes_configured
+from ..policy import policy
 from ..types import FP64
 from .executor import execute
 from .programs import Program, build_env
@@ -66,11 +65,8 @@ def check_transfer_conservation(program: Program) -> Optional[str]:
     totals = []
     for elide in (True, False):
         be = _fresh_cuda_sim()
-        reuse.configure(elision=elide)
-        try:
+        with policy(elision=elide):
             execute(program, "cuda_sim")
-        finally:
-            reuse.configure(elision=True)
         stats = get_device().allocator.stats
         totals.append((float(stats.h2d_bytes), float(stats.h2d_elided_bytes)))
         be.evict_all()
@@ -184,7 +180,7 @@ def check_replay_conservation(program: Program, source: int = 0) -> Optional[str
     for nparts in (None, 2, 4):
         where = "cuda_sim" if nparts is None else f"multi_sim P={nparts}"
         on = _bfs_profile(graph, source, nparts)
-        with passes_configured(capture=False):
+        with policy(capture=False):
             off = _bfs_profile(graph, source, nparts)
         for p, ((expanded, _, exp_time, kernel_us), (_, plain, _, _)) in enumerate(
             zip(on, off)

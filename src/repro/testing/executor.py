@@ -1,25 +1,27 @@
 """Differential execution: replay one program on every backend and diff.
 
 A *backend spec* is a string naming one execution configuration:
+``<backend>[:P:splitter][:suffix...]``.
 
 - ``"reference"``, ``"cpu"`` — the host backends;
-- ``"cuda_sim"`` — the simulated GPU with the reuse layer in its default
-  (fully enabled) state;
-- ``"cuda_sim:noreuse"`` — same kernels with aux caches, transfer elision,
-  and loop capture all off (the pre-reuse baseline);
-- ``"cuda_sim:lanes=<mode>"`` — the load-balancing lane policy pinned to
-  ``mode`` (a lane name, ``auto``, or ``off`` — see
-  :mod:`repro.gpu.loadbalance`), e.g. ``"cuda_sim:lanes=merge"``: lane
-  selection is pure scheduling, so results must stay bit-identical;
+- ``"cuda_sim"`` — the simulated GPU under the default policy;
 - ``"multi_sim:P:splitter"`` — the partitioned backend with ``P`` devices
   and the named block-row splitter, e.g. ``"multi_sim:4:degree_balanced"``.
 
-Any spec may append ``:lazy=on`` / ``:lazy=off`` to pin the lazy
-evaluation mode (:mod:`repro.lazy`) for the run — both simulated backends
-record lazily by default, so ``"cuda_sim:lazy=off"`` and
-``"multi_sim:2:equal_rows:lazy=off"`` keep the eager paths covered.  The
-optimizer is pure scheduling, so results must stay bit-identical either
-way.
+Suffixes, in any order, set fields of the optimisation policy
+(:mod:`repro.policy`, which owns their parse) for the run:
+
+- ``noreuse`` — aux caches, transfer elision and loop capture all off (the
+  pre-reuse baseline);
+- ``lanes=<mode>`` — the load-balancing lane policy pinned to ``mode`` (a
+  lane name, ``auto``, or ``off``), e.g. ``"cuda_sim:lanes=merge"``;
+- ``lazy=<mode>`` — the lazy evaluation mode; both simulated backends
+  record lazily by default, so ``"cuda_sim:lazy=off"`` and
+  ``"multi_sim:2:equal_rows:lazy=off"`` keep the eager paths covered.
+
+Every policy field is pure scheduling, so results must stay bit-identical
+under any suffix.  An unknown backend, suffix or value raises
+``ValueError``.
 
 :func:`run_differential` replays the program on the reference backend, then
 on every other spec, comparing op-by-op under the shared equivalence policy
@@ -31,9 +33,9 @@ must raise the *same* exception type everywhere.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,9 +46,8 @@ from ..core.descriptor import Descriptor
 from ..core.matrix import Matrix
 from ..core.vector import Vector
 from ..exceptions import GraphBLASError
-from ..gpu import loadbalance, reuse
 from ..gpu.device import reset_device
-from ..lazy import config as lazy_config
+from ..policy import parse_suffixes, policy
 from ..types import FP64
 from .equivalence import describe_mismatch, same
 from .programs import (
@@ -122,19 +123,19 @@ class Divergence:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_backend(spec: str):
-    """(context-manager backend object, needs_device_reset)."""
-    if spec in ("reference", "cpu"):
-        return get_backend(spec), False
-    if spec.startswith("cuda_sim"):
-        return get_backend("cuda_sim"), True
-    if spec.startswith("multi_sim"):
-        parts = spec.split(":")
-        return (
-            get_backend("multi_sim").configure(nparts=int(parts[1]), splitter=parts[2]),
-            True,
-        )
-    raise ValueError(f"unknown backend spec {spec!r}")
+def _resolve_backend(spec: str) -> Tuple[Any, Dict[str, Any]]:
+    """(backend object, policy overrides) for one spec string."""
+    name, *suffixes = spec.split(":")
+    if name == "multi_sim":
+        if len(suffixes) < 2:
+            raise ValueError(f"backend spec {spec!r}: expected multi_sim:P:splitter")
+        nparts, splitter, *suffixes = suffixes
+        overrides = parse_suffixes(suffixes)
+        backend = get_backend(name).configure(nparts=int(nparts), splitter=splitter)
+        return backend, overrides
+    if name not in ("reference", "cpu", "cuda_sim"):
+        raise ValueError(f"unknown backend spec {spec!r}")
+    return get_backend(name), parse_suffixes(suffixes)
 
 
 def _snapshot(result: Any) -> Any:
@@ -346,43 +347,23 @@ def execute(
 
 
 @contextmanager
-def _noreuse() -> Iterator[None]:
-    """The pre-reuse baseline: reuse layer off and no loop capture."""
-    with reuse.reuse_disabled(), lazy_config.passes_configured(capture=False):
-        yield
-
-
-@contextmanager
 def backend_session(spec: str):
     """Enter one backend spec end-to-end: resolve the backend, reset
-    device state, apply the suffix contexts (``:noreuse`` / ``:lanes=`` /
-    ``:lazy=``), and activate the backend for the ``with`` body.
+    device state, apply the suffixes' policy, and activate the backend for
+    the ``with`` body.
 
     This is the single definition of what a spec string *means*; the
     program executor above and the streaming mutation runner
     (:mod:`repro.testing.streaming`) both run inside it.
     """
-    backend, device_backed = _resolve_backend(spec)
-    if device_backed:
-        if spec.startswith("multi_sim"):
-            backend.reset()
-        else:
-            backend.evict_all()
-            reset_device()
-    noreuse = spec.endswith(":noreuse")
-    ctx = _noreuse() if noreuse else nullcontext()
-    lane_ctx: Any = nullcontext()
-    lazy_ctx: Any = nullcontext()
-    for part in spec.split(":")[1:]:
-        if part.startswith("lanes="):
-            lane_ctx = loadbalance.forced(part[len("lanes="):])
-        elif part == "lazy=off":
-            lazy_ctx = lazy_config.lazy_disabled()
-        elif part == "lazy=on":
-            lazy_ctx = lazy_config.lazy_enabled()
-    with ctx, lane_ctx, lazy_ctx:
-        with use_backend(backend):
-            yield backend
+    backend, overrides = _resolve_backend(spec)
+    if backend.name == "multi_sim":
+        backend.reset()
+    elif backend.name == "cuda_sim":
+        backend.evict_all()
+        reset_device()
+    with policy(**overrides), use_backend(backend):
+        yield backend
 
 
 def _append_placeholder(spec, env) -> None:

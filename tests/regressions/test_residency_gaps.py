@@ -23,8 +23,8 @@ from repro import sanitizer as sz
 from repro.backends.dispatch import get_backend, use_backend
 from repro.core import operations as ops
 from repro.core.semiring import PLUS_TIMES
-from repro.gpu import reuse
 from repro.gpu.device import get_device
+from repro.policy import policy
 
 
 def _graph_and_operands():
@@ -72,7 +72,7 @@ def test_uncached_device_transpose_is_marked_resident():
         a, u, _ = _graph_and_operands()
         be.evict_all()
         get_device().reset()
-        with reuse.reuse_disabled():
+        with policy(aux_cache=False, elision=False):
             with sz.sanitized() as san:
                 out = be.mxv(
                     a.container, u.container, PLUS_TIMES, direction="push"

@@ -14,7 +14,7 @@ from repro.backends.cuda_sim.kernels import (
 from repro.containers.csr import CSRMatrix
 from repro.containers.sparsevec import SparseVector
 from repro.core.semiring import PLUS_TIMES
-from repro.gpu import loadbalance
+from repro.policy import policy
 from repro.types import FP64
 
 
@@ -48,7 +48,7 @@ class TestSpmvWork:
     def test_short_rows_raise_divergence(self):
         uniform_short = CSRMatrix.from_dense(np.eye(64))  # rows of length 1
         # Native warp-per-row wastes 31 of 32 lanes on length-1 rows.
-        with loadbalance.forced("vector"):
+        with policy(lanes="vector"):
             w = SPMV_CSR_VECTOR.work(
                 uniform_short, full_vec(64), PLUS_TIMES, FP64, False, None
             )
@@ -85,7 +85,7 @@ class TestSpmsvWork:
         d[1:33, 0] = 1.0
         a = CSRMatrix.from_dense(d)
         u = SparseVector(64, np.arange(33), np.ones(33), FP64)
-        with loadbalance.forced("scalar"):
+        with policy(lanes="scalar"):
             w = SPMSV_PUSH.work(a, u, PLUS_TIMES, FP64, False)
         assert w.divergence > 5.0
         # The balancer bins the hub row away from the singletons, cutting
@@ -152,14 +152,11 @@ class TestEndToEndTiming:
             s_rows, s_cols, np.ones(s_rows.size), n, n, dup=FIRST
         )
 
-        def sim_time(g, lane=None):
+        def sim_time(g, lane="auto"):
             reset_device()
             get_backend("cuda_sim").evict_all()
             u = gb.Vector.full(1.0, n, gb.FP64)
-            import contextlib
-
-            ctx = loadbalance.forced(lane) if lane else contextlib.nullcontext()
-            with ctx, use_backend("cuda_sim"):
+            with policy(lanes=lane), use_backend("cuda_sim"):
                 w = gb.Vector.sparse(gb.FP64, n)
                 ops.mxv(w, g, u, PLUS_TIMES, direction="pull")
             return get_device().profiler.kernel_time_us

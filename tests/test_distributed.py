@@ -369,3 +369,12 @@ class TestMultiSimBackend:
         with pytest.raises(InvalidValueError):
             ms.configure(splitter="bogus")
         ms.configure(nparts=2, splitter="equal_rows")
+
+    def test_constructor_validates(self):
+        from repro.backends.multi_sim.backend import MultiSimBackend
+        from repro.exceptions import InvalidValueError
+
+        with pytest.raises(InvalidValueError):
+            MultiSimBackend(nparts=0)
+        with pytest.raises(InvalidValueError):
+            MultiSimBackend(splitter="bogus")

@@ -29,14 +29,8 @@ from repro.core.monoid import MAX_MONOID, MIN_MONOID, PLUS_MONOID
 from repro.core.operators import ABS, MAX, MIN, MINUS, PLUS, TIMES
 from repro.core.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
 from repro.gpu.device import get_device, reset_device
-from repro.lazy import (
-    lazy_disabled,
-    lazy_enabled,
-    lazy_mode,
-    passes_configured,
-    tape_len,
-    wait,
-)
+from repro.lazy import tape_len, wait
+from repro.policy import current, policy
 
 SEMIRINGS = [PLUS_TIMES, MIN_PLUS, LOR_LAND]
 ACCUMS = [None, PLUS, MIN, MAX]
@@ -106,9 +100,9 @@ class TestBitIdentity:
         m = mask if masked else None
         _fresh()
         with gb.use_backend("cuda_sim"):
-            with lazy_disabled():
+            with policy(lazy="off"):
                 eager = _pipeline(g, u, m, semiring, accum, monoid, desc)
-            with lazy_enabled():
+            with policy(lazy="on"):
                 lazy = _pipeline(g, u, m, semiring, accum, monoid, desc)
         assert _snapshot(eager[:4]) == _snapshot(lazy[:4])
         # Scalar reduction: bit-identical, not merely close.
@@ -122,10 +116,10 @@ class TestBitIdentity:
         m = mask if masked else None
         _fresh()
         with gb.use_backend("cuda_sim"):
-            with lazy_disabled():
+            with policy(lazy="off"):
                 expect = _snapshot(_pipeline(g, u, m, semiring, accum, monoid, desc)[:4])
             for name in ("fuse", "dme", "sink", "direction", "capture"):
-                with lazy_enabled(), passes_configured(**{name: False}):
+                with policy(lazy="on", **{name: False}):
                     got = _snapshot(_pipeline(g, u, m, semiring, accum, monoid, desc)[:4])
                 assert got == expect, f"pass {name}=off diverged"
 
@@ -133,7 +127,7 @@ class TestBitIdentity:
         g = gb.generators.rmat(scale=7, edge_factor=6, seed=11, weighted=False)
         _fresh()
         with gb.use_backend("cuda_sim"):
-            with lazy_disabled():
+            with policy(lazy="off"):
                 lv_e = gb.algorithms.bfs_levels(g, 0)
                 pr_e = gb.algorithms.pagerank(g, max_iter=12)
             lv_l = gb.algorithms.bfs_levels(g, 0)
@@ -147,8 +141,7 @@ class TestCounterConservation:
     def _run_counted(self, fn, lazy: bool):
         _fresh()
         with gb.use_backend("cuda_sim"):
-            ctx = lazy_enabled() if lazy else lazy_disabled()
-            with ctx:
+            with policy(lazy="on" if lazy else "off"):
                 keep = fn()
             wait()
             dev = get_device()
@@ -192,7 +185,7 @@ class TestFusionPasses:
     def test_ewise_reduce_fuses_into_one_kernel(self):
         g, u, _ = _graph(16, 3)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             d = gb.Vector.sparse(gb.FP64, 16)
             ewise_apply(d, u, u, MINUS, ABS)
             total = ops.reduce(d, PLUS_MONOID)
@@ -204,7 +197,7 @@ class TestFusionPasses:
     def test_fill_ewise_fuses_and_skips_fill_materialization(self):
         _, u, _ = _graph(16, 4)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             s = gb.Vector.sparse(gb.FP64, 16)
             assign_scalar(s, 0.25)
             ops.ewise_add(s, s, u, PLUS)
@@ -219,14 +212,14 @@ class TestFusionPasses:
         # delete it; both results stay correct.
         _, u, _ = _graph(16, 5)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             s = gb.Vector.sparse(gb.FP64, 16)
             assign_scalar(s, 0.25)
             out = gb.Vector.sparse(gb.FP64, 16)
             ops.ewise_add(out, s, u, PLUS)
             assert s.nvals == 16
             assert all(v == 0.25 for v in s.to_lists()[1])
-        with gb.use_backend("cuda_sim"), lazy_disabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="off"):
             s2 = gb.Vector.sparse(gb.FP64, 16)
             assign_scalar(s2, 0.25)
             out2 = gb.Vector.sparse(gb.FP64, 16)
@@ -238,7 +231,7 @@ class TestDeadMaterializationElimination:
     def test_dead_temporary_never_launches(self):
         g, u, _ = _graph(16, 6)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             del w  # never observed: must not launch, transfer, or allocate
@@ -250,7 +243,7 @@ class TestDeadMaterializationElimination:
     def test_overwritten_output_drops_previous_producer(self):
         g, u, _ = _graph(16, 7)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             # Unmasked, unaccumulated overwrite: the first product's value
@@ -264,12 +257,12 @@ class TestDeadMaterializationElimination:
     def test_accumulated_output_keeps_previous_producer(self):
         g, u, _ = _graph(16, 8)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             ops.mxv(w, g, u, MIN_PLUS, accum=PLUS)  # reads the first result
             lazy_lists = w.to_lists()
-        with gb.use_backend("cuda_sim"), lazy_disabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="off"):
             w2 = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w2, g, u, PLUS_TIMES)
             ops.mxv(w2, g, u, MIN_PLUS, accum=PLUS)
@@ -292,7 +285,7 @@ class TestDirectionAndCapture:
         g = gb.generators.rmat(scale=8, edge_factor=8, seed=13, weighted=False)
         _fresh()
         with gb.use_backend("cuda_sim"):
-            with lazy_disabled():
+            with policy(lazy="off"):
                 eager_levels = gb.algorithms.bfs_levels(g, 0)
             reset_device()
             levels = gb.algorithms.bfs_levels(g, 0)
@@ -315,7 +308,7 @@ class TestDirectionAndCapture:
     def test_capture_disabled_runs_plain(self):
         g = gb.generators.rmat(scale=7, edge_factor=6, seed=2, weighted=False)
         _fresh()
-        with gb.use_backend("cuda_sim"), passes_configured(capture=False):
+        with gb.use_backend("cuda_sim"), policy(capture=False):
             levels = gb.algorithms.bfs_levels(g, 0)
         names = _kernel_names(get_device())
         assert not any(n.startswith("graph_replay[lazy:") for n in names)
@@ -326,7 +319,7 @@ class TestForcingPoints:
     def test_observers_force_and_mutators_settle(self):
         g, u, _ = _graph(16, 9)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             assert tape_len() == 1
@@ -340,7 +333,7 @@ class TestForcingPoints:
     def test_scalar_reduce_forces(self):
         g, u, _ = _graph(16, 10)
         _fresh()
-        with gb.use_backend("cuda_sim"), lazy_enabled():
+        with gb.use_backend("cuda_sim"), policy(lazy="on"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             ops.reduce(w, PLUS_MONOID)
@@ -349,7 +342,7 @@ class TestForcingPoints:
     def test_backend_exit_forces(self):
         g, u, _ = _graph(16, 11)
         _fresh()
-        with lazy_enabled():
+        with policy(lazy="on"):
             with gb.use_backend("cuda_sim"):
                 w = gb.Vector.sparse(gb.FP64, 16)
                 ops.mxv(w, g, u, PLUS_TIMES)
@@ -359,10 +352,10 @@ class TestForcingPoints:
         del w
 
     def test_mode_restored_by_contexts(self):
-        before = lazy_mode()
-        with lazy_enabled():
-            assert lazy_mode() == "on"
-            with lazy_disabled():
-                assert lazy_mode() == "off"
-            assert lazy_mode() == "on"
-        assert lazy_mode() == before
+        before = current().lazy
+        with policy(lazy="on"):
+            assert current().lazy == "on"
+            with policy(lazy="off"):
+                assert current().lazy == "off"
+            assert current().lazy == "on"
+        assert current().lazy == before

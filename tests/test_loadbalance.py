@@ -12,8 +12,8 @@ Covers the lane tentpole end to end:
   lanes-off baseline) result-for-result across semirings, masks, and
   push/pull directions, on cuda_sim and on multi_sim at P in {1, 2, 4},
   with launch-counter parity between auto and forced runs;
-- the A/B switch: ``configure`` validation, ``forced``/``lanes_disabled``
-  scoping, and the profiler's ``name[lane]`` labels.
+- the A/B switch: ``policy(lanes=...)`` validation and scoping, and the
+  profiler's ``name[lane]`` labels.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from repro.generators.rmat import rmat
 from repro.gpu import loadbalance as lb
 from repro.gpu.device import get_device, reset_device
 from repro.gpu.simt import divergence_thread_per_row, divergence_warp_per_row
+from repro.policy import current, policy
 from repro.testing.equivalence import assert_same
 
 
@@ -142,49 +143,44 @@ class TestSchedules:
 class TestChoice:
     def test_off_mode_keeps_native(self):
         lens = np.array([1, 1000])
-        with lb.lanes_disabled():
+        with policy(lanes="off"):
             assert lb.choose_lanes(lens, native="vector") == "vector"
             assert lb.choose_lanes(lens, native="scalar") == "scalar"
-            assert lb.current_mode() == "off"
-            assert not lb.lanes_enabled()
-        assert lb.lanes_enabled()
+            assert current().lanes == "off"
+        assert current().lanes == "auto"
 
     def test_forced_mode_pins_lane(self):
         lens = np.array([1, 1, 1])
         for lane in lb.LANES:
-            with lb.forced(lane):
+            with policy(lanes=lane):
                 assert lb.choose_lanes(lens) == lane
 
     def test_auto_short_circuits_on_nnz_max(self):
-        # nnz_max <= scalar_cutoff: no binning pass needed at all.
+        # nnz_max <= SCALAR_CUTOFF: no binning pass needed at all.
         assert lb.choose_lanes(np.array([1, 2, 3]), nnz_max=3) == "scalar"
 
     def test_auto_empty_returns_native(self):
         assert lb.choose_lanes(np.zeros(0), native="vector") == "vector"
 
     def test_configure_validation(self):
-        with pytest.raises(InvalidValueError):
-            lb.configure(mode="warp")
-        with pytest.raises(InvalidValueError):
-            lb.configure(scalar_cutoff=0)
-        with pytest.raises(InvalidValueError):
-            lb.configure(vector_cutoff=4)  # must exceed scalar_cutoff (4)
-        with pytest.raises(InvalidValueError):
-            lb.configure(merge_tile=1)
-        assert lb.current_mode() == "auto"
-
-    def test_configure_cutoffs_scoped_restore(self):
-        lb.configure(scalar_cutoff=8, vector_cutoff=64)
-        try:
-            plan = lb.plan_rows(np.array([6, 100]))
-            assert plan.scalar.size == 1 and plan.merge.size == 1
-        finally:
-            lb.configure(scalar_cutoff=4, vector_cutoff=256)
+        # The lane mode is configured through policy(lanes=...); a bad value
+        # raises before the scope opens and leaves the mode unchanged.
+        for bad in ("warp", "", "AUTO", True, None, 1):
+            with pytest.raises(InvalidValueError):
+                with policy(lanes=bad):
+                    pass  # pragma: no cover
+            assert current().lanes == "auto"
+        # The cutoffs are module constants; they must keep the bins ordered
+        # and the merge tile splittable, as the removed setters enforced.
+        assert lb.SCALAR_CUTOFF >= 1
+        assert lb.VECTOR_CUTOFF > lb.SCALAR_CUTOFF
+        assert lb.MERGE_TILE >= 2
 
     def test_forced_rejects_unknown(self):
         with pytest.raises(InvalidValueError):
-            with lb.forced("warp"):
+            with policy(lanes="warp"):
                 pass  # pragma: no cover
+        assert current().lanes == "auto"
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ class TestBitIdentity:
         def run(mode):
             get_backend("cuda_sim").evict_all()
             reset_device()
-            with lb.forced(mode), use_backend("cuda_sim"):
+            with policy(lanes=mode), use_backend("cuda_sim"):
                 w = gb.Vector.sparse(gb.FP64, n)
                 ops.mxv(w, g, u, semiring, direction=direction)
             return w, _kernel_launch_count(get_device())
@@ -235,7 +231,7 @@ class TestBitIdentity:
         def run(mode):
             get_backend("cuda_sim").evict_all()
             reset_device()
-            with lb.forced(mode), use_backend("cuda_sim"):
+            with policy(lanes=mode), use_backend("cuda_sim"):
                 c = gb.Matrix.sparse(gb.FP64, g.nrows, g.ncols)
                 if masked:
                     ops.mxm(c, g, g, MIN_PLUS, mask=mask, desc=gb.STRUCTURE_MASK)
@@ -263,7 +259,7 @@ class TestBitIdentity:
 
         def run(mode):
             backend.reset()
-            with lb.forced(mode), use_backend("multi_sim"):
+            with policy(lanes=mode), use_backend("multi_sim"):
                 levels = gb.algorithms.bfs_levels(g, src)
             return levels, backend.metrics()["kernel_launches"]
 
@@ -276,7 +272,7 @@ class TestBitIdentity:
 
     def test_bfs_levels_auto_vs_scalar_bit_identical(self):
         g = _skewed_graph()
-        with lb.forced("scalar"), use_backend("cuda_sim"):
+        with policy(lanes="scalar"), use_backend("cuda_sim"):
             ref = gb.algorithms.bfs_levels(g, 0)
         get_backend("cuda_sim").evict_all()
         reset_device()
@@ -308,7 +304,7 @@ class TestLaneLabels:
         g = _skewed_graph()
         n = g.nrows
         u = gb.Vector.from_lists([0, 1, 2], [1.0, 1.0, 1.0], n, gb.FP64)
-        with lb.forced("scalar"), use_backend("cuda_sim"):
+        with policy(lanes="scalar"), use_backend("cuda_sim"):
             w = gb.Vector.sparse(gb.FP64, n)
             ops.mxv(w, g, u, PLUS_TIMES, direction="push")
         names = set(get_device().profiler.by_kernel())

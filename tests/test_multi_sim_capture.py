@@ -15,14 +15,12 @@ semantic or communication one:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import pytest
 
 import repro as gb
 from repro.backends.dispatch import get_backend, use_backend
 from repro.generators.rmat import rmat
-from repro.lazy import lazy_disabled, passes_configured
+from repro.policy import policy
 
 
 ALGOS = {
@@ -36,10 +34,10 @@ def graph():
     return rmat(10, 8, seed=21)
 
 
-def _run(graph, algo, nparts, lazy=True, **passes):
+def _run(graph, algo, nparts, **overrides):
     ms = get_backend("multi_sim").configure(nparts=nparts, splitter="degree_balanced")
     ms.reset()
-    with (nullcontext() if lazy else lazy_disabled()), passes_configured(**passes):
+    with policy(**overrides):
         with use_backend(ms):
             result = ALGOS[algo](graph).to_lists()
     return result, ms.metrics()
@@ -82,7 +80,7 @@ def test_lazy_tape_adds_no_communication(graph, algo, nparts):
     # for push's frontier exchange; pin it to compare the same traversal.
     passes = {"direction": False} if algo == "bfs" else {}
     r_lazy, lazy = _run(graph, algo, nparts, **passes)
-    r_eager, eager = _run(graph, algo, nparts, lazy=False)
+    r_eager, eager = _run(graph, algo, nparts, lazy="off")
     assert r_lazy == r_eager
     assert lazy["comm"] == eager["comm"]
     # With every pass on, still no broadcast the eager ops would not issue.

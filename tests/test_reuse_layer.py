@@ -23,13 +23,13 @@ from repro.backends.dispatch import get_backend, use_backend
 from repro.containers.csr import CSRMatrix
 from repro.core import operations as ops
 from repro.core.semiring import LOR_LAND, PLUS_TIMES
-from repro.gpu import reuse
 from repro.gpu.costmodel import KernelWork
 from repro.gpu.device import get_device, reset_device
 from repro.gpu.kernel import Kernel, LaunchConfig, launch
 from repro.gpu.memory import DeviceAllocator
-from repro.lazy import capture, passes_configured
+from repro.lazy import capture
 from repro.lazy.ir import Node
+from repro.policy import policy
 
 
 @pytest.fixture(autouse=True)
@@ -123,7 +123,7 @@ class TestAuxCache:
 
     def test_disabled_cache_rebuilds_every_call(self):
         m = CSRMatrix.from_dense(np.ones((3, 3)))
-        with reuse.reuse_disabled():
+        with policy(aux_cache=False, elision=False):
             assert m.cached_transpose() is not m.cached_transpose()
 
 
@@ -263,7 +263,7 @@ class TestTransferElision:
 
     def test_disabled_elision_restores_seed_traffic(self):
         a, u = _inputs()
-        with reuse.reuse_disabled():
+        with policy(aux_cache=False, elision=False):
             with use_backend("cuda_sim"):
                 w = gb.Vector.sparse(gb.FP64, 64)
                 ops.mxv(w, a, u, PLUS_TIMES)
@@ -365,7 +365,7 @@ class TestLoopCapture:
 
     def test_capture_pass_off_never_replays(self):
         g = gb.generators.rmat(scale=7, edge_factor=6, seed=5)
-        with passes_configured(capture=False):
+        with policy(capture=False):
             with use_backend("cuda_sim"):
                 gb.algorithms.pagerank(g, tol=0.0, max_iter=5)
         assert get_device().profiler.replay_count == 0
@@ -384,7 +384,7 @@ class TestBackendIdentity:
             get_backend("cuda_sim").evict_all()
             reset_device()
             if label == "off":
-                with reuse.reuse_disabled():
+                with policy(aux_cache=False, elision=False):
                     with use_backend("cuda_sim"):
                         results[label] = gb.algorithms.bfs_levels(g, 0).to_lists()
             else:
@@ -424,7 +424,7 @@ class TestPageRankAcceptance:
             return r, dev.profiler.launch_count, dev.profiler.h2d_bytes
 
         r_new, launches_new, h2d_new = run()
-        with reuse.reuse_disabled(), passes_configured(capture=False):
+        with policy(aux_cache=False, elision=False, capture=False):
             r_old, launches_old, h2d_old = run()
         assert r_new.to_lists() == r_old.to_lists()  # bit-identical
         assert launches_old >= 5 * launches_new, (launches_old, launches_new)
@@ -441,7 +441,7 @@ class TestPageRankAcceptance:
             return levels, get_device().profiler.replay_count
 
         levels_new, replays = run()
-        with reuse.reuse_disabled(), passes_configured(capture=False):
+        with policy(aux_cache=False, elision=False, capture=False):
             levels_old, replays_off = run()
         assert levels_new.to_lists() == levels_old.to_lists()
         assert replays > 0 and replays_off == 0

@@ -24,7 +24,7 @@ from repro.gpu.device import Device, get_device, reset_device
 from repro.gpu.kernel import Kernel, LaunchConfig, launch
 from repro.gpu.residency import ResidentSet
 from repro.gpu.stream import Stream
-from repro.gpu import reuse
+from repro.policy import policy
 from repro.sanitizer import runtime as _runtime
 from repro.sanitizer.access import Access
 from repro.sanitizer.lint import lint_source
@@ -365,7 +365,7 @@ class TestZeroFalsePositives:
 
     def test_cuda_sim_clean_without_reuse(self):
         with use_backend("cuda_sim"):
-            with reuse.reuse_disabled():
+            with policy(aux_cache=False, elision=False):
                 with sz.sanitized() as san:
                     _workload()
                     assert san.findings == [], san.report()
