@@ -1,6 +1,6 @@
 """gbcheck orchestration: syntactic lint + dataflow rules + suppression.
 
-The engine runs the absorbed syntactic rule set (:mod:`repro.sanitizer.lint`)
+The engine runs the syntactic rule set (:mod:`repro.analysis.syntactic`)
 and the four dataflow rules over a :class:`~repro.analysis.loader.Program`,
 audits every suppression directive against the *raw* (pre-suppression)
 finding set, then applies valid directives.  Audit findings themselves are
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
-from ..sanitizer import lint as _lint
 from .findings import Finding
 from .loader import Program
 from .rules import (
@@ -26,6 +25,7 @@ from .rules import (
     collect_directives,
 )
 from .summaries import build_summaries, propagate_effects
+from .syntactic import SyntacticVisitor, rules_for
 
 __all__ = ["Report", "analyze_program", "analyze_sources", "analyze_tree"]
 
@@ -49,16 +49,12 @@ class Report:
 
 
 def _syntactic_findings(program: Program) -> List[Finding]:
-    """Raw (pre-suppression) findings from the absorbed syntactic lint."""
+    """Raw (pre-suppression) findings from the syntactic rules."""
     out: List[Finding] = []
     for mod in program.modules.values():
-        rules = _lint._rules_for(mod.relpath)
-        if not rules:
-            continue
-        visitor = _lint._Visitor(mod.relpath, rules)
+        visitor = SyntacticVisitor(mod.relpath, rules_for(mod.relpath))
         visitor.visit(mod.tree)
-        for lf in visitor.raw:
-            out.append(Finding(lf.path, lf.line, lf.rule, lf.message))
+        out.extend(visitor.raw)
     return out
 
 

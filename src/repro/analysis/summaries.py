@@ -46,7 +46,8 @@ __all__ = [
     "propagate_effects",
 ]
 
-#: Container payload attributes (mirrors the syntactic lint).
+#: Container payload attributes: no code outside a kernel may store through
+#: them (the syntactic ``container-mutation`` rule reads this set too).
 PAYLOAD_ATTRS = frozenset({"values", "indices", "indptr", "data"})
 
 #: Container methods whose call implies reading the payload arrays.

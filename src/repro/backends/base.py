@@ -153,22 +153,6 @@ class Backend(ABC):
         )
         return self.apply_vector(t, unop)
 
-    def ewise_apply_matrix(
-        self,
-        a: CSRMatrix,
-        b: CSRMatrix,
-        binop: BinaryOp,
-        unop: UnaryOp,
-        union: bool = True,
-    ) -> CSRMatrix:
-        """Matrix analogue of :meth:`ewise_apply_vector`."""
-        t = (
-            self.ewise_add_matrix(a, b, binop)
-            if union
-            else self.ewise_mult_matrix(a, b, binop)
-        )
-        return self.apply_matrix(t, unop)
-
     def frontier_step(
         self,
         levels: SparseVector,
@@ -362,6 +346,17 @@ class Backend(ABC):
         device-resident without charging PCIe traffic — results of device
         computation do not need a host→device copy before their next use.
         """
+
+    def compact(self, base: CSRMatrix, overlay) -> None:
+        """Fold a streaming delta overlay into ``base`` in place.
+
+        ``install_arrays`` keeps the container's identity and bumps its
+        version.  Host backends merge for free; the simulated GPU backends
+        override this to charge the delta upload and the merge kernels.
+        """
+        from ..streaming.overlay import merge_overlay
+
+        base.install_arrays(*merge_overlay(base, overlay))
 
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
         """``t[k] = u[idx[k]]`` keeping only present source entries."""

@@ -44,7 +44,6 @@ from .kernels import (
     APPLY_V,
     EWISE_ADD_M,
     EWISE_ADD_V,
-    EWISE_APPLY_FUSED_M,
     EWISE_APPLY_FUSED_V,
     EWISE_MULT_M,
     EWISE_MULT_V,
@@ -61,6 +60,7 @@ from .kernels import (
     SPMV_CSR_VECTOR,
     SPMV_PULL_FUSED,
     SPMV_PUSH_FUSED,
+    STREAM_COMPACT_MERGE,
     TRANSPOSE_COUNTSORT,
     laned,
 )
@@ -415,18 +415,6 @@ class CudaSimBackend(Backend):
             self._mark_resident(out)
         return out
 
-    def ewise_apply_matrix(self, a, b, binop, unop, union=True):
-        self._ensure_resident(a)
-        self._ensure_resident(b)
-        out = launch(
-            EWISE_APPLY_FUSED_M,
-            LaunchConfig.cover(a.nvals + b.nvals),
-            a, b, binop, unop, union,
-            device=self._dev(),
-        )
-        self._mark_resident(out)
-        return out
-
     def frontier_step(
         self,
         levels: SparseVector,
@@ -594,3 +582,24 @@ class CudaSimBackend(Backend):
             SCATTER_ASSIGN, LaunchConfig.cover(nvals), float(nvals), 8,
             device=self._dev(), san_writes=(out,),
         )
+
+    # ------------------------------------------------------------------
+    # Streaming compaction
+    # ------------------------------------------------------------------
+
+    def compact(self, base: CSRMatrix, overlay) -> None:
+        """Upload the delta, merge it on-device, keep the result resident."""
+        dev = self._dev()
+        self._ensure_resident(base)
+        charge_transfer(overlay.nbytes, "h2d", device=dev)
+        arrays = launch(
+            STREAM_COMPACT_MERGE,
+            LaunchConfig.cover(base.nvals + len(overlay)),
+            base,
+            overlay,
+            device=dev,
+        )
+        base.install_arrays(*arrays)
+        # The merged arrays were produced on-device: mark the new version
+        # clean so the next kernel elides the re-upload.
+        self.note_result(base)

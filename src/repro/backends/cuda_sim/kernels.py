@@ -59,7 +59,6 @@ __all__ = [
     "EWISE_ADD_M",
     "EWISE_MULT_M",
     "EWISE_APPLY_FUSED_V",
-    "EWISE_APPLY_FUSED_M",
     "EWISE_REDUCE_FUSED_V",
     "FILL_EWISE_FUSED_V",
     "APPLY_V",
@@ -67,6 +66,7 @@ __all__ = [
     "REDUCE_TREE",
     "REDUCE_ROWS",
     "TRANSPOSE_COUNTSORT",
+    "STREAM_COMPACT_MERGE",
 ]
 
 
@@ -412,11 +412,6 @@ def _ewise_apply_run_v(u, v, binop, unop, union):
     return apply_vec(t, unop)
 
 
-def _ewise_apply_run_m(a, b, binop, unop, union):
-    t = ewise_add_mat(a, b, binop) if union else ewise_mult_mat(a, b, binop)
-    return apply_mat(t, unop)
-
-
 def _ewise_apply_work(x, y, binop, unop, union) -> KernelWork:
     n = float(x.nvals + y.nvals)
     n_out = n if union else float(min(x.nvals, y.nvals))
@@ -437,9 +432,6 @@ def _ewise_apply_work(x, y, binop, unop, union) -> KernelWork:
 
 EWISE_APPLY_FUSED_V = Kernel(
     "ewise_apply_fused_v", _ewise_apply_run_v, _ewise_apply_work, accesses=_reads_all
-)
-EWISE_APPLY_FUSED_M = Kernel(
-    "ewise_apply_fused_m", _ewise_apply_run_m, _ewise_apply_work, accesses=_reads_all
 )
 
 
@@ -849,4 +841,32 @@ def _select_run(fn, nvals, item):
 SELECT_COMPACT = Kernel(
     "select_compact", _select_run, lambda fn, nvals, item: _select_work(nvals, item),
     accesses=_no_declared_access,
+)
+
+
+# ---------------------------------------------------------------------------
+# Streaming compaction
+# ---------------------------------------------------------------------------
+
+
+def _compact_merge_run(base, overlay):
+    from ...streaming.overlay import merge_overlay
+
+    return merge_overlay(base, overlay)
+
+
+# Device-side merge of base CSR + delta COO: one pass over base.nvals +
+# len(overlay) items, producing the compacted arrays.  The semantic function
+# is the same vectorised three-way merge the host path uses, so every
+# backend materialises bit-identical CSR arrays.
+# gbsan: ok(access-over-declared) -- run is functional; the declared write covers the caller's install_arrays swap so gbsan invalidates base residency at the launch
+STREAM_COMPACT_MERGE = Kernel(
+    "stream_compact_merge",
+    _compact_merge_run,
+    lambda base, overlay: KernelWork(
+        flops=2.0 * (base.nvals + len(overlay)),
+        bytes_read=float(base.nbytes + overlay.nbytes),
+        bytes_written=float(base.nbytes + overlay.nbytes),
+    ),
+    accesses=lambda base, overlay: Access(reads=(base,), writes=(base,)),
 )

@@ -10,9 +10,12 @@ link :class:`~repro.distributed.topology.Topology`.
 
 Execution semantics (see ``docs/distributed.md`` for the full accounting):
 
-- **P = 1 delegates.**  Every operation short-circuits to the single
-  executor, so a one-device cluster is bit- and counter-identical to
-  ``cuda_sim`` by construction.
+- **P = 1 delegates.**  Every operation carries the :func:`_sharded` rule:
+  a one-device cluster hands the call to its single executor, so it is
+  bit- and counter-identical to ``cuda_sim`` by construction.
+- **One per-device path.**  A shard's output is the return value of the
+  kernel launched on its device; a device with no work runs the kernel's
+  semantics inline and launches nothing (:meth:`MultiSimBackend._on_shard`).
 - **Lazy by default.**  Like ``cuda_sim``, the backend records onto the
   lazy tape (:mod:`repro.lazy`) and its flushes run the full pass set;
   loop capture enters every device, so each shard's launch sequence
@@ -42,6 +45,7 @@ produce bit-identical results on 1–8 simulated devices.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Optional
 
 import numpy as np
@@ -68,15 +72,13 @@ from ...gpu.kernel import LaunchConfig, charge_transfer, launch
 from ...policy import current
 from ...sanitizer import runtime as _gbsan
 from ..base import Backend
-from ..cpu.ewise import ewise_add_vec, ewise_mult_vec
-from ..cpu.reduce_apply import apply_mat, apply_vec, reduce_mat_vector
+from ..cpu.ewise import ewise_add_vec
 from ..cpu.spmv import choose_direction, mask_pull_rows
 from ..cuda_sim.kernels import (
     APPLY_M,
     APPLY_V,
     EWISE_ADD_M,
     EWISE_ADD_V,
-    EWISE_APPLY_FUSED_M,
     EWISE_APPLY_FUSED_V,
     EWISE_MULT_M,
     EWISE_MULT_V,
@@ -98,13 +100,31 @@ from ..cuda_sim.kernels import (
     push_lane,
     spgemm_lane,
 )
-from .kernels import PARTIAL_MERGE, TRANSPOSE_SHARD
+from .kernels import PARTIAL_MERGE, STREAM_COMPACT_SHARD, TRANSPOSE_SHARD
 
 __all__ = ["MultiSimBackend"]
 
 
 def _noop() -> None:
     return None
+
+
+def _sharded(method):
+    """The P = 1 rule, stated once: a one-device cluster delegates the op.
+
+    The single executor runs the call itself, so ``multi_sim:1`` is bit- and
+    counter-identical to ``cuda_sim``; the decorated body only ever runs
+    at P > 1.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def op(self, *args, **kwargs):
+        if self.nparts == 1:
+            return getattr(self._ex(0), name)(*args, **kwargs)
+        return method(self, *args, **kwargs)
+
+    return op
 
 
 #: Additive monoids whose sharded fold is bitwise-equal to the unsharded
@@ -259,17 +279,14 @@ class MultiSimBackend(Backend):
             return
         self._ensure_replicated(c)
 
+    @_sharded
     def note_result(self, container) -> None:
         """Frontend write-pipeline output: devices hold their owned slices."""
-        if self.nparts == 1:
-            self._ex(0).note_result(container)
-            return
         self._mark_sliced(container)
 
+    @_sharded
     def download(self, container) -> Any:
         """Model the D2H copy-out; sliced results stream from every device."""
-        if self.nparts == 1:
-            return self._ex(0).download(container)
         if self._is_sliced(container):
             per = int(container.nbytes / self.nparts)
             for p in range(self.nparts):
@@ -344,13 +361,88 @@ class MultiSimBackend(Backend):
             dev.active_graph = saved
 
     # ------------------------------------------------------------------
+    # The per-device path
+    # ------------------------------------------------------------------
+
+    def _vec_slices(self, size: int, *vectors: SparseVector):
+        """Equal output ranges of ``size``: the splitters, then per vector
+        its P owned slices (indices rebased to the slice)."""
+        sp = equal_rows_splitters(size, self.nparts)
+        parts = [PartitionedVector(v, sp) for v in vectors]
+        return sp, [[pv.shard(p) for p in range(self.nparts)] for pv in parts]
+
+    def _on_shard(self, p: int, kernel, n: int, *args, cfg=None, derived=(), **kw):
+        """Device ``p``'s share of an op; the kernel's result is the shard's output.
+
+        ``n`` counts the shard's work items.  A device with none runs the
+        kernel's ``run`` inline and launches nothing; otherwise the launch
+        covers ``n`` threads unless ``cfg`` says otherwise.  ``derived``
+        lists ``(slice, whole)`` pairs: each slice was cut on-device from
+        ``whole``, which gbsan's residency checker must be told.
+        """
+        if not n:
+            return kernel.run(*args)
+        san = _gbsan.ACTIVE
+        if san is not None:
+            for part, whole in derived:
+                san.note_derived(self._dev(p), part, whole)
+        return launch(
+            kernel, cfg or LaunchConfig.cover(n), *args, device=self._dev(p), **kw
+        )
+
+    # ------------------------------------------------------------------
     # Shared product machinery
     # ------------------------------------------------------------------
+
+    def _allreduce(self, t) -> None:
+        """The scalar allreduce that closes every sharded full reduction."""
+        dt = self._cluster.comm.allreduce_scalar(t.nbytes)
+        self._cluster.charge_comm("allreduce", dt, float(2 * (self.nparts - 1) * t.nbytes))
 
     def _exact_add(self, semiring: Semiring, out_t) -> bool:
         if semiring.add.op.name in _EXACT_ADDS:
             return True
         return not out_t.is_floating
+
+    def _product(
+        self, a, u, semiring, flip, mask, desc, direction, csc, probe
+    ) -> SparseVector:
+        """The push/pull router behind mxv, vxm and frontier_step.
+
+        ``flip=False`` computes ``A ⊗ u`` (mxv), ``flip=True`` ``u ⊗ A``.
+        The direction is chosen on the FULL operands with ``probe`` as the
+        mask — identical inputs, hence an identical choice, to the
+        single-device backend.  vxm pushes over A's row shards and pulls
+        over Aᵀ's; mxv the reverse.
+        """
+        t_indptr = csc.indptr if csc is not None else None
+        if flip:
+            out_t = semiring.result_type(u.type, a.type)
+            push_indptr, pull_indptr = a.indptr, t_indptr
+        else:
+            out_t = semiring.result_type(a.type, u.type)
+            push_indptr, pull_indptr = t_indptr, a.indptr
+        d = choose_direction(
+            a,
+            u,
+            probe,
+            desc,
+            direction,
+            flip or csc is not None,
+            push_indptr=push_indptr,
+            pull_indptr=pull_indptr,
+        )
+        if d == "push" and not self._exact_add(semiring, out_t):
+            d = "pull"
+        if mask is not None:
+            self._ensure_replicated(mask)
+        parts = self._row_parts(a) if (d == "push") == flip else self._col_parts(a)
+        if d == "push":
+            self._ensure_available(u)
+            return self._push_product(parts, u, semiring, out_t, flip, mask, desc)
+        self._ensure_replicated(u)
+        rows = mask_pull_rows(mask, desc, parts.nrows)
+        return self._pull_product(parts, u, semiring, out_t, flip, rows)
 
     def _push_product(
         self, parts: PartitionedCSR, u: SparseVector, semiring, out_t, flip, mask, desc
@@ -358,28 +450,21 @@ class MultiSimBackend(Backend):
         """Sharded push: local expansions → sparse exchange → owner folds."""
         n_out = parts.ncols
         uv = PartitionedVector(u, parts.splitters)
-        san = _gbsan.ACTIVE
         partials, send = [], []
         for p, shard in enumerate(parts.shards):
             ush = uv.shard(p)
             if shard.nvals == 0 or ush.nvals == 0:
                 send.append(0.0)
                 continue
-            if san is not None:
-                san.note_derived(self._dev(p), ush, u)
             # Each shard re-bins its own frontier slice: a degree-balanced
             # split can still leave one device holding a mega-hub.
-            t_p = launch(
+            t_p = self._on_shard(
+                p,
                 laned(SPMSV_PUSH, push_lane(shard, ush), "scalar"),
-                LaunchConfig.cover(max(ush.nvals, 1) * 32),
-                shard,
-                ush,
-                semiring,
-                out_t,
-                flip,
-                mask,
-                desc,
-                device=self._dev(p),
+                ush.nvals,
+                shard, ush, semiring, out_t, flip, mask, desc,
+                cfg=LaunchConfig.cover(ush.nvals * 32),
+                derived=((ush, u),),
             )
             partials.append(t_p)
             send.append(float(t_p.nbytes))
@@ -426,7 +511,7 @@ class MultiSimBackend(Backend):
             # Shard-local lane choice from the shard's own degree stats.
             t_p = launch(
                 laned(SPMV_CSR_VECTOR, pull_lane(shard, local_rows), "vector"),
-                LaunchConfig.cover(max(nloc, 1) * 32),
+                LaunchConfig.cover(nloc * 32),
                 shard,
                 u,
                 semiring,
@@ -442,6 +527,7 @@ class MultiSimBackend(Backend):
     # Products
     # ------------------------------------------------------------------
 
+    @_sharded
     def mxv(
         self,
         a: CSRMatrix,
@@ -452,37 +538,11 @@ class MultiSimBackend(Backend):
         direction: str = "auto",
         csc=None,
     ) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).mxv(a, u, semiring, mask, desc, direction, csc)
-        out_t = semiring.result_type(a.type, u.type)
-        # Direction is chosen on the FULL operands — identical inputs, hence
-        # an identical choice, to the single-device backend.
-        d = choose_direction(
-            a,
-            u,
-            mask,
-            desc,
-            direction,
-            csc is not None,
-            push_indptr=csc.indptr if csc is not None else None,
-            pull_indptr=a.indptr,
-        )
-        if d == "push" and not self._exact_add(semiring, out_t):
-            d = "pull"
-        if mask is not None:
-            self._ensure_replicated(mask)
-        if d == "push":
-            tparts = self._col_parts(a)
-            self._ensure_available(u)
-            out = self._push_product(tparts, u, semiring, out_t, False, mask, desc)
-        else:
-            parts = self._row_parts(a)
-            self._ensure_replicated(u)
-            rows = mask_pull_rows(mask, desc, a.nrows)
-            out = self._pull_product(parts, u, semiring, out_t, False, rows)
+        out = self._product(a, u, semiring, False, mask, desc, direction, csc, mask)
         self._mark_sliced(out)
         return out
 
+    @_sharded
     def vxm(
         self,
         u: SparseVector,
@@ -493,35 +553,11 @@ class MultiSimBackend(Backend):
         direction: str = "auto",
         csc=None,
     ) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).vxm(u, a, semiring, mask, desc, direction, csc)
-        out_t = semiring.result_type(u.type, a.type)
-        d = choose_direction(
-            a,
-            u,
-            mask,
-            desc,
-            direction,
-            True,
-            push_indptr=a.indptr,
-            pull_indptr=csc.indptr if csc is not None else None,
-        )
-        if d == "push" and not self._exact_add(semiring, out_t):
-            d = "pull"
-        if mask is not None:
-            self._ensure_replicated(mask)
-        if d == "push":
-            parts = self._row_parts(a)
-            self._ensure_available(u)
-            out = self._push_product(parts, u, semiring, out_t, True, mask, desc)
-        else:
-            tparts = self._col_parts(a)
-            self._ensure_replicated(u)
-            rows = mask_pull_rows(mask, desc, a.ncols)
-            out = self._pull_product(tparts, u, semiring, out_t, True, rows)
+        out = self._product(a, u, semiring, True, mask, desc, direction, csc, mask)
         self._mark_sliced(out)
         return out
 
+    @_sharded
     def mxm(
         self,
         a: CSRMatrix,
@@ -530,8 +566,6 @@ class MultiSimBackend(Backend):
         mask: Optional[CSRMatrix] = None,
         desc: Descriptor = DEFAULT,
     ) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).mxm(a, b, semiring, mask, desc)
         parts = self._row_parts(a)
         self._ensure_replicated(b)
         out_t = semiring.result_type(a.type, b.type)
@@ -569,107 +603,56 @@ class MultiSimBackend(Backend):
     # Elementwise (sliced by equal output ranges; bit-exact elementwise)
     # ------------------------------------------------------------------
 
-    def _ewise_sharded_vec(self, kernel, u, v, kargs, semantic) -> SparseVector:
-        self._ensure_available(u)
-        self._ensure_available(v)
-        sp = equal_rows_splitters(u.size, self.nparts)
-        pu, pv = PartitionedVector(u, sp), PartitionedVector(v, sp)
-        san = _gbsan.ACTIVE
-        outs = []
-        for p in range(self.nparts):
-            su, sv = pu.shard(p), pv.shard(p)
-            outs.append(semantic(su, sv))
-            n = su.nvals + sv.nvals
-            if n:
-                if san is not None:
-                    san.note_derived(self._dev(p), su, u)
-                    san.note_derived(self._dev(p), sv, v)
-                launch(kernel, LaunchConfig.cover(n), su, sv, *kargs, device=self._dev(p))
-        out = PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
+    def _ewise_sharded(self, kernel, x, y, *kargs):
+        self._ensure_available(x)
+        self._ensure_available(y)
+        if isinstance(x, SparseVector):
+            sp, (xs, ys) = self._vec_slices(x.size, x, y)
+        else:
+            sp = equal_rows_splitters(x.nrows, self.nparts)
+            xs, ys = (
+                [_slice_rows(m, int(lo), int(hi)) for lo, hi in zip(sp[:-1], sp[1:])]
+                for m in (x, y)
+            )
+        outs = [
+            self._on_shard(
+                p, kernel, sx.nvals + sy.nvals, sx, sy, *kargs,
+                derived=((sx, x), (sy, y)),
+            )
+            for p, (sx, sy) in enumerate(zip(xs, ys))
+        ]
+        if isinstance(x, SparseVector):
+            out = PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
+        else:
+            out = concat_row_blocks(outs, x.ncols, outs[0].type)
         self._mark_sliced(out)
         return out
 
-    def _ewise_sharded_mat(self, kernel, a, b, kargs, semantic) -> CSRMatrix:
-        self._ensure_available(a)
-        self._ensure_available(b)
-        sp = equal_rows_splitters(a.nrows, self.nparts)
-        san = _gbsan.ACTIVE
-        outs = []
-        for p in range(self.nparts):
-            lo, hi = int(sp[p]), int(sp[p + 1])
-            sa, sb = _slice_rows(a, lo, hi), _slice_rows(b, lo, hi)
-            outs.append(semantic(sa, sb))
-            n = sa.nvals + sb.nvals
-            if n:
-                if san is not None:
-                    san.note_derived(self._dev(p), sa, a)
-                    san.note_derived(self._dev(p), sb, b)
-                launch(kernel, LaunchConfig.cover(n), sa, sb, *kargs, device=self._dev(p))
-        out = concat_row_blocks(outs, a.ncols, outs[0].type)
-        self._mark_sliced(out)
-        return out
-
+    @_sharded
     def ewise_add_vector(self, u, v, op: BinaryOp) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).ewise_add_vector(u, v, op)
-        return self._ewise_sharded_vec(
-            EWISE_ADD_V, u, v, (op,), lambda su, sv: ewise_add_vec(su, sv, op)
-        )
+        return self._ewise_sharded(EWISE_ADD_V, u, v, op)
 
+    @_sharded
     def ewise_mult_vector(self, u, v, op: BinaryOp) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).ewise_mult_vector(u, v, op)
-        return self._ewise_sharded_vec(
-            EWISE_MULT_V, u, v, (op,), lambda su, sv: ewise_mult_vec(su, sv, op)
-        )
+        return self._ewise_sharded(EWISE_MULT_V, u, v, op)
 
+    @_sharded
     def ewise_add_matrix(self, a, b, op: BinaryOp) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).ewise_add_matrix(a, b, op)
-        from ..cpu.ewise import ewise_add_mat
+        return self._ewise_sharded(EWISE_ADD_M, a, b, op)
 
-        return self._ewise_sharded_mat(
-            EWISE_ADD_M, a, b, (op,), lambda sa, sb: ewise_add_mat(sa, sb, op)
-        )
-
+    @_sharded
     def ewise_mult_matrix(self, a, b, op: BinaryOp) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).ewise_mult_matrix(a, b, op)
-        from ..cpu.ewise import ewise_mult_mat
+        return self._ewise_sharded(EWISE_MULT_M, a, b, op)
 
-        return self._ewise_sharded_mat(
-            EWISE_MULT_M, a, b, (op,), lambda sa, sb: ewise_mult_mat(sa, sb, op)
-        )
-
+    @_sharded
     def ewise_apply_vector(self, u, v, binop, unop, union=True) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).ewise_apply_vector(u, v, binop, unop, union)
-
-        def semantic(su, sv):
-            t = ewise_add_vec(su, sv, binop) if union else ewise_mult_vec(su, sv, binop)
-            return apply_vec(t, unop)
-
-        return self._ewise_sharded_vec(
-            EWISE_APPLY_FUSED_V, u, v, (binop, unop, union), semantic
-        )
-
-    def ewise_apply_matrix(self, a, b, binop, unop, union=True) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).ewise_apply_matrix(a, b, binop, unop, union)
-        from ..cpu.ewise import ewise_add_mat, ewise_mult_mat
-
-        def semantic(sa, sb):
-            t = ewise_add_mat(sa, sb, binop) if union else ewise_mult_mat(sa, sb, binop)
-            return apply_mat(t, unop)
-
-        return self._ewise_sharded_mat(
-            EWISE_APPLY_FUSED_M, a, b, (binop, unop, union), semantic
-        )
+        return self._ewise_sharded(EWISE_APPLY_FUSED_V, u, v, binop, unop, union)
 
     # ------------------------------------------------------------------
     # Lazy-optimizer hooks (fused chains and mask sinking), sharded
     # ------------------------------------------------------------------
 
+    @_sharded
     def ewise_reduce_vector(self, u, v, binop, unop, union, monoid, out_type):
         """Fused ewise→reduce: one launch per shard, then a scalar allreduce.
 
@@ -677,69 +660,45 @@ class MultiSimBackend(Backend):
         a sliced result, and the reduction's allreduce.  The value is the
         full-vector fold, bit-identical to the unfused reduce.
         """
-        if self.nparts == 1:
-            return self._ex(0).ewise_reduce_vector(
-                u, v, binop, unop, union, monoid, out_type
-            )
         self._ensure_available(u)
         self._ensure_available(v)
-        sp = equal_rows_splitters(u.size, self.nparts)
-        pu, pv = PartitionedVector(u, sp), PartitionedVector(v, sp)
-        san = _gbsan.ACTIVE
-        outs = []
-        for p in range(self.nparts):
-            su, sv = pu.shard(p), pv.shard(p)
-            args = (su, sv, binop, unop, union, monoid, out_type)
-            n = su.nvals + sv.nvals
-            if not n:
-                outs.append(EWISE_REDUCE_FUSED_V.run(*args)[0])
-                continue
-            if san is not None:
-                san.note_derived(self._dev(p), su, u)
-                san.note_derived(self._dev(p), sv, v)
-            t_p, _ = launch(
-                EWISE_REDUCE_FUSED_V, LaunchConfig.cover(n), *args, device=self._dev(p)
-            )
-            outs.append(t_p)
+        sp, (us, vs) = self._vec_slices(u.size, u, v)
+        outs = [
+            self._on_shard(
+                p, EWISE_REDUCE_FUSED_V, su.nvals + sv.nvals,
+                su, sv, binop, unop, union, monoid, out_type,
+                derived=((su, u), (sv, v)),
+            )[0]
+            for p, (su, sv) in enumerate(zip(us, vs))
+        ]
         t = PartitionedVector.reassemble(outs, sp, typ=out_type)
         self._mark_sliced(t)
         rt = monoid.result_type(t.type)
-        dt = self._cluster.comm.allreduce_scalar(rt.nbytes)
-        self._cluster.charge_comm("allreduce", dt, float(2 * (self.nparts - 1) * rt.nbytes))
+        self._allreduce(rt)
         return t, rt.cast(monoid.reduce_array(t.values, t.type))
 
+    @_sharded
     def fill_ewise_vector(self, value, size, fill_type, other, binop, fill_first):
         """Fused fill→ewise: each device generates its owned fill range."""
-        if self.nparts == 1:
-            return self._ex(0).fill_ewise_vector(
-                value, size, fill_type, other, binop, fill_first
-            )
         self._ensure_available(other)
-        sp = equal_rows_splitters(int(size), self.nparts)
-        po = PartitionedVector(other, sp)
-        san = _gbsan.ACTIVE
+        sp, (others,) = self._vec_slices(int(size), other)
         outs = []
-        for p in range(self.nparts):
-            lo, hi = int(sp[p]), int(sp[p + 1])
-            so = po.shard(p)
-            if san is not None:
-                san.note_derived(self._dev(p), so, other)
+        for p, so in enumerate(others):
+            n = int(sp[p + 1] - sp[p])
             outs.append(
-                launch(
-                    FILL_EWISE_FUSED_V,
-                    LaunchConfig.cover(max(hi - lo, 1) + so.nvals),
-                    value, hi - lo, fill_type, so, binop, fill_first,
-                    device=self._dev(p),
+                self._on_shard(
+                    p, FILL_EWISE_FUSED_V, max(n, 1) + so.nvals,
+                    value, n, fill_type, so, binop, fill_first,
+                    derived=((so, other),),
                 )
             )
         out = PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
         self._mark_sliced(out)
         return out
 
+    @_sharded
     def sink_restrict(self, container, mask):
         """Mask sinking: each device restricts its owned slice on-device."""
-        if self.nparts == 1:
-            return self._ex(0).sink_restrict(container, mask)
         if mask is None:
             return container
         self._ensure_available(container)
@@ -753,6 +712,7 @@ class MultiSimBackend(Backend):
     # Fused BFS frontier step
     # ------------------------------------------------------------------
 
+    @_sharded
     def frontier_step(
         self,
         levels: SparseVector,
@@ -764,52 +724,21 @@ class MultiSimBackend(Backend):
         direction: str = "auto",
         csc=None,
     ):
-        if self.nparts == 1:
-            return self._ex(0).frontier_step(
-                levels, frontier, a, value, semiring, desc, direction, csc
-            )
         from ...core.accumulate import merge_vector
 
-        out_t = semiring.result_type(frontier.type, a.type)
-        d = choose_direction(
-            a,
-            frontier,
-            levels,
-            desc,
-            direction,
-            True,
-            push_indptr=a.indptr,
-            pull_indptr=csc.indptr if csc is not None else None,
-        )
-        if d == "push" and not self._exact_add(semiring, out_t):
-            d = "pull"
         # Level assign: every device scatters the frontier into its replica
         # of the levels vector (the visited bitmap is replicated; keeping the
         # replicas coherent is what the exchanged frontier pays for).
         new_levels = _frontier_assign(levels, frontier, value)
-        nupd = frontier.nvals
-        for p in range(self.nparts):
-            launch(
-                SCATTER_ASSIGN,
-                LaunchConfig.cover(max(nupd, 1)),
-                float(nupd),
-                8,
-                device=self._dev(p),
-                san_writes=(new_levels,),
-            )
+        self.charge_assign(frontier.nvals, new_levels)
         for ex in self._cluster.executors:
             ex._mark_resident(new_levels)
-        if d == "push":
-            parts = self._row_parts(a)
-            self._ensure_available(frontier)
-            t = self._push_product(
-                parts, frontier, semiring, out_t, True, new_levels, desc
-            )
-        else:
-            tparts = self._col_parts(a)
-            self._ensure_replicated(frontier)
-            rows = mask_pull_rows(new_levels, desc, a.ncols)
-            t = self._pull_product(tparts, frontier, semiring, out_t, True, rows)
+        # The router's mask replication only touches these replicas.  The
+        # direction is chosen against the pre-step visited set, exactly as
+        # the single-device fused kernel chooses it.
+        t = self._product(
+            a, frontier, semiring, True, new_levels, desc, direction, csc, levels
+        )
         new_frontier = merge_vector(frontier, t, new_levels, None, desc)
         return new_levels, new_frontier
 
@@ -817,107 +746,78 @@ class MultiSimBackend(Backend):
     # Apply / reduce / transpose
     # ------------------------------------------------------------------
 
+    @_sharded
     def apply_vector(self, u: SparseVector, op: UnaryOp) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).apply_vector(u, op)
         self._ensure_available(u)
-        sp = equal_rows_splitters(u.size, self.nparts)
-        pu = PartitionedVector(u, sp)
-        san = _gbsan.ACTIVE
-        outs = []
-        for p in range(self.nparts):
-            su = pu.shard(p)
-            outs.append(apply_vec(su, op))
-            if su.nvals:
-                if san is not None:
-                    san.note_derived(self._dev(p), su, u)
-                launch(APPLY_V, LaunchConfig.cover(su.nvals), su, op, device=self._dev(p))
+        sp, (us,) = self._vec_slices(u.size, u)
+        outs = [
+            self._on_shard(p, APPLY_V, su.nvals, su, op, derived=((su, u),))
+            for p, su in enumerate(us)
+        ]
         out = PartitionedVector.reassemble(outs, sp, typ=op.result_type(u.type))
         self._mark_sliced(out)
         return out
 
+    @_sharded
     def apply_matrix(self, a: CSRMatrix, op: UnaryOp) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).apply_matrix(a, op)
         parts = self._row_parts(a)
-        outs = []
-        for p, shard in enumerate(parts.shards):
-            outs.append(apply_mat(shard, op))
-            if shard.nvals:
-                launch(
-                    APPLY_M, LaunchConfig.cover(shard.nvals), shard, op,
-                    device=self._dev(p),
-                )
+        outs = [
+            self._on_shard(p, APPLY_M, shard.nvals, shard, op)
+            for p, shard in enumerate(parts.shards)
+        ]
         out = concat_row_blocks(outs, a.ncols, op.result_type(a.type))
         self._mark_sliced(out)
         return out
 
+    @_sharded
     def reduce_vector_scalar(self, u: SparseVector, monoid: Monoid) -> Any:
-        if self.nparts == 1:
-            return self._ex(0).reduce_vector_scalar(u, monoid)
         self._ensure_available(u)
         t = monoid.result_type(u.type)
-        pu = PartitionedVector(u, equal_rows_splitters(u.size, self.nparts))
-        san = _gbsan.ACTIVE
-        for p in range(self.nparts):
-            sh = pu.shard(p)
-            if sh.nvals:
-                if san is not None:
-                    san.note_derived(self._dev(p), sh, u)
-                launch(
-                    REDUCE_TREE, LaunchConfig.cover(sh.nvals), sh.values, monoid,
-                    u.type, device=self._dev(p), san_reads=(sh,),
-                )
-        dt = self._cluster.comm.allreduce_scalar(t.nbytes)
-        self._cluster.charge_comm("allreduce", dt, float(2 * (self.nparts - 1) * t.nbytes))
+        _, (us,) = self._vec_slices(u.size, u)
+        for p, sh in enumerate(us):
+            self._on_shard(
+                p, REDUCE_TREE, sh.nvals, sh.values, monoid, u.type,
+                derived=((sh, u),), san_reads=(sh,),
+            )
+        self._allreduce(t)
         # The value itself is the full-array fold — bit-identical to the
         # single-device REDUCE_TREE semantic; the charges above price the
         # sharded tree + scalar allreduce that produce it.
         return t.cast(monoid.reduce_array(u.values, u.type))
 
+    @_sharded
     def reduce_matrix_vector(self, a: CSRMatrix, monoid: Monoid) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).reduce_matrix_vector(a, monoid)
         parts = self._row_parts(a)
-        outs = []
-        for p, shard in enumerate(parts.shards):
-            outs.append(reduce_mat_vector(shard, monoid))
-            if shard.nvals:
-                launch(
-                    REDUCE_ROWS, LaunchConfig.cover(max(shard.nrows, 1) * 32),
-                    shard, monoid, device=self._dev(p),
-                )
+        outs = [
+            self._on_shard(
+                p, REDUCE_ROWS, shard.nvals, shard, monoid,
+                cfg=LaunchConfig.cover(max(shard.nrows, 1) * 32),
+            )
+            for p, shard in enumerate(parts.shards)
+        ]
         out = PartitionedVector.reassemble(
             outs, parts.splitters, typ=monoid.result_type(a.type)
         )
         self._mark_sliced(out)
         return out
 
+    @_sharded
     def reduce_matrix_scalar(self, a: CSRMatrix, monoid: Monoid) -> Any:
-        if self.nparts == 1:
-            return self._ex(0).reduce_matrix_scalar(a, monoid)
         parts = self._row_parts(a)
         t = monoid.result_type(a.type)
         for p, shard in enumerate(parts.shards):
-            if shard.nvals:
-                launch(
-                    REDUCE_TREE, LaunchConfig.cover(shard.nvals), shard.values,
-                    monoid, a.type, device=self._dev(p), san_reads=(shard,),
-                )
-        dt = self._cluster.comm.allreduce_scalar(t.nbytes)
-        self._cluster.charge_comm("allreduce", dt, float(2 * (self.nparts - 1) * t.nbytes))
+            self._on_shard(
+                p, REDUCE_TREE, shard.nvals, shard.values, monoid, a.type,
+                san_reads=(shard,),
+            )
+        self._allreduce(t)
         return t.cast(monoid.reduce_array(a.values, a.type))
 
+    @_sharded
     def transpose(self, a: CSRMatrix) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).transpose(a)
         parts = self._row_parts(a)
         for p, shard in enumerate(parts.shards):
-            if shard.nvals:
-                launch(
-                    TRANSPOSE_SHARD, LaunchConfig.cover(shard.nvals), shard,
-                    device=self._dev(p),
-                )
+            self._on_shard(p, TRANSPOSE_SHARD, shard.nvals, shard)
         dt = self._cluster.comm.all_to_all(float(a.nbytes))
         self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
         out = a.transpose()
@@ -925,80 +825,98 @@ class MultiSimBackend(Backend):
         return out
 
     # ------------------------------------------------------------------
-    # Select / indexed apply / extract / assign accounting
+    # Select / indexed apply / extract: host-computed, priced per device
     # ------------------------------------------------------------------
 
-    def _charge_compact(self, kernel, src, n_items: float, item_bytes: int) -> None:
+    def _host_op(self, kernel, src, n_items: float, compute):
+        """Price a host-computed op as 1/P of ``n_items`` per device, then
+        return ``compute()`` as a sliced result."""
+        self._ensure_available(src)
         per = max(float(n_items) / self.nparts, 1.0)
         for p in range(self.nparts):
             launch(
-                kernel, LaunchConfig.cover(int(per)), _noop, per, item_bytes,
+                kernel, LaunchConfig.cover(int(per)), _noop, per, src.type.nbytes,
                 device=self._dev(p), san_reads=(src,),
             )
+        out = compute()
+        self._mark_sliced(out)
+        return out
 
+    @_sharded
     def select_vector(self, u, op, thunk):
-        if self.nparts == 1:
-            return self._ex(0).select_vector(u, op, thunk)
-        self._ensure_available(u)
-        self._charge_compact(SELECT_COMPACT, u, u.nvals, u.type.nbytes)
-        out = Backend.select_vector(self, u, op, thunk)
-        self._mark_sliced(out)
-        return out
+        return self._host_op(
+            SELECT_COMPACT, u, u.nvals, lambda: Backend.select_vector(self, u, op, thunk)
+        )
 
+    @_sharded
     def select_matrix(self, a, op, thunk):
-        if self.nparts == 1:
-            return self._ex(0).select_matrix(a, op, thunk)
-        self._ensure_available(a)
-        self._charge_compact(SELECT_COMPACT, a, a.nvals, a.type.nbytes)
-        out = Backend.select_matrix(self, a, op, thunk)
-        self._mark_sliced(out)
-        return out
+        return self._host_op(
+            SELECT_COMPACT, a, a.nvals, lambda: Backend.select_matrix(self, a, op, thunk)
+        )
 
+    @_sharded
     def apply_indexop_vector(self, u, op, thunk):
-        if self.nparts == 1:
-            return self._ex(0).apply_indexop_vector(u, op, thunk)
-        self._ensure_available(u)
-        self._charge_compact(SELECT_COMPACT, u, u.nvals, u.type.nbytes)
-        out = Backend.apply_indexop_vector(self, u, op, thunk)
-        self._mark_sliced(out)
-        return out
+        return self._host_op(
+            SELECT_COMPACT, u, u.nvals,
+            lambda: Backend.apply_indexop_vector(self, u, op, thunk),
+        )
 
+    @_sharded
     def apply_indexop_matrix(self, a, op, thunk):
-        if self.nparts == 1:
-            return self._ex(0).apply_indexop_matrix(a, op, thunk)
-        self._ensure_available(a)
-        self._charge_compact(SELECT_COMPACT, a, a.nvals, a.type.nbytes)
-        out = Backend.apply_indexop_matrix(self, a, op, thunk)
-        self._mark_sliced(out)
-        return out
+        return self._host_op(
+            SELECT_COMPACT, a, a.nvals,
+            lambda: Backend.apply_indexop_matrix(self, a, op, thunk),
+        )
 
+    @_sharded
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
-        if self.nparts == 1:
-            return self._ex(0).extract_vector(u, idx)
-        self._ensure_available(u)
-        self._charge_compact(GATHER, u, len(idx), u.type.nbytes)
-        out = Backend.extract_vector(self, u, idx)
-        self._mark_sliced(out)
-        return out
+        return self._host_op(
+            GATHER, u, len(idx), lambda: Backend.extract_vector(self, u, idx)
+        )
 
+    @_sharded
     def extract_matrix(self, a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatrix:
-        if self.nparts == 1:
-            return self._ex(0).extract_matrix(a, rows, cols)
-        self._ensure_available(a)
-        self._charge_compact(GATHER, a, float(len(rows)) * max(len(cols), 1), a.type.nbytes)
-        out = Backend.extract_matrix(self, a, rows, cols)
-        self._mark_sliced(out)
-        return out
+        return self._host_op(
+            GATHER, a, float(len(rows)) * max(len(cols), 1),
+            lambda: Backend.extract_matrix(self, a, rows, cols),
+        )
 
+    @_sharded
     def charge_assign(self, nvals: int, out) -> None:
-        if self.nparts == 1:
-            return self._ex(0).charge_assign(nvals, out)
         # Assign updates the replicated target on every device.
         for p in range(self.nparts):
             launch(
                 SCATTER_ASSIGN, LaunchConfig.cover(max(nvals, 1)), float(nvals), 8,
                 device=self._dev(p), san_writes=(out,),
             )
+
+    # ------------------------------------------------------------------
+    # Streaming compaction
+    # ------------------------------------------------------------------
+
+    @_sharded
+    def compact(self, base: CSRMatrix, overlay) -> None:
+        """Each shard uploads and merges its slice of the delta, then an
+        all-to-all moves rows across the ownership split."""
+        from ...streaming.overlay import merge_overlay
+
+        self._ensure_available(base)
+        arrays = merge_overlay(base, overlay)
+        per_items = max((base.nvals + len(overlay)) / self.nparts, 1.0)
+        per_delta = max(overlay.nbytes // self.nparts, 1)
+        item_bytes = base.type.nbytes + 8  # value + column index per item
+        for p in range(self.nparts):
+            charge_transfer(per_delta, "h2d", device=self._dev(p))
+            launch(
+                STREAM_COMPACT_SHARD, LaunchConfig.cover(int(per_items)),
+                per_items, item_bytes, device=self._dev(p), san_reads=(base,),
+            )
+        # Inserts can move a row's slice across the ownership split; charge
+        # the redistribution like the sharded transpose does.
+        dt = self._cluster.comm.all_to_all(float(overlay.nbytes))
+        self._cluster.charge_comm("all_to_all", dt, float(overlay.nbytes))
+        base.install_arrays(*arrays)
+        self.note_result(base)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -3,7 +3,7 @@
 Almost all shard-local work reuses the single-device kernels from
 :mod:`repro.backends.cuda_sim.kernels` — their work estimators inspect the
 actual operands, so a launch over a 1/P row shard automatically costs ~1/P
-of the full launch.  The two kernels here have no single-device analogue:
+of the full launch.  The kernels here have no single-device analogue:
 
 - ``partial_merge`` — after a push-mode product, every device folds the
   exchanged partial contributions for its owned output range with the
@@ -11,6 +11,8 @@ of the full launch.  The two kernels here have no single-device analogue:
 - ``transpose_shard`` — each device counting-sorts its own block of edges
   during a distributed transpose; the cross-device shuffle that follows is
   charged to the communication model, not this kernel.
+- ``stream_compact_shard`` — each device merges its row slice of a
+  streaming delta during compaction (see :meth:`MultiSimBackend.compact`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..cuda_sim.kernels import (
     combine_coalescing,
 )
 
-__all__ = ["PARTIAL_MERGE", "TRANSPOSE_SHARD"]
+__all__ = ["PARTIAL_MERGE", "STREAM_COMPACT_SHARD", "TRANSPOSE_SHARD"]
 
 
 def _partial_merge_work(nvals: float, item: int) -> KernelWork:
@@ -63,4 +65,18 @@ TRANSPOSE_SHARD = Kernel(
     lambda shard: None,
     _transpose_work,
     accesses=_reads_all,
+)
+
+
+# Charge-only: a device's share of a streaming compaction.  The merged
+# arrays are computed once on the host (the same arrays everywhere).
+STREAM_COMPACT_SHARD = Kernel(
+    "stream_compact_shard",
+    lambda n_items, item_bytes: None,
+    lambda n_items, item_bytes: KernelWork(
+        flops=2.0 * n_items,
+        bytes_read=float(n_items) * item_bytes,
+        bytes_written=float(n_items) * item_bytes,
+    ),
+    accesses=_no_declared_access,  # charge-only; the launch site declares the base
 )

@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..backends.dispatch import current_backend
-from ..exceptions import DimensionMismatchError
+from ..exceptions import DimensionMismatchError, InvalidValueError
 from ..lazy import schedule as _lz
-from .accumulate import merge_matrix, merge_vector
+from .accumulate import merge_vector
 from .descriptor import DEFAULT, Descriptor
 from .matrix import Matrix
 from .operators import BinaryOp, UnaryOp
@@ -46,6 +46,7 @@ def ewise_apply(
 ):
     """``out<mask> accum= unop(a (∪|∩) b)`` — elementwise combine + map, fused.
 
+    Vectors only (a Matrix ``out`` raises :class:`InvalidValueError`).
     Equivalent to ``ewise_add``/``ewise_mult`` into ``out`` followed by
     ``apply(out, out, unop)`` with the same mask/accum/desc on both — the
     common "difference then abs" convergence idiom.
@@ -84,11 +85,9 @@ def ewise_apply(
             },
             (out,),
         )
-    _require(a.shape == b.shape, "ewise input shapes", a.shape, b.shape)
-    _require(out.shape == a.shape, "output shape", a.shape, out.shape)
-    t = be.ewise_apply_matrix(a.container, b.container, binop, unop, union)
-    mc = mask.container if mask is not None else None
-    return out._replace(merge_matrix(out.container, t, mc, accum, desc))
+    raise InvalidValueError(
+        f"ewise_apply writes a Vector output, got {type(out).__name__}"
+    )
 
 
 def frontier_step(

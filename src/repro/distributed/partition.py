@@ -172,27 +172,7 @@ class PartitionedCSR:
 
     def reassemble(self) -> CSRMatrix:
         """Concatenate the shards back into one global CSR (for testing)."""
-        if self.nparts == 1:
-            return self.shards[0]
-        indptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        pos = 0
-        chunks_i, chunks_v = [], []
-        for (lo, hi), sh in zip(
-            zip(self.splitters[:-1], self.splitters[1:]), self.shards
-        ):
-            indptr[int(lo) + 1 : int(hi) + 1] = pos + sh.indptr[1:]
-            pos += sh.nvals
-            chunks_i.append(sh.indices)
-            chunks_v.append(sh.values)
-        # Rows beyond the last nonempty shard keep the running total.
-        np.maximum.accumulate(indptr, out=indptr)
-        indices = np.concatenate(chunks_i) if chunks_i else np.empty(0, np.int64)
-        values = (
-            np.concatenate(chunks_v)
-            if chunks_v
-            else np.empty(0, self.source.type.dtype)
-        )
-        return CSRMatrix(self.nrows, self.ncols, indptr, indices, values, self.source.type)
+        return concat_row_blocks(self.shards, self.ncols, self.source.type)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -243,9 +223,6 @@ class PartitionedVector:
     def replicated(self) -> SparseVector:
         """The full vector (what every device holds after an allgather)."""
         return self.source
-
-    def shard_nbytes(self, p: int) -> int:
-        return self.shard(p).nbytes
 
     @staticmethod
     def reassemble(

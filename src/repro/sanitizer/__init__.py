@@ -1,8 +1,8 @@
 """gbsan — sanitizer suite for the simulated GPU stack.
 
 Runtime checkers (race / residency / pool-lifetime / loop-replay, see
-:mod:`repro.sanitizer.runtime`) plus the static kernel-contract lint
-(:mod:`repro.sanitizer.lint`).
+:mod:`repro.sanitizer.runtime`).  The static kernel-contract checks live in
+gbcheck (:mod:`repro.analysis`, ``tools/gbcheck.py``).
 
 Off by default with zero overhead.  Enable programmatically::
 

@@ -9,11 +9,11 @@ the fly, so applying a batch is O(batch) and never rewrites the CSR.
 **Compaction** folds the overlay into the base CSR in place
 (:meth:`~repro.containers.csr.CSRMatrix.install_arrays` preserves the
 container's identity and bumps its version, so aux caches, residency
-entries, multi_sim partition caches, and lazy-tape fingerprints all
-invalidate through the version stamp).  On ``cuda_sim`` the compaction is
-charged as a delta H2D upload plus one merge kernel; on ``multi_sim`` each
-shard uploads and merges its slice of the delta with an all-to-all to
-redistribute moved rows; host backends install for free.  Compaction runs
+entries, partition caches, and lazy-tape fingerprints all invalidate
+through the version stamp).  The active backend performs and charges the
+merge through its :meth:`~repro.backends.base.Backend.compact` hook: host
+backends install for free, the simulated devices charge a delta upload
+plus merge kernels.  Compaction runs
 eagerly when the pending delta crosses the :class:`CompactionPolicy`
 threshold, and implicitly whenever :attr:`DynamicGraph.matrix` is read —
 GraphBLAS kernels always see a fully materialised CSR.
@@ -34,42 +34,10 @@ import numpy as np
 from ..backends import current_backend
 from ..core.matrix import Matrix
 from ..exceptions import InvalidValueError
-from ..gpu.costmodel import KernelWork
-from ..gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
-from ..sanitizer.access import Access
 from .batch import EdgeBatch
 from .overlay import DeltaOverlay, merge_overlay
 
 __all__ = ["CompactionPolicy", "StreamStats", "DynamicGraph"]
-
-
-# Device-side merge of base CSR + delta COO (cuda_sim): one pass over
-# base.nvals + len(overlay) items, producing the compacted arrays.  The
-# semantic function is the same vectorised three-way merge the host path
-# uses, so every backend materialises bit-identical CSR arrays.
-# gbsan: ok(access-over-declared) -- run is functional; the declared write covers the caller's install_arrays swap so gbsan invalidates base residency at the launch
-COMPACT_MERGE = Kernel(
-    "stream_compact_merge",
-    run=lambda base, overlay: merge_overlay(base, overlay),
-    work=lambda base, overlay: KernelWork(
-        flops=2.0 * (base.nvals + len(overlay)),
-        bytes_read=float(base.nbytes + overlay.nbytes),
-        bytes_written=float(base.nbytes + overlay.nbytes),
-    ),
-    accesses=lambda base, overlay: Access(reads=(base,), writes=(base,)),
-)
-
-# Pricing-only shard merge (multi_sim): each device merges its row slice of
-# the delta; the semantics ran once host-side (same arrays everywhere).
-COMPACT_SHARD = Kernel(
-    "stream_compact_shard",
-    run=lambda n_items, item_bytes: None,
-    work=lambda n_items, item_bytes: KernelWork(
-        flops=2.0 * n_items,
-        bytes_read=float(n_items) * item_bytes,
-        bytes_written=float(n_items) * item_bytes,
-    ),
-)
 
 
 @dataclass(frozen=True)
@@ -250,73 +218,19 @@ class DynamicGraph:
     def compact(self) -> bool:
         """Fold the pending delta into the base CSR; True if work was done.
 
-        The merge is charged through the active backend's cost model (see
-        module docstring); the container keeps its identity and gets a new
+        The active backend merges and charges the fold (see the module
+        docstring); the container keeps its identity and gets a new
         version, which is what invalidates every downstream cache.
         """
         if len(self._overlay) == 0:
             return False
         m = self._matrix
         m._settle()  # recorded lazy ops may still read the old arrays
-        base = m.container
-        be = current_backend()
-        name = getattr(be, "name", "")
-        if name == "cuda_sim":
-            self._compact_device(be, base)
-        elif name == "multi_sim":
-            self._compact_sharded(be, base)
-        else:
-            # Host backends: the merge is ordinary NumPy, no device charge.
-            base.install_arrays(*merge_overlay(base, self._overlay))
+        current_backend().compact(m.container, self._overlay)
         m._invalidate()
         self._overlay.clear()
         self.stats.compactions += 1
         return True
-
-    def _compact_device(self, be: Any, base: Any) -> None:
-        """cuda_sim: upload the delta, merge on-device, mark the result."""
-        dev = be._dev()
-        be._ensure_resident(base)
-        charge_transfer(self._overlay.nbytes, "h2d", device=dev)
-        arrays = launch(
-            COMPACT_MERGE,
-            LaunchConfig.cover(base.nvals + len(self._overlay)),
-            base,
-            self._overlay,
-            device=dev,
-        )
-        base.install_arrays(*arrays)
-        # The merged arrays were produced on-device: mark the new version
-        # clean so the next kernel elides the re-upload.
-        be.note_result(base)
-
-    def _compact_sharded(self, be: Any, base: Any) -> None:
-        """multi_sim: shard-local delta merges + all-to-all row exchange."""
-        if be.nparts == 1:
-            self._compact_device(be._ex(0), base)
-            return
-        be._ensure_available(base)
-        arrays = merge_overlay(base, self._overlay)
-        nparts = be.nparts
-        per_items = max((base.nvals + len(self._overlay)) / nparts, 1.0)
-        per_delta = max(self._overlay.nbytes // nparts, 1)
-        item_bytes = base.type.nbytes + 8  # value + column index per item
-        for p in range(nparts):
-            charge_transfer(per_delta, "h2d", device=be._dev(p))
-            launch(
-                COMPACT_SHARD,
-                LaunchConfig.cover(int(per_items)),
-                per_items,
-                item_bytes,
-                device=be._dev(p),
-                san_reads=(base,),
-            )
-        # Inserts can move a row's slice across the ownership split; charge
-        # the redistribution like the sharded transpose does.
-        dt = be.cluster.comm.all_to_all(float(self._overlay.nbytes))
-        be.cluster.charge_comm("all_to_all", dt, float(self._overlay.nbytes))
-        base.install_arrays(*arrays)
-        be.note_result(base)
 
     # ------------------------------------------------------------------
     # Materialised access

@@ -226,3 +226,13 @@ class TestReduce:
         w = gb.Vector.sparse(gb.FP64, 2)
         ops.reduce_to_vector(w, a, PLUS_MONOID, desc=gb.TRANSPOSE_A)
         assert w.to_lists() == ([0, 1], [4.0, 6.0])
+
+
+def test_fused_ewise_apply_rejects_matrix_output():
+    from repro.core.fused import ewise_apply
+    from repro.exceptions import InvalidValueError
+
+    a = gb.Matrix.from_dense(np.eye(3))
+    out = gb.Matrix.sparse(gb.FP64, 3, 3)
+    with pytest.raises(InvalidValueError, match="Vector"):
+        ewise_apply(out, a, a, MINUS, ABS)

@@ -27,7 +27,6 @@ from repro.gpu.stream import Stream
 from repro.policy import policy
 from repro.sanitizer import runtime as _runtime
 from repro.sanitizer.access import Access
-from repro.sanitizer.lint import lint_source
 
 pytestmark = pytest.mark.no_multi_sim
 
@@ -372,68 +371,81 @@ class TestZeroFalsePositives:
 
 
 # ---------------------------------------------------------------------------
-# Static lint unit tests
+# Static lint unit tests (gbcheck's syntactic rules)
 # ---------------------------------------------------------------------------
+
+
+def _lint(src, relpath):
+    """Rules gbcheck reports for one in-memory module, in report order."""
+    from repro.analysis import analyze_sources
+
+    return [f.rule for f in analyze_sources({relpath: src}).findings]
 
 
 class TestLint:
     def test_kernel_without_accesses_flagged(self):
         src = "K = Kernel('k', run, work)\n"
-        out = lint_source(src, "backends/cuda_sim/kernels.py")
-        assert [f.rule for f in out] == ["kernel-decl"]
+        assert _lint(src, "backends/cuda_sim/kernels.py") == ["kernel-decl"]
 
     def test_kernel_with_accesses_clean(self):
         src = "K = Kernel('k', run, work, accesses=_reads_all)\n"
-        assert lint_source(src, "backends/cuda_sim/kernels.py") == []
+        assert _lint(src, "backends/cuda_sim/kernels.py") == []
 
     def test_argsort_flagged_and_suppressible(self):
         src = "o = np.argsort(keys)\n"
-        out = lint_source(src, "backends/cpu/spmv.py")
-        assert [f.rule for f in out] == ["argsort"]
+        assert _lint(src, "backends/cpu/spmv.py") == ["argsort"]
         ok = "o = np.argsort(keys)  # gbsan: ok(argsort) -- fallback path\n"
-        assert lint_source(ok, "backends/cpu/spmv.py") == []
+        assert _lint(ok, "backends/cpu/spmv.py") == []
 
     def test_directive_without_reason_does_not_suppress(self):
         src = "o = np.argsort(keys)  # gbsan: ok(argsort)\n"
-        out = lint_source(src, "backends/cpu/spmv.py")
-        assert [f.rule for f in out] == ["argsort"]
+        out = _lint(src, "backends/cpu/spmv.py")
+        assert out == ["argsort", "suppression-placeholder-reason"]
+
+    def test_placeholder_reason_does_not_suppress(self):
+        src = "np.argsort(k)  # gbsan: ok(argsort) -- todo\n"
+        out = _lint(src, "backends/cpu/spmv.py")
+        assert out == ["argsort", "suppression-placeholder-reason"]
+
+    def test_directive_inside_docstring_does_not_suppress(self):
+        src = (
+            '"""Example: # gbsan: ok(argsort) -- cold fallback path, not kernel-hot"""\n'
+            "o = np.argsort(k)\n"
+        )
+        assert _lint(src, "backends/cpu/spmv.py") == ["argsort"]
 
     def test_container_mutation_flagged(self):
         src = "c.values[k] = v\n"
-        out = lint_source(src, "core/vector.py")
-        assert [f.rule for f in out] == ["container-mutation"]
+        assert _lint(src, "core/vector.py") == ["container-mutation"]
 
     def test_heavy_numpy_in_orchestrator_flagged(self):
         src = "s = np.searchsorted(rows, x)\n"
-        out = lint_source(src, "backends/multi_sim/backend.py")
-        assert any(f.rule == "uncharged-numpy" for f in out)
+        assert "uncharged-numpy" in _lint(src, "backends/multi_sim/backend.py")
 
     def test_out_of_scope_files_unlinted(self):
         src = "o = np.argsort(keys)\nc.values[k] = v\n"
-        assert lint_source(src, "testing/programs.py") == []
+        assert _lint(src, "testing/programs.py") == []
 
     def test_fused_kernel_without_accesses_flagged_everywhere(self):
         # Fused kernels are emitted by the lazy optimizer; an undeclared one
         # is flagged no matter which module instantiates it.
         src = "K = Kernel('ewise_reduce_fused_v', run, work)\n"
-        out = lint_source(src, "testing/helpers.py")
-        assert [f.rule for f in out] == ["fused-kernel-decl"]
-        out = lint_source(src, "backends/cuda_sim/kernels.py")
-        assert {f.rule for f in out} == {"kernel-decl", "fused-kernel-decl"}
+        assert _lint(src, "testing/helpers.py") == ["fused-kernel-decl"]
+        out = _lint(src, "backends/cuda_sim/kernels.py")
+        assert set(out) == {"kernel-decl", "fused-kernel-decl"}
 
     def test_fused_kernel_with_accesses_clean(self):
         src = "K = Kernel('fill_ewise_fused_v', run, work, accesses=_reads_all)\n"
-        assert lint_source(src, "lazy/passes.py") == []
+        assert _lint(src, "lazy/passes.py") == []
 
     def test_lazy_package_held_to_backend_rules(self):
         src = "o = np.argsort(keys)\nK = Kernel('k', run, work)\n"
-        out = lint_source(src, "lazy/schedule.py")
-        assert {f.rule for f in out} == {"argsort", "kernel-decl"}
+        assert set(_lint(src, "lazy/schedule.py")) == {"argsort", "kernel-decl"}
 
     def test_repo_tree_is_clean(self):
         from pathlib import Path
 
-        from repro.sanitizer.lint import lint_tree
+        from repro.analysis import analyze_tree
 
         root = Path(gb.__file__).resolve().parent
-        assert lint_tree(root) == []
+        assert analyze_tree(root).findings == []
