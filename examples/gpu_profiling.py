@@ -30,8 +30,8 @@ def profile_sssp() -> None:
     print(f"simulated device time: {dev.clock_us:.1f} µs "
           f"({dev.profiler.launch_count} kernel launches)\n")
     print(dev.profiler.summary())
-    stats = dev.allocator.stats
-    print(f"\nPCIe: {stats.h2d_bytes / 1e6:.2f} MB uploaded in {stats.h2d_count} copies")
+    uploads = [r for r in dev.profiler.records if r.kind == "h2d"]
+    print(f"\nPCIe: {dev.profiler.h2d_bytes / 1e6:.2f} MB uploaded in {len(uploads)} copies")
 
 
 def ablate_cost_model() -> None:

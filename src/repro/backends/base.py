@@ -20,6 +20,7 @@ default implementations so a backend only must provide the hot kernels.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from typing import Any, Optional
 
@@ -64,16 +65,6 @@ class Backend(ABC):
         """
 
     @abstractmethod
-    def mxm(
-        self,
-        a: CSRMatrix,
-        b: CSRMatrix,
-        semiring: Semiring,
-        mask: Optional[CSRMatrix] = None,
-        desc: Descriptor = DEFAULT,
-    ) -> CSRMatrix:
-        """``T = A ⊗ B``."""
-
     def vxm(
         self,
         u: SparseVector,
@@ -84,24 +75,18 @@ class Backend(ABC):
         direction: str = "auto",
         csc=None,
     ) -> SparseVector:
-        """``t = u ⊗ A == Aᵀ ⊗ u``. Default routes through :meth:`mxv`.
+        """``t = u ⊗ A`` (column picture); the multiply is ``mult(u_k, A_kj)``."""
 
-        The multiply's operand order matters for non-commutative operators
-        (vxm computes ``mult(u_k, A_kj)``), so the routed call flips it.
-        """
-        mult = semiring.mult
-        flipped = Semiring(
-            f"_flip({semiring.name})",
-            semiring.add,
-            BinaryOp(
-                f"_flip({mult.name})",
-                lambda x, y: mult.func(y, x),
-                mult.bool_out,
-                mult.commutative,
-                False,
-            ),
-        )
-        return self.mxv(a.cached_transpose(), u, flipped, mask, desc, direction)
+    @abstractmethod
+    def mxm(
+        self,
+        a: CSRMatrix,
+        b: CSRMatrix,
+        semiring: Semiring,
+        mask: Optional[CSRMatrix] = None,
+        desc: Descriptor = DEFAULT,
+    ) -> CSRMatrix:
+        """``T = A ⊗ B``."""
 
     # ------------------------------------------------------------------
     # Elementwise (hot path, abstract)
@@ -338,6 +323,14 @@ class Backend(ABC):
         the simulated GPU charges a scatter kernel so assign shows up on the
         device timeline like it would in a CUDA backend.
         """
+
+    def busy_us(self) -> float:
+        """Monotone busy time in µs; batch costs are differences of it.
+
+        Host backends read the wall clock.  The simulated backends return
+        their deterministic simulated time instead.
+        """
+        return time.perf_counter() * 1e6
 
     def note_result(self, container) -> None:
         """Accounting hook: ``container`` was produced by the write pipeline.

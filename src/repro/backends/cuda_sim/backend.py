@@ -115,8 +115,13 @@ class CudaSimBackend(Backend):
         """Charge an H2D upload unless the container is clean on-device."""
         self._resident.ensure(container)
 
-    def _mark_resident(self, container, record_h2d: bool = False) -> None:
-        self._resident.mark(container, record_h2d=record_h2d)
+    def _mark_resident(self, container) -> None:
+        self._resident.mark(container)
+
+    def busy_us(self) -> float:
+        """Simulated kernel + transfer time charged to this backend's device."""
+        prof = self._dev().profiler
+        return prof.kernel_time_us + prof.transfer_time_us
 
     def note_result(self, container) -> None:
         """Frontend produced this container from device-resident inputs.

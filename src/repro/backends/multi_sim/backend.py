@@ -201,6 +201,10 @@ class MultiSimBackend(Backend):
         """Cluster-wide counters (launches, bytes, comm, makespan)."""
         return self._cluster.metrics()
 
+    def busy_us(self) -> float:
+        """The cluster makespan, at every P (a one-device cluster too)."""
+        return float(self._cluster.makespan_us)
+
     def reset(self) -> None:
         """Fresh clocks/profilers/residency on every device + comm counters."""
         self._cluster.reset()

@@ -43,7 +43,13 @@ def _size_class(nbytes: int) -> int:
 
 
 class MemoryStats:
-    """Counters for allocations, pooling, and transfers."""
+    """Counters for allocations, pooling, and transfers.
+
+    ``h2d_*``/``d2h_*`` count only :meth:`DeviceAllocator.upload` and
+    :meth:`DeviceAllocator.download`.  Uploads of resident containers are
+    charged as profiler ``h2d`` records, the one transfer ledger; only the
+    uploads they skip are counted here (``h2d_elided_*``).
+    """
 
     __slots__ = (
         "alloc_count",
@@ -189,19 +195,17 @@ class DeviceAllocator:
         block = self._reserve(arr.nbytes)
         return DeviceBuffer(self, arr.nbytes, arr, block)
 
-    def reserve(self, nbytes: int, record_h2d: bool = False) -> DeviceBuffer:
+    def reserve(self, nbytes: int) -> DeviceBuffer:
         """Capacity-only allocation (no host mirror array).
 
         Used when the simulation computes on existing host arrays and only
         needs the device-memory *accounting* — e.g. the cuda_sim backend's
-        resident-container tracking.  With ``record_h2d`` the bytes also
-        count as upload traffic.
+        resident-container tracking.  Its uploads are charged through
+        :func:`~repro.gpu.kernel.charge_transfer`, so the profiler's ``h2d``
+        records are their one ledger.
         """
         nbytes = int(nbytes)
         block = self._reserve(nbytes)
-        if record_h2d:
-            self.stats.h2d_count += 1
-            self.stats.h2d_bytes += nbytes
         return DeviceBuffer(self, nbytes, np.empty(0, dtype=np.uint8), block)
 
     def upload(self, host_array: np.ndarray) -> DeviceBuffer:

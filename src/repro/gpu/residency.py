@@ -102,9 +102,9 @@ class ResidentSet:
                 nbytes = max(nbytes - skip, 0.0)
                 dev.allocator.record_h2d_elided(skip)
         charge_transfer(nbytes, "h2d", device=dev, container=container)
-        self.mark(container, record_h2d=True)
+        self.mark(container)
 
-    def mark(self, container: Any, record_h2d: bool = False) -> None:
+    def mark(self, container: Any) -> None:
         """Record the container as device-resident (clean) without a copy."""
         key = id(container)
         version = getattr(container, "version", 0)
@@ -128,7 +128,7 @@ class ResidentSet:
             if aux.get(bound_key):
                 dev.rebinds += 1
             aux[bound_key] = True
-        buf = dev.allocator.reserve(container.nbytes, record_h2d=record_h2d)
+        buf = dev.allocator.reserve(container.nbytes)
         self._entries[key] = (container, buf, version)
         self._entries.move_to_end(key)
         if san is not None:

@@ -14,7 +14,7 @@ Module map:
 - :mod:`.queries` — query/result types, coalesce keys, ``Overloaded``;
 - :mod:`.engine` — resident graph registry + batched execution paths;
 - :mod:`.coalescer` — pools, size/age close triggers, weighted fairness;
-- :mod:`.scheduler` — stream-lane placement and queueing replay;
+- :mod:`.scheduler` — stream-lane placement;
 - :mod:`.service` — the discrete-event service core and its stats;
 - :mod:`.traffic` — seeded Zipf/Poisson synthetic workload generator;
 - :mod:`.aio` — ``asyncio`` facade (awaitable submissions).
@@ -24,7 +24,7 @@ See ``docs/serving.md`` for the design narrative and the fig9 benchmark
 experiment this layer exists to win.
 """
 
-from .coalescer import BatchPolicy, Coalescer, PendingQuery
+from .coalescer import BatchPolicy, Coalescer
 from .engine import ExecutionEngine, GraphHandle
 from .queries import (
     BfsQuery,
@@ -35,14 +35,13 @@ from .queries import (
     Query,
     QueryResult,
 )
-from .scheduler import BatchScheduler, StreamLane, simulate_queueing
+from .scheduler import BatchScheduler, StreamLane
 from .service import GraphService, QueryRecord, ServiceStats, Tenant
 from .traffic import Submission, TrafficSpec, generate_trace, zipf_choice
 
 __all__ = [
     "BatchPolicy",
     "Coalescer",
-    "PendingQuery",
     "ExecutionEngine",
     "GraphHandle",
     "Query",
@@ -54,7 +53,6 @@ __all__ = [
     "Overloaded",
     "BatchScheduler",
     "StreamLane",
-    "simulate_queueing",
     "GraphService",
     "QueryRecord",
     "ServiceStats",

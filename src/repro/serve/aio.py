@@ -77,14 +77,9 @@ class AsyncGraphService:
         self._settle()
 
     def _settle(self) -> None:
-        if not self._futures:
-            return
-        done = [
-            rec
-            for rec in self.service.records
-            if rec.qid in self._futures and rec.status != "queued"
-        ]
-        for rec in done:
-            fut = self._futures.pop(rec.qid)
+        # A record's index in service.records is its qid.
+        records = self.service.records
+        for qid in [q for q in self._futures if records[q].status != "queued"]:
+            fut = self._futures.pop(qid)
             if not fut.done():
-                fut.set_result(rec)
+                fut.set_result(records[qid])

@@ -24,9 +24,12 @@ globally oldest queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["BatchPolicy", "PendingQuery", "Coalescer"]
+if TYPE_CHECKING:
+    from .service import QueryRecord
+
+__all__ = ["BatchPolicy", "Coalescer"]
 
 PoolKey = Tuple[str, Tuple[Any, ...]]  # (graph, coalesce_key)
 
@@ -48,20 +51,9 @@ class BatchPolicy:
 
 
 @dataclass
-class PendingQuery:
-    """One admitted query waiting in a pool."""
-
-    qid: int
-    tenant: str
-    query: Any
-    arrival_us: float
-    deadline_us: Optional[float] = None
-
-
-@dataclass
 class _Pool:
     key: PoolKey
-    queries: List[PendingQuery] = field(default_factory=list)
+    queries: List["QueryRecord"] = field(default_factory=list)
     # Container version of the graph the pooled queries were admitted
     # against; a mismatch at dispatch means the graph mutated mid-pool and
     # the batch must not run (the answers would be for a different graph).
@@ -76,7 +68,11 @@ class _Pool:
 
 
 class Coalescer:
-    """Per-key pending pools with size/age close triggers."""
+    """Per-key pending pools with size/age close triggers.
+
+    The pools hold the service's own :class:`~repro.serve.service.QueryRecord`
+    objects: the pools are the service's one queue of admitted queries.
+    """
 
     def __init__(self, policy: Optional[BatchPolicy] = None) -> None:
         self.policy = policy or BatchPolicy()
@@ -85,42 +81,32 @@ class Coalescer:
     def __len__(self) -> int:
         return sum(len(p.queries) for p in self._pools.values())
 
-    def waiting(self, tenant: Optional[str] = None) -> int:
-        if tenant is None:
-            return len(self)
-        return sum(
-            1
-            for p in self._pools.values()
-            for q in p.queries
-            if q.tenant == tenant
-        )
-
-    def add(self, graph: str, pending: PendingQuery, version: int = 0) -> PoolKey:
-        """Admit one query; returns its pool key.
+    def add(self, rec: "QueryRecord", version: int = 0) -> PoolKey:
+        """Admit one query record; returns its pool key.
 
         ``version`` is the graph's container version at admission; the pool
         is stamped with the first arrival's version (callers evict stale
         pools via :meth:`evict_stale` before adding at a newer version).
         """
-        key = (graph, pending.query.coalesce_key())
+        key = (rec.graph, rec.query.coalesce_key())
         pool = self._pools.get(key)
         if pool is None:
             pool = self._pools[key] = _Pool(key, version=version)
-        pool.queries.append(pending)
+        pool.queries.append(rec)
         return key
 
     def pool_version(self, key: PoolKey) -> Optional[int]:
         pool = self._pools.get(key)
         return None if pool is None else pool.version
 
-    def evict_stale(self, graph: str, version: int) -> List[PendingQuery]:
+    def evict_stale(self, graph: str, version: int) -> List["QueryRecord"]:
         """Remove every pool for ``graph`` stamped with a different version.
 
         Returns the dropped queries so the caller can account them; they
         were admitted against a graph that no longer exists and must not be
         answered from the mutated one.
         """
-        dropped: List[PendingQuery] = []
+        dropped: List["QueryRecord"] = []
         for key in [k for k in self._pools if k[0] == graph]:
             pool = self._pools[key]
             if pool.version != version:
@@ -160,7 +146,7 @@ class Coalescer:
 
     def drain(
         self, key: PoolKey, weights: Mapping[str, float]
-    ) -> List[PendingQuery]:
+    ) -> List["QueryRecord"]:
         """Remove and return up to ``max_batch`` queries from ``key``.
 
         When the pool overflows one batch, slots are split across waiting
@@ -184,9 +170,9 @@ class Coalescer:
 
     @staticmethod
     def _fair_select(
-        queries: List[PendingQuery], take: int, weights: Mapping[str, float]
-    ) -> List[PendingQuery]:
-        by_tenant: Dict[str, List[PendingQuery]] = {}
+        queries: List["QueryRecord"], take: int, weights: Mapping[str, float]
+    ) -> List["QueryRecord"]:
+        by_tenant: Dict[str, List["QueryRecord"]] = {}
         for q in queries:
             by_tenant.setdefault(q.tenant, []).append(q)
         tenants = sorted(by_tenant)

@@ -21,14 +21,14 @@ every per-query result is sliced from the batch output on the host, which
 is exactly the row a batch-of-one run would produce (see the bit-identity
 notes in :mod:`repro.algorithms.ppr`).
 
-Batch cost is read from the simulator's own accounting (kernel + transfer
-time on ``cuda_sim``, cluster makespan on ``multi_sim``), so latency and
-QPS numbers downstream are deterministic, not wall-clock noise.
+Batch cost is the backend's own :meth:`~repro.backends.base.Backend.busy_us`
+(kernel + transfer time on ``cuda_sim``, cluster makespan on ``multi_sim``),
+so latency and QPS numbers downstream are deterministic, not wall-clock
+noise.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +85,6 @@ class ExecutionEngine:
     """Runs coalesced batches on one backend and meters their device cost."""
 
     def __init__(self, backend: str = "cuda_sim") -> None:
-        self.backend_name = backend
         self._be = get_backend(backend)
         self._graphs: Dict[str, GraphHandle] = {}
 
@@ -118,29 +117,13 @@ class ExecutionEngine:
         Returns the device time spent — setup cost the caller can report
         separately instead of taxing the first unlucky query batch.
         """
-        t0 = self.busy_us()
+        t0 = self._be.busy_us()
         with use_backend(self._be):
             # A 0-hop traversal touches (and uploads) the adjacency.
             bfs_levels_multi(h.matrix, [0], max_level=0)
             h.transition()
             h.features()
-        return self.busy_us() - t0
-
-    # ------------------------------------------------------------------
-    # Device-time accounting
-    # ------------------------------------------------------------------
-
-    def busy_us(self) -> float:
-        """Monotone simulated busy time of this engine's backend."""
-        if self.backend_name == "cuda_sim":
-            from ..gpu.device import get_device
-
-            prof = get_device().profiler
-            return prof.kernel_time_us + prof.transfer_time_us
-        if self.backend_name == "multi_sim":
-            return float(self._be.cluster.makespan_us)
-        # Real (non-simulated) backends: wall-clock microseconds.
-        return time.perf_counter() * 1e6
+        return self._be.busy_us() - t0
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -155,7 +138,7 @@ class ExecutionEngine:
         Results are positionally parallel to ``queries``.
         """
         h = self.graph(graph)
-        t0 = self.busy_us()
+        t0 = self._be.busy_us()
         with use_backend(self._be):
             if key[0] == "traverse":
                 results = self._run_traverse(h, queries)
@@ -165,7 +148,7 @@ class ExecutionEngine:
                 results = self._run_feature(h, queries)
             else:  # pragma: no cover - defensive
                 raise InvalidValueError(f"unknown batch key {key!r}")
-        return results, self.busy_us() - t0
+        return results, self._be.busy_us() - t0
 
     def _run_traverse(
         self, h: GraphHandle, queries: Sequence[Query]

@@ -14,22 +14,14 @@ On ``multi_sim`` a single batch already spans every device (the
 partitioned backend shards each batched launch block-row across the
 cluster); lanes then model concurrent *batches* pipelined behind each
 other, i.e. stream-level overlap on top of data-parallel sharding.
-
-:func:`simulate_queueing` is the offline replay used by the fig9 harness:
-given measured per-query service durations, it recomputes completions for
-any arrival schedule without touching the device again — service cost in
-the unbatched A/B is load-independent, so one execution pass yields the
-whole latency-throughput curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-__all__ = ["StreamLane", "BatchScheduler", "simulate_queueing"]
+__all__ = ["StreamLane", "BatchScheduler"]
 
 
 @dataclass
@@ -77,31 +69,3 @@ class BatchScheduler:
 
     def reset(self) -> None:
         self.lanes = [StreamLane(i) for i in range(self.streams)]
-
-
-def simulate_queueing(
-    arrivals_us: Sequence[float],
-    durations_us: Sequence[float],
-    streams: int = 2,
-) -> np.ndarray:
-    """FIFO completion times for jobs replayed over ``streams`` lanes.
-
-    Jobs are taken in arrival order; each starts on the least-loaded lane
-    at ``max(arrival, lane free)``.  Returns completions parallel to the
-    inputs.  This is the same placement rule :class:`BatchScheduler`
-    applies live, factored out so recorded service durations can be
-    re-queued under a different offered load for free.
-    """
-    arr = np.asarray(arrivals_us, dtype=np.float64)
-    dur = np.asarray(durations_us, dtype=np.float64)
-    if arr.shape != dur.shape:
-        raise ValueError("arrivals and durations must be parallel")
-    order = np.argsort(arr, kind="stable")
-    free = np.zeros(max(1, streams))
-    out = np.empty_like(arr)
-    for j in order:
-        lane = int(np.argmin(free))
-        start = max(arr[j], free[lane])
-        free[lane] = start + dur[j]
-        out[j] = free[lane]
-    return out

@@ -26,22 +26,32 @@ Life of a query::
         ▼
     QueryRecord                     latency, batch size, deadline outcome
 
-Per-tenant **weights** shape batch selection under saturation (see the
-coalescer's fair drain), **max_queue** bounds each tenant's outstanding
-work (queue-depth shedding), and per-query **deadlines** are accounted:
-expired-before-dispatch queries are dropped (``drop_expired``) and
-completions after deadline are counted as missed.
+The coalescer's pools hold the :class:`QueryRecord` itself, so there is
+one queue of admitted queries.  Per-tenant **weights** shape batch
+selection under saturation (see the coalescer's fair drain),
+**max_queue** bounds each tenant's outstanding work (queue-depth
+shedding), and per-query **deadlines** are accounted: expired-before-
+dispatch queries are dropped (``drop_expired``) and completions after
+deadline are counted as missed.
+
+A tenant's outstanding depth is two counts kept per tenant name: *queued*
+(admitted, still in a pool) and *in flight* (dispatched, completion not
+yet passed by an arrival).  In-flight queries retire from one min-heap of
+completion times as arrivals pass them, so admission costs O(log n)
+however deep the queues are.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.matrix import Matrix
-from .coalescer import BatchPolicy, Coalescer, PendingQuery, PoolKey
+from .coalescer import BatchPolicy, Coalescer, PoolKey
 from .engine import ExecutionEngine, GraphHandle
 from .queries import Overloaded, Query, QueryResult
 from .scheduler import BatchScheduler
@@ -64,7 +74,10 @@ class Tenant:
 
 @dataclass
 class QueryRecord:
-    """The full accounting trail of one submitted query."""
+    """The full accounting trail of one submitted query.
+
+    ``qid`` is the record's index in :attr:`GraphService.records`.
+    """
 
     qid: int
     tenant: str
@@ -240,9 +253,10 @@ class GraphService:
         self.records: List[QueryRecord] = []
         self.setup_us = 0.0
         self._now_us = 0.0
-        self._next_qid = 0
-        self._waiting: Dict[PoolKey, List[QueryRecord]] = {}
-        self._inflight: List[Tuple[float, str]] = []  # (completion, tenant)
+        # Outstanding depth per tenant name (add_tenant does not reset it).
+        self._queued: Counter[str] = Counter()
+        self._in_flight: Counter[str] = Counter()
+        self._completions: List[Tuple[float, str]] = []  # min-heap (completion, tenant)
         self.batch_sizes: List[int] = []
 
     # ------------------------------------------------------------------
@@ -284,14 +298,11 @@ class GraphService:
     # ------------------------------------------------------------------
 
     def _outstanding(self, tenant: str, now_us: float) -> int:
-        self._inflight = [e for e in self._inflight if e[0] > now_us]
-        waiting = sum(
-            1
-            for recs in self._waiting.values()
-            for r in recs
-            if r.tenant == tenant
-        )
-        return waiting + sum(1 for e in self._inflight if e[1] == tenant)
+        """Queued plus in-flight queries of ``tenant`` at ``now_us``."""
+        while self._completions and self._completions[0][0] <= now_us:
+            _, owner = heapq.heappop(self._completions)
+            self._in_flight[owner] -= 1
+        return self._queued[tenant] + self._in_flight[tenant]
 
     def submit(
         self,
@@ -315,14 +326,13 @@ class GraphService:
         self.advance_to(arrival)
         t.submitted += 1
         rec = QueryRecord(
-            qid=self._next_qid,
+            qid=len(self.records),
             tenant=tenant,
             graph=graph,
             query=query,
             arrival_us=arrival,
             deadline_us=deadline_us,
         )
-        self._next_qid += 1
         self.records.append(rec)
         depth = self._outstanding(tenant, arrival)
         if depth + 1 > t.max_queue:
@@ -331,12 +341,8 @@ class GraphService:
             raise Overloaded(tenant, depth, t.max_queue)
         version = self.engine.graph(graph).matrix.container.version
         self._evict_stale(graph, version, arrival)
-        key = self.coalescer.add(
-            graph,
-            PendingQuery(rec.qid, tenant, query, arrival, deadline_us),
-            version=version,
-        )
-        self._waiting.setdefault(key, []).append(rec)
+        key = self.coalescer.add(rec, version=version)
+        self._queued[tenant] += 1
         if self.coalescer.full(key):
             self._dispatch(key, arrival)
         return rec
@@ -359,14 +365,8 @@ class GraphService:
 
     def drain(self) -> None:
         """Dispatch every pending pool at its age-trigger time."""
-        while True:
-            keys = self.coalescer.pending_keys()
-            if not keys:
-                break
-            close = self.coalescer.next_close_us()
-            now = max(self._now_us, close if close is not None else 0.0)
-            self._dispatch(keys[0], now)
-            self._now_us = max(self._now_us, now)
+        while self.dispatch_next():
+            pass
 
     def dispatch_next(self) -> bool:
         """Dispatch the single oldest pending pool (asyncio pump unit)."""
@@ -386,22 +386,10 @@ class GraphService:
         container; answering them from the mutated graph would silently
         serve results for a graph the caller never submitted against.
         """
-        dropped = self.coalescer.evict_stale(graph, version)
-        if not dropped:
-            return
-        stale_qids = {p.qid for p in dropped}
-        for key in [k for k in self._waiting if k[0] == graph]:
-            kept = []
-            for rec in self._waiting[key]:
-                if rec.qid in stale_qids:
-                    rec.status = "stale"
-                    rec.completion_us = now_us
-                else:
-                    kept.append(rec)
-            if kept:
-                self._waiting[key] = kept
-            else:
-                del self._waiting[key]
+        for rec in self.coalescer.evict_stale(graph, version):
+            rec.status = "stale"
+            rec.completion_us = now_us
+            self._queued[rec.tenant] -= 1
 
     def mutate(self, graph: str, mutator: Any) -> None:
         """Apply ``mutator(matrix)`` to a served graph, safely.
@@ -427,38 +415,25 @@ class GraphService:
             self._evict_stale(key[0], cur, now_us)
             return
         weights = {name: t.weight for name, t in self.tenants.items()}
-        batch = self.coalescer.drain(key, weights)
-        if not batch:
-            return
-        taken = {p.qid for p in batch}
-        recs_by_qid = {
-            r.qid: r for r in self._waiting.get(key, []) if r.qid in taken
-        }
-        self._waiting[key] = [
-            r for r in self._waiting.get(key, []) if r.qid not in taken
-        ]
-        if not self._waiting[key]:
-            del self._waiting[key]
         # Deadline expiry: drop queries that could not possibly meet their
         # deadline (it passed before the batch even formed).
-        live: List[PendingQuery] = []
-        for p in batch:
-            if p.deadline_us is not None and p.deadline_us < now_us:
-                rec = recs_by_qid[p.qid]
+        live: List[QueryRecord] = []
+        for rec in self.coalescer.drain(key, weights):
+            self._queued[rec.tenant] -= 1
+            if rec.deadline_us is not None and rec.deadline_us < now_us:
                 rec.status = "expired"
                 rec.completion_us = now_us
             else:
-                live.append(p)
+                live.append(rec)
         if not live:
             return
         graph, ckey = key
         results, duration_us = self.engine.execute(
-            graph, ckey, [p.query for p in live]
+            graph, ckey, [rec.query for rec in live]
         )
         start, completion, lane = self.scheduler.place(now_us, duration_us)
         self.batch_sizes.append(len(live))
-        for p, res in zip(live, results):
-            rec = recs_by_qid[p.qid]
+        for rec, res in zip(live, results):
             rec.status = "done"
             rec.start_us = start
             rec.completion_us = completion
@@ -468,7 +443,8 @@ class GraphService:
                 rec.result = res
             if self.store_digests:
                 rec.digest = res.digest()
-            self._inflight.append((completion, p.tenant))
+            heapq.heappush(self._completions, (completion, rec.tenant))
+            self._in_flight[rec.tenant] += 1
 
     # ------------------------------------------------------------------
     # Trace replay

@@ -4,9 +4,10 @@ The simulator's performance layers (transfer elision, loop capture,
 P-way sharding) must change *when* work is charged, never *how much* total
 logical work exists.  Three conservation laws capture that:
 
-- **transfer conservation** — bytes actually copied H2D plus bytes elided
-  is constant whether elision is on or off: elision may only move traffic
-  between the two counters, never create or destroy it;
+- **transfer conservation** — bytes actually copied H2D (the profiler's
+  ``h2d`` records) plus bytes elided is constant whether elision is on or
+  off: elision may only move traffic between the two counters, never
+  create or destroy it;
 - **flop conservation** — the sum of kernel flops across all P devices of
   a sharded pull product equals the single-device flop count: block-row
   sharding repartitions rows, it does not change per-row work;
@@ -67,8 +68,9 @@ def check_transfer_conservation(program: Program) -> Optional[str]:
         be = _fresh_cuda_sim()
         with policy(elision=elide):
             execute(program, "cuda_sim")
-        stats = get_device().allocator.stats
-        totals.append((float(stats.h2d_bytes), float(stats.h2d_elided_bytes)))
+        dev = get_device()
+        copied = dev.profiler.h2d_bytes  # observe first: forces pending work
+        totals.append((float(copied), float(dev.allocator.stats.h2d_elided_bytes)))
         be.evict_all()
     (on_h2d, on_elided), (off_h2d, off_elided) = totals
     if off_elided != 0.0:

@@ -16,11 +16,10 @@ from repro.serve import (
     GraphService,
     KHopQuery,
     Overloaded,
-    PendingQuery,
     PprQuery,
+    QueryRecord,
     TrafficSpec,
     generate_trace,
-    simulate_queueing,
     zipf_choice,
 )
 from repro.serve.aio import AsyncGraphService
@@ -141,29 +140,33 @@ class TestBitIdentity:
 # ---------------------------------------------------------------------------
 
 
+def _rec(qid, tenant, query, arrival_us, graph="g"):
+    return QueryRecord(qid, tenant, graph, query, arrival_us)
+
+
 class TestCoalescer:
     def test_keys_separate_incompatible_queries(self):
         c = Coalescer(BatchPolicy(max_batch=8))
-        c.add("g", PendingQuery(0, "a", KHopQuery(0, hops=2), 0.0))
-        c.add("g", PendingQuery(1, "a", BfsQuery(1), 0.0))
-        c.add("g", PendingQuery(2, "a", PprQuery(2), 0.0))
-        c.add("g", PendingQuery(3, "a", PprQuery(3, damping=0.5), 0.0))
-        c.add("other", PendingQuery(4, "a", BfsQuery(0), 0.0))
+        c.add(_rec(0, "a", KHopQuery(0, hops=2), 0.0))
+        c.add(_rec(1, "a", BfsQuery(1), 0.0))
+        c.add(_rec(2, "a", PprQuery(2), 0.0))
+        c.add(_rec(3, "a", PprQuery(3, damping=0.5), 0.0))
+        c.add(_rec(4, "a", BfsQuery(0), 0.0, graph="other"))
         # bounded traverse, full traverse, ppr(0.85), ppr(0.5), and the
         # other graph: 5 pools (full BFS never rides in a k-hop batch).
         assert len(c.pending_keys()) == 5 and len(c) == 5
 
     def test_size_trigger(self):
         c = Coalescer(BatchPolicy(max_batch=2, max_wait_us=1e9))
-        key = c.add("g", PendingQuery(0, "a", BfsQuery(0), 0.0))
+        key = c.add(_rec(0, "a", BfsQuery(0), 0.0))
         assert not c.full(key)
-        c.add("g", PendingQuery(1, "a", BfsQuery(1), 1.0))
+        c.add(_rec(1, "a", BfsQuery(1), 1.0))
         assert c.full(key)
 
     def test_age_trigger_tracks_oldest(self):
         c = Coalescer(BatchPolicy(max_batch=100, max_wait_us=50.0))
-        c.add("g", PendingQuery(0, "a", BfsQuery(0), 10.0))
-        c.add("g", PendingQuery(1, "a", BfsQuery(1), 40.0))
+        c.add(_rec(0, "a", BfsQuery(0), 10.0))
+        c.add(_rec(1, "a", BfsQuery(1), 40.0))
         assert c.next_close_us() == 60.0
         assert c.due_keys(59.0) == []
         assert c.due_keys(60.0) == [("g", ("traverse", "full"))]
@@ -171,7 +174,7 @@ class TestCoalescer:
     def test_drain_respects_max_batch_and_arrival_order(self):
         c = Coalescer(BatchPolicy(max_batch=3, max_wait_us=0.0))
         for i in range(5):
-            key = c.add("g", PendingQuery(i, "a", BfsQuery(i), float(i)))
+            key = c.add(_rec(i, "a", BfsQuery(i), float(i)))
         batch = c.drain(key, {"a": 1.0})
         assert [p.qid for p in batch] == [0, 1, 2]
         assert len(c) == 2
@@ -180,8 +183,8 @@ class TestCoalescer:
         """A flooding tenant cannot exclude a light tenant from the batch."""
         c = Coalescer(BatchPolicy(max_batch=4, max_wait_us=0.0))
         for i in range(20):
-            key = c.add("g", PendingQuery(i, "heavy", BfsQuery(i % 7), float(i)))
-        c.add("g", PendingQuery(100, "light", BfsQuery(3), 50.0))
+            key = c.add(_rec(i, "heavy", BfsQuery(i % 7), float(i)))
+        c.add(_rec(100, "light", BfsQuery(3), 50.0))
         batch = c.drain(key, {"heavy": 1.0, "light": 1.0})
         tenants = [p.tenant for p in batch]
         assert "light" in tenants and tenants.count("heavy") == 3
@@ -189,9 +192,9 @@ class TestCoalescer:
     def test_fair_drain_weights_shift_shares(self):
         c = Coalescer(BatchPolicy(max_batch=6, max_wait_us=0.0))
         for i in range(12):
-            key = c.add("g", PendingQuery(i, "a", BfsQuery(i), float(i)))
+            key = c.add(_rec(i, "a", BfsQuery(i), float(i)))
         for i in range(12, 24):
-            c.add("g", PendingQuery(i, "b", BfsQuery(i), float(i)))
+            c.add(_rec(i, "b", BfsQuery(i), float(i)))
         batch = c.drain(key, {"a": 2.0, "b": 1.0})
         tenants = [p.tenant for p in batch]
         assert tenants.count("a") == 4 and tenants.count("b") == 2
@@ -225,19 +228,23 @@ class TestScheduler:
         assert (start, done) == (10.0, 20.0)
 
     def test_simulate_queueing_matches_live_placement(self):
+        """place() is first-in-first-out onto the least-loaded lane."""
         rng = np.random.default_rng(3)
         arrivals = np.sort(rng.uniform(0, 1_000, 50))
         durations = rng.uniform(5, 50, 50)
-        offline = simulate_queueing(arrivals, durations, streams=2)
+        free = [0.0, 0.0]
+        offline = []
+        for a, d in zip(arrivals, durations):
+            lane = free.index(min(free))
+            free[lane] = max(a, free[lane]) + d
+            offline.append(free[lane])
         live = BatchScheduler(streams=2)
-        expect = np.array([live.place(a, d)[1] for a, d in zip(arrivals, durations)])
-        assert np.array_equal(offline, expect)
+        expect = [live.place(a, d)[1] for a, d in zip(arrivals, durations)]
+        assert offline == expect
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchScheduler(streams=0)
-        with pytest.raises(ValueError):
-            simulate_queueing([0.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +341,46 @@ class TestAdmissionAndDeadlines:
         p99_heavy = stats.latency_percentile(99, tenant="heavy")
         assert stats.tenant_summary()["light"]["completed"] == 40
         assert p99_light <= 2.0 * p99_heavy
+
+    def test_depth_counts_match_records(self, graph):
+        """After every submit, each tenant's queued and in-flight counts (and
+        every Overloaded depth) equal a recount from the records, through
+        shedding, deadline expiry, stale eviction and in-flight retirement."""
+        svc = _make_service(
+            "cuda_sim", policy=BatchPolicy(max_batch=6, max_wait_us=300.0)
+        )
+        svc.register_graph(graph)
+        svc.add_tenant("t0", max_queue=4)
+        svc.add_tenant("t1", max_queue=10_000)
+        m = svc.engine.graph("default").matrix
+        i, j = map(int, np.transpose(np.nonzero(m.to_dense()))[0])
+
+        def recount(tenant, now_us):
+            mine = [r for r in svc.records if r.tenant == tenant]
+            queued = sum(r.status == "queued" for r in mine)
+            in_flight = sum(
+                r.status == "done" and r.completion_us > now_us for r in mine
+            )
+            return queued, in_flight
+
+        statuses = set()
+        for k in range(160):
+            if k == 60:
+                m.set_element(i, j, 2.0)  # queued pools go stale
+            if k == 100:
+                svc.add_tenant("t0", max_queue=4)  # re-adding keeps the counts
+            tenant = "t0" if k % 3 else "t1"
+            arrival = 40.0 * k
+            deadline = arrival + 150.0 if k % 5 == 0 else None
+            try:
+                svc.submit(tenant, KHopQuery(k % graph.nrows, hops=2),
+                           arrival_us=arrival, deadline_us=deadline)
+            except Overloaded as exc:
+                assert exc.depth == sum(recount(tenant, arrival))
+            for t in ("t0", "t1"):
+                assert (svc._queued[t], svc._in_flight[t]) == recount(t, arrival)
+            statuses |= {r.status for r in svc.records}
+        assert statuses == {"queued", "done", "shed", "expired", "stale"}
 
     def test_tenant_validation(self, graph):
         svc = _make_service("cuda_sim")

@@ -1,4 +1,4 @@
-"""Smoke test for tools/sim_fingerprint.py: runs, is deterministic, and
+"""Smoke tests for tools/sim_fingerprint.py: runs, is deterministic, and
 covers every simulated spec of the suites it is asked for."""
 
 from __future__ import annotations
@@ -37,3 +37,11 @@ def test_two_programs_digest_deterministically(capsys):
     assert {k: v["digest"] for k, v in again.items()} == {
         k: v["digest"] for k, v in printed.items() if k.startswith("fuzz ")
     }
+
+
+def test_serve_suite_covers_every_spec():
+    tool = _load_tool()
+    printed = tool.fingerprint("serve", 0)
+    assert set(printed) == {f"serve {s}" for s in tool.SERVE_SPECS}
+    # Two traces, each batched and with max_batch=1.
+    assert all(e["programs"] == 4 for e in printed.values())

@@ -9,21 +9,28 @@ diffing the two outputs::
     python tools/sim_fingerprint.py --src /path/to/old/src > old.json
     diff old.json new.json
 
-Three suites run on the simulated specs:
+Four suites run on the simulated specs:
 
 - ``fuzz`` — random GraphBLAS programs (:func:`generate_program`);
 - ``mutation`` — graph-mutation programs (edge batches, compactions,
   incremental queries with their full-recompute oracle);
 - ``algorithms`` — a fixed algorithm suite on an R-MAT graph, at
-  multi_sim P ∈ {1, 2, 3, 4} with the lazy tape on and off.
+  multi_sim P ∈ {1, 2, 3, 4} with the lazy tape on and off;
+- ``serve`` — small fig9-shaped traces through :class:`GraphService`,
+  batched and with ``max_batch=1``, with a tenant whose ``max_queue``
+  sheds, deadlines that expire queries, one ``mutate`` and one raw matrix
+  write that leaves queued pools stale.
 
 After each program the tool records, per device: every profiler record
 (name, kind, start, duration, flops, bytes, threads, replay members),
-the H2D / elided / D2H counters, the clock and the rebind count; and per
-cluster: comm stats, makespan and the ordering-edge count.  Allocator
-alloc/free/pool-hit counts and ``in_use`` are left out: buffers are freed
-by finalizers at garbage-collection time, so those counters can differ
-between two runs of the same code.
+the profiler's H2D bytes, the allocator's elided and D2H counters, the
+clock and the rebind count; and per cluster: comm stats, makespan and the
+ordering-edge count.  A serve program adds each query record (qid,
+tenant, status, start, completion, batch size, lane, digest), the depth
+of every ``Overloaded``, the batch sizes, and the scheduler's busy time
+and makespan.  Allocator alloc/free/pool-hit counts and ``in_use`` are
+left out: buffers are freed by finalizers at garbage-collection time, so
+those counters can differ between two runs of the same code.
 """
 
 from __future__ import annotations
@@ -61,28 +68,30 @@ ALGORITHM_SPECS = (
     )
     + ("multi_sim:3:degree_balanced", "multi_sim:4:degree_balanced")
 )
+SERVE_SPECS = ("cuda_sim", "multi_sim:1:degree_balanced", "multi_sim:2:degree_balanced")
 
 #: Allocator counters that do not depend on garbage-collection timing.
-_MEMORY_KEYS = (
-    "h2d_count",
-    "h2d_bytes",
-    "h2d_elided_count",
-    "h2d_elided_bytes",
-    "d2h_count",
-    "d2h_bytes",
-)
+_MEMORY_KEYS = ("h2d_elided_count", "h2d_elided_bytes", "d2h_count", "d2h_bytes")
+
+#: fig9's traffic shape (benchmarks/bench_fig9_serving_qps.py) on 4 tenants,
+#: offered at a fifth of its rate so that pools also close by age mid-trace.
+_SERVE_TRAFFIC = dict(qps=50_000.0, n_users=1_200_000, n_tenants=4, source_skew=1.5, ppr_iters=5)
+#: (max_batch, max_wait_us): fig9's batched arm and the unbatched arm.
+_SERVE_POLICIES = ((128, 3_000.0), (1, 0.0))
 
 
 def _device_counters(dev) -> Dict[str, Any]:
     # Reading dev.profiler is an observation point: it commits open
     # loop-capture aggregates before the records are read.
+    prof = dev.profiler
     records = [
         (r.name, r.kind, r.start_us, r.duration_us, r.flops, r.bytes, r.threads, r.members)
-        for r in dev.profiler.records
+        for r in prof.records
     ]
     stats = dev.allocator.stats
     return {
         "records": records,
+        "h2d_bytes": prof.h2d_bytes,
         "memory": {k: getattr(stats, k) for k in _MEMORY_KEYS},
         "clock_us": dev.clock_us,
         "rebinds": dev.rebinds,
@@ -163,10 +172,64 @@ def _algorithms(spec: str, programs: int) -> Iterator[Dict[str, Any]]:
         yield _counters(spec)
 
 
+def _serve_run(spec: str, seed: int, max_batch: int, max_wait_us: float) -> Dict[str, Any]:
+    """One trace through a fresh service; every serving decision it made."""
+    from repro.generators import rmat
+    from repro.serve import BatchPolicy, GraphService, Overloaded, TrafficSpec, generate_trace
+
+    g = rmat(8, 8, seed=seed)
+    svc = GraphService(
+        backend=spec.split(":")[0],
+        policy=BatchPolicy(max_batch=max_batch, max_wait_us=max_wait_us),
+        streams=2,
+        store_results=False,
+    )
+    svc.register_graph(g)
+    for t in range(_SERVE_TRAFFIC["n_tenants"]):
+        svc.add_tenant(f"tenant{t}", weight=1.0 + t, max_queue=8 if t == 0 else 10_000)
+    trace = generate_trace(TrafficSpec(n_queries=200, **_SERVE_TRAFFIC), g.nrows, seed=seed)
+    rows, cols, _ = g.to_lists()
+    shed = []
+    for k, sub in enumerate(trace):
+        if k == 30:
+            g.set_element(rows[1], cols[1], 3.0)  # behind the service's back
+        if k == 190:
+            svc.mutate("default", lambda m: m.set_element(rows[0], cols[0], 2.0))
+        # tenant1's deadlines sit below, at and above the pool's age trigger.
+        deadline = sub.arrival_us + 1_000.0 * (2 + k % 3) if sub.tenant == "tenant1" else None
+        try:
+            svc.submit(sub.tenant, sub.query, arrival_us=sub.arrival_us, deadline_us=deadline)
+        except Overloaded as exc:
+            shed.append((k, exc.depth))
+    svc.drain()
+    return {
+        "records": [
+            (r.qid, r.tenant, r.status, r.start_us, r.completion_us, r.batch_size, r.lane, r.digest)
+            for r in svc.records
+        ],
+        "shed": shed,
+        "batch_sizes": svc.batch_sizes,
+        "busy_us": svc.scheduler.busy_us,
+        "makespan_us": svc.scheduler.makespan_us,
+        "backend": _counters(spec),
+    }
+
+
+def _serve(spec: str, programs: int) -> Iterator[Dict[str, Any]]:
+    from repro.testing.executor import backend_session
+
+    del programs  # the suite is fixed
+    for seed in (1, 2):
+        for max_batch, max_wait_us in _SERVE_POLICIES:
+            with backend_session(spec):
+                yield _serve_run(spec, seed, max_batch, max_wait_us)
+
+
 SUITES = {
     "fuzz": (_fuzz, FUZZ_SPECS),
     "mutation": (_mutation, MUTATION_SPECS),
     "algorithms": (_algorithms, ALGORITHM_SPECS),
+    "serve": (_serve, SERVE_SPECS),
 }
 
 
@@ -197,7 +260,7 @@ def main(argv=None) -> int:
                     help="also list one digest per program, to locate a difference")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    counts = {"fuzz": args.programs, "mutation": args.mutations, "algorithms": 0}
+    counts = {"fuzz": args.programs, "mutation": args.mutations, "algorithms": 0, "serve": 0}
     result: Dict[str, Any] = {}
     for suite in args.suite or SUITES:
         result.update(fingerprint(suite, counts[suite], per_program=args.per_program))
