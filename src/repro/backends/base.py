@@ -26,6 +26,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..containers.bitmap import locate
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..core.descriptor import DEFAULT, Descriptor
@@ -354,13 +355,7 @@ class Backend(ABC):
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
         """``t[k] = u[idx[k]]`` keeping only present source entries."""
         idx = np.asarray(idx, dtype=np.int64)
-        pos = np.searchsorted(u.indices, idx)
-        pos_c = np.minimum(pos, max(u.indices.size - 1, 0))
-        present = (
-            (pos < u.indices.size) & (u.indices[pos_c] == idx)
-            if u.indices.size
-            else np.zeros(idx.size, dtype=bool)
-        )
+        present, pos = locate(u.indices, idx, u.size)
         out_idx = np.flatnonzero(present).astype(np.int64)
         out_vals = u.values[pos[present]] if present.any() else np.empty(0, dtype=u.type.dtype)
         return SparseVector(idx.size, out_idx, out_vals, u.type)

@@ -1,15 +1,17 @@
 """Vectorized elementwise kernels (eWiseAdd / eWiseMult).
 
 Both operands are canonical (sorted, unique indices), so union and
-intersection are merge problems solved with ``searchsorted`` — no hashing,
-no Python loops.  Matrices reduce to the vector kernels via flat row-major
-keys.
+intersection are membership problems over the operands' keyspace, solved
+with :func:`~repro.containers.bitmap.union` and
+:func:`~repro.containers.bitmap.locate` — no hashing, no Python loops.
+Matrices reduce to the vector kernels via flat row-major keys.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...containers.bitmap import locate, union
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.operators import BinaryOp
@@ -25,16 +27,6 @@ __all__ = [
 ]
 
 
-def _membership(haystack: np.ndarray, needles: np.ndarray):
-    """(present, position) of each needle in a sorted unique haystack."""
-    pos = np.searchsorted(haystack, needles)
-    if haystack.size == 0:
-        return np.zeros(needles.size, dtype=bool), pos
-    pos_c = np.minimum(pos, haystack.size - 1)
-    present = (haystack[pos_c] == needles) & (pos < haystack.size)
-    return present, pos
-
-
 def ewise_add_indexed(
     u_idx: np.ndarray,
     u_vals: np.ndarray,
@@ -42,12 +34,16 @@ def ewise_add_indexed(
     v_vals: np.ndarray,
     op: BinaryOp,
     out_dtype: np.dtype,
+    keyspace: int,
 ):
-    """Union merge over sorted index arrays. Returns (indices, values)."""
-    union = np.union1d(u_idx, v_idx)
-    out = np.empty(union.size, dtype=out_dtype)
-    in_u, pos_u = _membership(u_idx, union)
-    in_v, pos_v = _membership(v_idx, union)
+    """Union merge over sorted index arrays in ``[0, keyspace)``.
+
+    Returns (indices, values).
+    """
+    keys = union(u_idx, v_idx, keyspace)
+    out = np.empty(keys.size, dtype=out_dtype)
+    in_u, pos_u = locate(u_idx, keys, keyspace)
+    in_v, pos_v = locate(v_idx, keys, keyspace)
     only_u = in_u & ~in_v
     only_v = in_v & ~in_u
     both = in_u & in_v
@@ -57,7 +53,7 @@ def ewise_add_indexed(
         out[only_v] = v_vals[pos_v[only_v]]
     if both.any():
         out[both] = np.asarray(op(u_vals[pos_u[both]], v_vals[pos_v[both]]))
-    return union, out
+    return keys, out
 
 
 def ewise_mult_indexed(
@@ -67,16 +63,17 @@ def ewise_mult_indexed(
     v_vals: np.ndarray,
     op: BinaryOp,
     out_dtype: np.dtype,
+    keyspace: int,
 ):
-    """Intersection merge over sorted index arrays."""
+    """Intersection merge over sorted index arrays in ``[0, keyspace)``."""
     if u_idx.size > v_idx.size:
         # Search the smaller set in the larger one.
-        present, pos = _membership(u_idx, v_idx)
+        present, pos = locate(u_idx, v_idx, keyspace)
         idx = v_idx[present]
         lhs = u_vals[pos[present]]
         rhs = v_vals[present]
     else:
-        present, pos = _membership(v_idx, u_idx)
+        present, pos = locate(v_idx, u_idx, keyspace)
         idx = u_idx[present]
         lhs = u_vals[present]
         rhs = v_vals[pos[present]]
@@ -89,7 +86,7 @@ def ewise_mult_indexed(
 def ewise_add_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     out_t = op.result_type(promote(u.type, v.type))
     idx, vals = ewise_add_indexed(
-        u.indices, u.values, v.indices, v.values, op, out_t.dtype
+        u.indices, u.values, v.indices, v.values, op, out_t.dtype, u.size
     )
     return SparseVector(u.size, idx, vals, out_t)
 
@@ -97,7 +94,7 @@ def ewise_add_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVecto
 def ewise_mult_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     out_t = op.result_type(promote(u.type, v.type))
     idx, vals = ewise_mult_indexed(
-        u.indices, u.values, v.indices, v.values, op, out_t.dtype
+        u.indices, u.values, v.indices, v.values, op, out_t.dtype, u.size
     )
     return SparseVector(u.size, idx, vals, out_t)
 
@@ -122,7 +119,8 @@ def _keys_to_csr(
 def ewise_add_mat(a: CSRMatrix, b: CSRMatrix, op: BinaryOp) -> CSRMatrix:
     out_t = op.result_type(promote(a.type, b.type))
     keys, vals = ewise_add_indexed(
-        _mat_keys(a), a.values, _mat_keys(b), b.values, op, out_t.dtype
+        _mat_keys(a), a.values, _mat_keys(b), b.values, op, out_t.dtype,
+        a.nrows * a.ncols,
     )
     return _keys_to_csr(keys, vals, a.nrows, a.ncols, out_t)
 
@@ -130,6 +128,7 @@ def ewise_add_mat(a: CSRMatrix, b: CSRMatrix, op: BinaryOp) -> CSRMatrix:
 def ewise_mult_mat(a: CSRMatrix, b: CSRMatrix, op: BinaryOp) -> CSRMatrix:
     out_t = op.result_type(promote(a.type, b.type))
     keys, vals = ewise_mult_indexed(
-        _mat_keys(a), a.values, _mat_keys(b), b.values, op, out_t.dtype
+        _mat_keys(a), a.values, _mat_keys(b), b.values, op, out_t.dtype,
+        a.nrows * a.ncols,
     )
     return _keys_to_csr(keys, vals, a.nrows, a.ncols, out_t)

@@ -34,6 +34,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ...containers.bitmap import dense_keyspace_ok
 from ...core.monoid import Monoid
 from ...core.semiring import Semiring
 from ...types import from_dtype
@@ -46,7 +47,6 @@ __all__ = [
     "has_fast_path",
     "dense_keyspace_ok",
     "scratch",
-    "mask_slot_map",
     "FAST_PATH_TABLE",
 ]
 
@@ -55,7 +55,7 @@ __all__ = [
 # Reusable scratch workspaces
 # ---------------------------------------------------------------------------
 #
-# Kernel-sized temporaries (the SpGEMM expansion, mask probes) are the hot
+# Kernel-sized temporaries (the SpGEMM expansion stream) are the hot
 # path's dominant allocations: several MB per call, returned to the OS on
 # free, re-faulted on the next call.  Keeping one grow-only buffer per role
 # makes the pages stay resident — the CPU mirror of a GPU backend's
@@ -75,22 +75,6 @@ def scratch(tag: str, size: int, dtype) -> np.ndarray:
         buf = np.empty(cap, dtype=dtype)
         _SCRATCH[key] = buf
     return buf[:size]
-
-
-def mask_slot_map(keyspace: int) -> np.ndarray:
-    """Zero-filled int32 map over the output keyspace, reused across calls.
-
-    Callers scatter ``slot + 1`` at allowed keys, probe, and MUST restore
-    the written entries to zero before returning (the all-zeros invariant is
-    what makes reuse O(nnz(mask)) instead of O(keyspace) per call).
-    """
-    key = ("mask_slot_map", np.dtype(np.int32))
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < keyspace:
-        cap = 1 << max(10, int(keyspace - 1).bit_length() if keyspace > 1 else 0)
-        buf = np.zeros(cap, dtype=np.int32)
-        _SCRATCH[key] = buf
-    return buf[:keyspace]
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +192,6 @@ def fast_reduce_by_key(
     idx = np.flatnonzero(counts).astype(np.int64)
     acc = fn(keys, values, n_out, monoid)
     return idx, acc[idx]
-
-
-def dense_keyspace_ok(n_out: int, m: int) -> bool:
-    """Is a dense length-``n_out`` accumulator affordable for ``m`` entries?
-
-    The dense strategies cost O(n_out) memory; gate them so a tiny frontier
-    never allocates a huge accumulator (where the O(m log m) sort is cheap
-    anyway).
-    """
-    return n_out <= max(8 * m, 1 << 16)
 
 
 # ---------------------------------------------------------------------------

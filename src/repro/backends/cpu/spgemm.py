@@ -8,16 +8,14 @@ product *coordinates* — one per FLOP — then groups by (row, col) flat key.
 Two refinements over the classic expand–sort–reduce:
 
 - **Mask fusion**: the masked kernel tests every expanded coordinate
-  against the mask *before* computing any product value.  Membership and
-  slot lookup are one fused gather through a dense int32 *slot map* over
-  the output keyspace (``slot + 1`` at allowed keys, zero elsewhere) when
-  that fits, falling back to ``searchsorted`` against the sorted allowed
-  keys.  Surviving entries are reduced into a dense accumulator indexed by
-  the mask-slot number — the CPU mirror of bounding hash-table writes by
-  the mask in a GPU kernel — so nothing outside the mask is ever
-  multiplied, sorted, or written.  The slot map and the expansion arrays
-  live in reusable :func:`~.fastpath.scratch` workspaces, so steady-state
-  calls allocate nothing proportional to the FLOP count.
+  against the mask *before* computing any product value.  One
+  :func:`~repro.containers.bitmap.locate` probe answers both membership
+  and slot lookup (a key's position among the sorted allowed keys).
+  Surviving entries are reduced into a dense accumulator indexed by the
+  mask-slot number — the CPU mirror of bounding hash-table writes by the
+  mask in a GPU kernel — so nothing outside the mask is ever multiplied,
+  sorted, or written.  The expansion arrays live in reusable
+  :func:`~.fastpath.scratch` workspaces.
 - **Sort-free reduce**: grouped reduction lowers onto the
   :mod:`.fastpath` dense-accumulator strategies for standard monoids; the
   stable sort + ``segment_reduce`` remains the generic fallback and is
@@ -32,18 +30,13 @@ from typing import Optional
 
 import numpy as np
 
+from ...containers.bitmap import locate
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
 from ...core.semiring import Semiring
 from ...types import GrBType
-from .fastpath import (
-    dense_keyspace_ok,
-    fast_reduce_by_key,
-    mask_slot_map,
-    reduce_strategy,
-    scratch,
-)
+from .fastpath import dense_keyspace_ok, fast_reduce_by_key, reduce_strategy, scratch
 from .segments import run_starts, segment_reduce
 from .spmv import take_ranges
 
@@ -54,12 +47,6 @@ __all__ = [
     "expand_structure",
     "mask_keys_for",
 ]
-
-# The mask slot map is four bytes per output cell; cap its footprint
-# (128 MB) and require the expansion to be large enough to amortise the
-# one-time zeroing (steady-state reuse costs only O(nnz(mask)) per call).
-_SLOT_MAP_CAP = 1 << 25
-
 
 def expand_structure(a: CSRMatrix, b: CSRMatrix):
     """Coordinates of all partial products of ``A ⊗ B`` — values untouched.
@@ -234,45 +221,22 @@ def spgemm_masked_esr(
     expanded = _expand_keys_ws(a, b)
     if expanded is None:
         return CSRMatrix.empty(a.nrows, b.ncols, out_type)
-    keys, a_take, b_take, total = expanded
-    keyspace = int(a.nrows) * int(b.ncols)
-    nslots = allowed_keys.size
-    use_map = (
-        keyspace <= _SLOT_MAP_CAP
-        and keyspace <= 64 * total + (1 << 20)
-        and nslots < np.iinfo(np.int32).max
-    )
-    if use_map:
-        # Fused membership + slot lookup: one gather through the dense slot
-        # map (slot + 1 at allowed keys, 0 elsewhere) answers both "is this
-        # coordinate allowed" and "which accumulator slot" — O(1) per probe.
-        slot_map = mask_slot_map(keyspace)
-        slot_map[allowed_keys] = np.arange(1, nslots + 1, dtype=np.int32)
-        try:
-            probe = scratch("spgemm.probe", total, np.int32)
-            np.take(slot_map, keys, out=probe)
-        finally:
-            slot_map[allowed_keys] = 0  # restore the all-zeros invariant
-        if _pair_count_ok(semiring, a, out_type):
-            # Counting semiring: the reduction is a histogram of slots —
-            # no value gather, no multiply, no accumulator scatter.
-            counts = np.bincount(probe, minlength=nslots + 1)[1:]
-            idx = np.flatnonzero(counts).astype(np.int64)
-            if idx.size == 0:
-                return CSRMatrix.empty(a.nrows, b.ncols, out_type)
-            return _csr_from_flat(
-                a.nrows, b.ncols, allowed_keys[idx], counts[idx], out_type
-            )
-        keep = probe != 0
-        slots = probe[keep].astype(np.int64)
-        slots -= 1
-    else:
-        pos = np.searchsorted(allowed_keys, keys)
-        pos_c = np.minimum(pos, nslots - 1)
-        keep = (allowed_keys[pos_c] == keys) & (pos < nslots)
-        slots = pos[keep]
+    keys, a_take, b_take, _ = expanded
+    # One membership probe answers both "is this coordinate allowed" and
+    # "which accumulator slot": a key's position in allowed_keys.
+    keep, pos = locate(allowed_keys, keys, int(a.nrows) * int(b.ncols))
+    slots = pos[keep]
     if slots.size == 0:
         return CSRMatrix.empty(a.nrows, b.ncols, out_type)
+    nslots = allowed_keys.size
+    if _pair_count_ok(semiring, a, out_type):
+        # Counting semiring: the reduction is a histogram of slots —
+        # no value gather, no multiply, no accumulator scatter.
+        counts = np.bincount(slots, minlength=nslots)
+        idx = np.flatnonzero(counts)
+        return _csr_from_flat(
+            a.nrows, b.ncols, allowed_keys[idx], counts[idx], out_type
+        )
     # Only surviving coordinates are ever multiplied.
     prods = np.asarray(
         semiring.mult(a.values[a_take[keep]], b.values[b_take[keep]])

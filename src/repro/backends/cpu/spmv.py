@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ...containers.bitmap import locate
 from ...containers.csc import CSCMatrix
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
@@ -132,12 +133,8 @@ def row_gather_product(
         prods = np.asarray(_products(flat_vals, u.values[flat_idx], semiring, flip))
         keys = row_ids
     else:
-        # Membership of each stored column in u (both sides sorted per row;
-        # u global-sorted, so searchsorted per element is exact).
-        pos = np.searchsorted(u.indices, flat_idx)
-        pos_c = np.minimum(pos, u.indices.size - 1)
-        hit = u.indices[pos_c] == flat_idx
-        hit &= pos < u.indices.size
+        # Membership of each stored column in u.
+        hit, pos = locate(u.indices, flat_idx, u.size)
         if not hit.any():
             return SparseVector.empty(n_out, out_type)
         prods = np.asarray(

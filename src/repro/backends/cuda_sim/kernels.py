@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from ...containers.bitmap import locate
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.monoid import Monoid
@@ -451,7 +452,7 @@ def mask_restrict(container: SparseVector, mask: SparseVector) -> SparseVector:
     """
     if mask.nvals >= container.nvals or container.nvals == 0:
         return container
-    keep = np.isin(container.indices, mask.indices)
+    keep = locate(mask.indices, container.indices, container.size)[0]
     if keep.all():
         return container
     return SparseVector(

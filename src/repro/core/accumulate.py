@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..containers.bitmap import locate, union
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..policy import current
@@ -73,28 +74,25 @@ def _accumulate(
     t_vals: np.ndarray,
     accum: Optional[BinaryOp],
     out_dtype: np.dtype,
+    keyspace: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Union-merge (C, T) under ``accum`` over sorted index arrays."""
     if accum is None:
         return t_idx, t_vals.astype(out_dtype, copy=False)
-    union = np.union1d(c_idx, t_idx)
-    out = np.empty(union.size, dtype=out_dtype)
-    in_c = np.isin(union, c_idx, assume_unique=True)
-    in_t = np.isin(union, t_idx, assume_unique=True)
+    keys = union(c_idx, t_idx, keyspace)
+    out = np.empty(keys.size, dtype=out_dtype)
+    in_c, pos_c = locate(c_idx, keys, keyspace)
+    in_t, pos_t = locate(t_idx, keys, keyspace)
     only_c = in_c & ~in_t
     only_t = in_t & ~in_c
     both = in_c & in_t
     if only_c.any():
-        sel = np.searchsorted(c_idx, union[only_c])
-        out[only_c] = c_vals[sel]
+        out[only_c] = c_vals[pos_c[only_c]]
     if only_t.any():
-        sel = np.searchsorted(t_idx, union[only_t])
-        out[only_t] = t_vals[sel]
+        out[only_t] = t_vals[pos_t[only_t]]
     if both.any():
-        ci = np.searchsorted(c_idx, union[both])
-        ti = np.searchsorted(t_idx, union[both])
-        out[both] = accum(c_vals[ci], t_vals[ti])
-    return union, out
+        out[both] = accum(c_vals[pos_c[both]], t_vals[pos_t[both]])
+    return keys, out
 
 
 def _merge_indexed(
@@ -106,13 +104,17 @@ def _merge_indexed(
     accum: Optional[BinaryOp],
     replace: bool,
     out_dtype: np.dtype,
+    keyspace: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared core of the write pipeline over sorted index arrays.
 
     ``mask_at(positions) -> bool[len(positions)]`` evaluates the effective
-    mask.  Returns the final sorted (indices, values).
+    mask; every index lies in ``[0, keyspace)``.  Returns the final sorted
+    (indices, values).
     """
-    z_idx, z_vals = _accumulate(c_idx, c_vals, t_idx, t_vals, accum, out_dtype)
+    z_idx, z_vals = _accumulate(
+        c_idx, c_vals, t_idx, t_vals, accum, out_dtype, keyspace
+    )
     # Mask-true positions take Z entries.
     z_keep = mask_at(z_idx)
     out_idx = z_idx[z_keep]
@@ -171,6 +173,7 @@ def merge_vector(
         accum,
         desc.replace,
         out_type.dtype,
+        c.size,
     )
     return _note_result(SparseVector(c.size, idx, vals, out_type))
 
@@ -208,6 +211,7 @@ def merge_matrix(
         accum,
         desc.replace,
         out_type.dtype,
+        c.nrows * c.ncols,
     )
     rows = keys // c.ncols if c.ncols else keys
     cols = keys - rows * c.ncols if c.ncols else keys

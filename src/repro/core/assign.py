@@ -21,6 +21,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..backends.dispatch import current_backend
+from ..containers.bitmap import locate
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError, IndexOutOfBoundsError, InvalidValueError
@@ -79,17 +80,17 @@ def _merge_region_vector(
     allowed_t = vector_mask_at(mask, desc, t_idx)
     t_idx, t_vals = t_idx[allowed_t], t_vals[allowed_t]
 
-    c_in_region = np.isin(c.indices, region, assume_unique=True)
+    c_in_region = locate(region, c.indices, c.size)[0]
     c_masked = vector_mask_at(mask, desc, c.indices)
     if accum is None:
         # Region ∧ mask-true positions are fully rewritten by T.
         drop = c_in_region & c_masked
     else:
         # Accumulate: existing entries survive; T merges in.
-        both = np.isin(c.indices, t_idx, assume_unique=True)
+        both, pos = locate(t_idx, c.indices, c.size)
         drop = np.zeros(c.nvals, dtype=bool)
         if both.any():
-            sel = np.searchsorted(t_idx, c.indices[both])
+            sel = pos[both]
             merged = np.asarray(accum(c.values[both], t_vals[sel])).astype(out_dtype)
             t_vals = t_vals.copy()
             t_vals[sel] = merged
@@ -132,17 +133,17 @@ def _merge_region_matrix(
 
     c_rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
     c_keys = flat_keys(c_rows, c.indices, c.ncols)
-    in_region = np.isin(c_rows, rows, assume_unique=False) & np.isin(
-        c.indices, cols, assume_unique=False
+    in_region = (
+        locate(rows, c_rows, c.nrows)[0] & locate(cols, c.indices, c.ncols)[0]
     )
     c_masked = matrix_mask_at(mask, desc, c_keys)
     if accum is None:
         drop = in_region & c_masked
     else:
-        both = np.isin(c_keys, t_keys, assume_unique=True)
+        both, pos = locate(t_keys, c_keys, c.nrows * c.ncols)
         drop = np.zeros(c.nvals, dtype=bool)
         if both.any():
-            sel = np.searchsorted(t_keys, c_keys[both])
+            sel = pos[both]
             merged = np.asarray(accum(c.values[both], t_vals[sel])).astype(out_dtype)
             t_vals = t_vals.copy()
             t_vals[sel] = merged

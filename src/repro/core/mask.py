@@ -14,6 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..containers.bitmap import locate
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError
@@ -54,42 +55,6 @@ def _mask_truthy_sorted(indices: np.ndarray, values: np.ndarray, structural: boo
     return indices[keep]
 
 
-# Dense membership probe: for domains up to the cap (4 MB of bools) a
-# cached all-False byte map answers every probe with one gather instead of
-# an O(log nnz) binary search per position.  The buffer is reused across
-# calls under an all-False invariant — writers scatter True at the truthy
-# positions, gather, and restore — so steady-state cost is
-# O(nnz(mask) + positions), independent of the domain size.
-_DENSE_PROBE_CAP = 1 << 22
-_PROBE_MAP: dict = {}
-
-
-def _dense_probe_map(domain: int) -> np.ndarray:
-    buf = _PROBE_MAP.get("map")
-    if buf is None or buf.size < domain:
-        cap = 1 << max(10, int(domain - 1).bit_length() if domain > 1 else 0)
-        buf = np.zeros(cap, dtype=bool)
-        _PROBE_MAP["map"] = buf
-    return buf
-
-
-def _membership(truthy: np.ndarray, positions: np.ndarray, domain: int):
-    """Boolean array: is each of ``positions`` present in sorted ``truthy``?"""
-    if truthy.size == 0:
-        return np.zeros(positions.size, dtype=bool)
-    if domain <= _DENSE_PROBE_CAP and positions.size >= 8:
-        m = _dense_probe_map(domain)
-        m[truthy] = True
-        hit = m[positions]
-        m[truthy] = False  # restore the all-False invariant
-        return hit
-    loc = np.searchsorted(truthy, positions)
-    loc_clipped = np.minimum(loc, truthy.size - 1)
-    hit = truthy[loc_clipped] == positions
-    hit &= loc < truthy.size
-    return hit
-
-
 def vector_mask_at(
     mask: Optional[SparseVector],
     desc: Descriptor,
@@ -97,14 +62,15 @@ def vector_mask_at(
 ) -> np.ndarray:
     """Boolean array: does the (effective) mask allow each of ``positions``?
 
-    The probe is elementwise (``searchsorted`` against the mask's canonical
-    indices), so ``positions`` may arrive in any order — mask-fused kernels
-    test expansion-ordered candidates, the write pipeline sorted ones.
+    The probe is elementwise (:func:`~repro.containers.bitmap.locate`
+    against the mask's canonical indices), so ``positions`` may arrive in
+    any order — mask-fused kernels test expansion-ordered candidates, the
+    write pipeline sorted ones.
     """
     if mask is None:
         return np.ones(positions.size, dtype=bool)
     truthy = _mask_truthy_sorted(mask.indices, mask.values, desc.structural_mask)
-    hit = _membership(truthy, positions, mask.size)
+    hit = locate(truthy, positions, mask.size)[0]
     return ~hit if desc.complement_mask else hit
 
 
@@ -119,5 +85,5 @@ def matrix_mask_at(
     rows = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_degrees())
     mkeys = flat_keys(rows, mask.indices, mask.ncols)
     truthy = _mask_truthy_sorted(mkeys, mask.values, desc.structural_mask)
-    hit = _membership(truthy, keys, mask.nrows * mask.ncols)
+    hit = locate(truthy, keys, mask.nrows * mask.ncols)[0]
     return ~hit if desc.complement_mask else hit

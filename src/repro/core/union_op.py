@@ -23,6 +23,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ..containers.bitmap import locate, union
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError
@@ -45,18 +46,15 @@ def _union_indexed(
     beta: Any,
     op: BinaryOp,
     out_dtype: np.dtype,
+    keyspace: int,
 ):
-    union = np.union1d(a_idx, b_idx)
-    lhs = np.full(union.size, alpha, dtype=np.result_type(a_vals.dtype, type(alpha)))
-    rhs = np.full(union.size, beta, dtype=np.result_type(b_vals.dtype, type(beta)))
-    if a_idx.size:
-        pos = np.searchsorted(union, a_idx)
-        lhs[pos] = a_vals
-    if b_idx.size:
-        pos = np.searchsorted(union, b_idx)
-        rhs[pos] = b_vals
+    keys = union(a_idx, b_idx, keyspace)
+    lhs = np.full(keys.size, alpha, dtype=np.result_type(a_vals.dtype, type(alpha)))
+    rhs = np.full(keys.size, beta, dtype=np.result_type(b_vals.dtype, type(beta)))
+    lhs[locate(keys, a_idx, keyspace)[1]] = a_vals
+    rhs[locate(keys, b_idx, keyspace)[1]] = b_vals
     vals = np.asarray(op(lhs, rhs)).astype(out_dtype, copy=False)
-    return union, vals
+    return keys, vals
 
 
 def ewise_union(
@@ -83,7 +81,8 @@ def ewise_union(
         ac, bc = a.container, b.container
         out_t = op.result_type(promote(ac.type, bc.type))
         idx, vals = _union_indexed(
-            ac.indices, ac.values, alpha, bc.indices, bc.values, beta, op, out_t.dtype
+            ac.indices, ac.values, alpha, bc.indices, bc.values, beta, op,
+            out_t.dtype, a.size,
         )
         t = SparseVector(a.size, idx, vals, out_t)
         mc = mask.container if mask is not None else None
@@ -99,7 +98,8 @@ def ewise_union(
     a_keys = a_rows * np.int64(ac.ncols) + ac.indices
     b_keys = b_rows * np.int64(bc.ncols) + bc.indices
     keys, vals = _union_indexed(
-        a_keys, ac.values, alpha, b_keys, bc.values, beta, op, out_t.dtype
+        a_keys, ac.values, alpha, b_keys, bc.values, beta, op, out_t.dtype,
+        ac.nrows * ac.ncols,
     )
     rows = keys // ac.ncols if ac.ncols else keys
     cols = keys - rows * ac.ncols if ac.ncols else keys

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..containers.csr import CSRMatrix
+from ..core.mask import flat_keys
 from .batch import EdgeBatch
 
 __all__ = ["DeltaOverlay", "merge_overlay"]
@@ -101,13 +102,13 @@ def merge_overlay(
     keep_op = np.concatenate(
         [np.ones(b_rows.size, dtype=bool), overlay.is_insert]
     )
-    # Stable sort by (row, col); within a group base precedes delta because
-    # base entries come first in the concatenation order.
-    order = np.lexsort((np.arange(all_rows.size), all_cols, all_rows))
-    r, c = all_rows[order], all_cols[order]
-    last = np.ones(r.size, dtype=bool)
-    if r.size > 1:
-        last[:-1] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    # Stable sort of the row-major key; within a group base precedes delta
+    # because base entries come first in the concatenation order.
+    keys = flat_keys(all_rows, all_cols, base.ncols)
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    last = np.ones(k.size, dtype=bool)
+    last[:-1] = k[1:] != k[:-1]
     sel = order[last]
     survives = keep_op[sel]
     sel = sel[survives]

@@ -66,6 +66,14 @@ def _assert_bit_identical(got: CSRMatrix, want: CSRMatrix) -> None:
     np.testing.assert_array_equal(got.values, want.values)
 
 
+def _csr_from_edges(n: int, edges: dict) -> CSRMatrix:
+    keys = sorted(edges)
+    rows = np.array([i for i, _ in keys], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    cols = np.array([j for _, j in keys], dtype=np.int64)
+    return CSRMatrix(n, n, indptr, cols, np.array([edges[k] for k in keys]), FP64)
+
+
 class TestMergeOverlay:
     @given(graph_and_batch())
     @settings(max_examples=80, deadline=None)
@@ -115,6 +123,33 @@ class TestMergeOverlay:
         expect = _apply_to_dense(dense, batch)
         expect[batch.rows, batch.cols] = 0.0
         _assert_bit_identical(got, CSRMatrix.from_dense(expect))
+
+    def test_wide_keyspace_matches_rebuild(self):
+        """nrows * ncols > 2^32: the one-key merge still equals a rebuild,
+        with pending ops shadowing base entries in the same row."""
+        n = 100_000
+        assert n * n > 2**32
+        # Row 42950's keys exceed 2^32 but wrap to below row 7's in 32 bits.
+        w = 42_950
+        base_edges = {(0, 5): 1.0, (0, n - 1): 2.0, (7, 3): 3.0, (w, 10): 4.0,
+                      (w, n - 1): 5.0, (n - 1, 0): 6.0, (n - 1, n - 1): 7.0}
+        batch = EdgeBatch(
+            np.array([0, 0, 0, 7, w, w, n - 1, n - 1, 42]),
+            np.array([n - 1, 5, 6, 3, 10, 11, n - 1, 1, n - 2]),
+            np.array([20.0, 0.0, 6.0, 0.0, 30.0, 9.0, 50.0, 7.0, 8.0]),
+            np.array([True, False, True, False, True, True, True, True, True]),
+        )
+        overlay = DeltaOverlay()
+        overlay.absorb(batch)
+        base = _csr_from_edges(n, base_edges)
+        got = CSRMatrix(n, n, *merge_overlay(base, overlay), FP64)
+        want = dict(base_edges)
+        for i, j, v, ins in zip(batch.rows, batch.cols, batch.vals, batch.is_insert):
+            if ins:
+                want[(int(i), int(j))] = float(v)
+            else:
+                want.pop((int(i), int(j)), None)
+        _assert_bit_identical(got, _csr_from_edges(n, want))
 
     @given(graph_and_batch())
     @settings(max_examples=60, deadline=None)
