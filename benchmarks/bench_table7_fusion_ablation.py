@@ -1,10 +1,15 @@
 """Table 7 — lazy-optimizer pass ablation: fusion, DME, sinking, capture.
 
-Runs three pipelines — BFS on the Graph500-skew s13 R-MAT, PageRank on the
-s12 R-MAT pinned to 20 power iterations, and a masked-SpGEMM statistics
-pipeline — under every optimizer configuration: ``eager`` (the pre-lazy
-baseline, ``policy(lazy="off")``), ``lazy`` (all five passes on), and one
-ablation per pass (``policy(<pass>=False)``).
+Runs four pipelines — BFS on the Graph500-skew s13 R-MAT, undirected and
+directed, PageRank on the s12 R-MAT pinned to 20 power iterations, and a
+masked-SpGEMM statistics pipeline — under every optimizer configuration:
+``eager`` (the pre-lazy baseline, ``policy(lazy="off")``), ``lazy`` (all
+five passes on), and one ablation per pass (``policy(<pass>=False)``).
+
+The undirected graph is its own transpose, so the direction pass leaves
+its BFS hops to the runtime heuristic (``lazy == no_direction`` there by
+design); on the directed graph pull would first build Aᵀ, and the pass
+pins push.
 
 Shape claims:
 
@@ -49,6 +54,9 @@ GRAPHS = {
     "rmat_s13": lambda: gb.generators.rmat(
         scale=13, edge_factor=16, seed=1, a=0.57
     ),
+    "rmat_s13_directed": lambda: gb.generators.rmat(
+        scale=13, edge_factor=16, seed=1, a=0.57, directed=True
+    ),
     "rmat_s12": lambda: gb.generators.rmat(
         scale=12, edge_factor=16, seed=1, a=0.57
     ),
@@ -74,6 +82,10 @@ def mode_ctx(mode):
 
 def run_bfs():
     return gb.algorithms.bfs_levels(graph("rmat_s13"), 0)
+
+
+def run_bfs_directed():
+    return gb.algorithms.bfs_levels(graph("rmat_s13_directed"), 0)
 
 
 def run_pagerank():
@@ -112,6 +124,7 @@ def run_masked_spgemm():
 
 WORKLOADS = {
     "bfs_s13": run_bfs,
+    "bfs_s13_directed": run_bfs_directed,
     "pagerank_s12_20it": run_pagerank,
     "masked_spgemm_s12": run_masked_spgemm,
 }

@@ -189,12 +189,16 @@ class CudaSimBackend(Backend):
     def _transposed_operand(self, a: CSRMatrix, csc: Optional[CSCMatrix]) -> CSRMatrix:
         """Device-resident aᵀ for push-mxv / pull-vxm / pull-frontier kernels.
 
-        With the aux cache on, the transpose is derived on-device at most
-        once per matrix version (sharing the container the frontend's
-        ``a.csc()`` cached, when present).  Without it, a frontend-supplied
-        CSC was materialised on the host, so its device use charges an
-        upload of the transposed copy.
+        A symmetric ``a`` is its own transpose: the kernels read the
+        resident CSR and nothing is launched.  Otherwise, with the aux cache
+        on, the transpose is derived on-device at most once per matrix
+        version (sharing the container the frontend's ``a.csc()`` cached,
+        when present).  Without it, a frontend-supplied CSC was materialised
+        on the host, so its device use charges an upload of the transposed
+        copy.
         """
+        if a.symmetric:
+            return a
         if current().aux_cache:
             return self._device_transpose(a)
         if csc is not None:

@@ -329,8 +329,11 @@ class MultiSimBackend(Backend):
         the *distributed* cost charged here is each device sorting its edge
         block plus one all-to-all shuffling edges to their new owners.  Like
         the single-device aux builds, the charges land outside any capturing
-        graph so iteration signatures stay stable.
+        graph so iteration signatures stay stable.  A symmetric ``a`` is its
+        own transpose: its row shards serve, with no sort and no shuffle.
         """
+        if a.symmetric:
+            return self._row_parts(a)
         hit = self._tparts.get(id(a))
         if hit is not None and hit[0] is a and hit[1] == a.version:
             part = hit[2]

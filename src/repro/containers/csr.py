@@ -69,6 +69,23 @@ class CSRMatrix:
         self._aux.clear()
         return self._version
 
+    @property
+    def symmetric(self) -> bool:
+        """True when A equals Aᵀ exactly, values included.
+
+        Set by the producer that guarantees it (undirected generator
+        output) and carried by :meth:`copy` and :meth:`astype`.  The flag
+        lives in ``_aux``, so every mutation (:meth:`bump_version`, hence
+        :meth:`install_arrays`) clears it.  It is a property of the data,
+        not a cache: ``policy(aux_cache=False)`` does not hide it.
+        """
+        return bool(self._aux.get("symmetric"))
+
+    def _mark_symmetric(self) -> "CSRMatrix":
+        """Producer hook: record that this matrix equals its transpose."""
+        self._aux["symmetric"] = True
+        return self
+
     def _cached(self, key: str, build):
         if not current().aux_cache:
             return build()
@@ -218,26 +235,19 @@ class CSRMatrix:
         return out
 
     def copy(self) -> "CSRMatrix":
-        return CSRMatrix(
-            self.nrows,
-            self.ncols,
-            self.indptr.copy(),
-            self.indices.copy(),
-            self.values.copy(),
-            self.type,
+        return self._derived(
+            self.indptr.copy(), self.indices.copy(), self.values.copy(), self.type
         )
 
     def astype(self, typ: GrBType) -> "CSRMatrix":
         if typ is self.type:
             return self
-        return CSRMatrix(
-            self.nrows,
-            self.ncols,
-            self.indptr,
-            self.indices,
-            self.values.astype(typ.dtype),
-            typ,
-        )
+        return self._derived(self.indptr, self.indices, self.values.astype(typ.dtype), typ)
+
+    def _derived(self, indptr, indices, values, typ: GrBType) -> "CSRMatrix":
+        # Same pattern, values mapped elementwise: symmetry survives.
+        out = CSRMatrix(self.nrows, self.ncols, indptr, indices, values, typ)
+        return out._mark_symmetric() if self.symmetric else out
 
     # ------------------------------------------------------------------
     # Transforms
@@ -248,8 +258,12 @@ class CSRMatrix:
 
         Pull-mode SpMV, CSC views, and default vxm routing all need the
         transpose; caching it here means one counting sort per matrix
-        *version* instead of one per call.
+        *version* instead of one per call.  A :attr:`symmetric` matrix is
+        its own transpose: row j of A holds exactly row j of Aᵀ, so it is
+        returned as is and nothing is built.
         """
+        if self.symmetric:
+            return self
         return self._cached("tcsr", self.transpose)
 
     def transpose(self) -> "CSRMatrix":

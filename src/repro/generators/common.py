@@ -30,7 +30,9 @@ def finalize_edges(
     results are deterministic for a fixed seed), optionally symmetrises, and
     attaches weights (uniform [1, max_weight) when ``weighted``, else 1).
     For undirected graphs duplicates are collapsed on the *unordered* pair
-    before mirroring, guaranteeing a symmetric weight matrix.
+    before mirroring, guaranteeing a symmetric weight matrix; the container
+    records it (:attr:`~repro.containers.csr.CSRMatrix.symmetric`), so
+    consumers of Aᵀ read A itself.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -56,4 +58,5 @@ def finalize_edges(
             vals = np.concatenate([w, w])
     else:
         vals = np.ones(rows.size, dtype=typ.dtype)
-    return Matrix(build_matrix(n, n, rows, cols, vals, typ, dup=FIRST))
+    csr = build_matrix(n, n, rows, cols, vals, typ, dup=FIRST)
+    return Matrix(csr if directed else csr._mark_symmetric())

@@ -12,6 +12,7 @@ simulated clock; kernels advance the clock by their modeled duration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -38,6 +39,9 @@ __all__ = [
 # (device reset — pending accounting is discarded with the profiler) and
 # the device concerned.
 _OBSERVE_HOOK: Optional[Callable[[str, "Device"], None]] = None
+
+# Device serials (Device.serial), unique for the life of the process.
+_SERIALS = itertools.count()
 
 
 def set_observe_hook(hook: Callable[[str, "Device"], None]) -> None:
@@ -121,6 +125,9 @@ class Device:
         # captured loop replays only while this is unchanged: its launches
         # would otherwise dereference the old buffers.
         self.rebinds = 0
+        # Process-unique identity for stamps that outlive this device (see
+        # ResidentSet.mark); unlike id(self), never reused by a later device.
+        self.serial = next(_SERIALS)
         # H2D payload discounts registered by the lazy optimizer's
         # dead-materialization pass: (id(container), version) -> bytes the
         # upload may skip (iso-valued payloads filled on-device instead of

@@ -113,8 +113,10 @@ class ResidentSet:
         san = _gbsan.ACTIVE
         # The stamp outlives eviction (not a version bump, which clears
         # _aux), so a container bound here again is counted as a rebind.
+        # It names the device by serial: a later device allocated at a
+        # recycled address must not read the stamp as its own.
         aux = getattr(container, "_aux", None)
-        bound_key = ("bound", id(dev))
+        bound_key = ("bound", dev.serial)
         if entry is not None:
             # Refresh the stamp: device-produced data is clean by definition.
             self._entries[key] = (container, entry[1], version)

@@ -202,8 +202,11 @@ def choose_directions(nodes: List[Node]) -> None:
     transpose materialization.  Only row-major-native orientations are
     forced (``vxm`` and the fused frontier step, where push walks the CSR
     rows directly); for ``mxv`` push would itself require the transpose,
-    so that choice stays with the runtime heuristic.  Push and pull are
-    value-identical — this is purely a launch/transfer decision.
+    so that choice stays with the runtime heuristic.  A symmetric matrix
+    is its own transpose, so pull pays nothing extra there and the choice
+    also stays with the runtime heuristic (exact per-hop degree sums, as
+    in eager mode).  Push and pull are value-identical — this is purely a
+    launch/transfer decision.
     """
     for n in nodes:
         if n.op not in ("vxm", "frontier_step"):
@@ -222,7 +225,7 @@ def choose_directions(nodes: List[Node]) -> None:
         if not frontier_style:
             continue
         a = n.inputs.get("a")
-        if a is None or isinstance(a, LazyValue):
+        if a is None or isinstance(a, LazyValue) or a.symmetric:
             continue
         if a.nvals > 32 * max(a.nrows, 1):
             continue

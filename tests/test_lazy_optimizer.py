@@ -272,8 +272,11 @@ class TestDeadMaterializationElimination:
 class TestDirectionAndCapture:
     def test_frontier_products_forced_push(self):
         # Sparse boolean frontier over a selection semiring with a
-        # complemented structural mask: the loop-level direction pass must
-        # pick push (no transpose build appears).
+        # complemented structural mask, on an undirected graph: no transpose
+        # build appears.  The graph is symmetric, so the loop-level direction
+        # pass leaves each hop to the runtime heuristic and pull hops read A
+        # itself; on a directed graph the pass pins push instead (see
+        # tests/test_symmetric_transpose.py).
         g = gb.generators.rmat(scale=8, edge_factor=8, seed=13, weighted=False)
         _fresh()
         with gb.use_backend("cuda_sim"):

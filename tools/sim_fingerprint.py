@@ -14,8 +14,10 @@ Four suites run on the simulated specs:
 - ``fuzz`` — random GraphBLAS programs (:func:`generate_program`);
 - ``mutation`` — graph-mutation programs (edge batches, compactions,
   incremental queries with their full-recompute oracle);
-- ``algorithms`` — a fixed algorithm suite on an R-MAT graph, at
-  multi_sim P ∈ {1, 2, 3, 4} with the lazy tape on and off;
+- ``algorithms`` — a fixed algorithm suite on an undirected and then on a
+  directed R-MAT graph (a symmetric matrix is its own transpose, a
+  directed one is not, so both branches of every transpose consumer
+  run), at multi_sim P ∈ {1, 2, 3, 4} with the lazy tape on and off;
 - ``serve`` — small fig9-shaped traces through :class:`GraphService`,
   batched and with ``max_batch=1``, with a tenant whose ``max_queue``
   sheds, deadlines that expire queries, one ``mutate`` and one raw matrix
@@ -163,13 +165,15 @@ def _algorithms(spec: str, programs: int) -> Iterator[Dict[str, Any]]:
     from repro.testing.executor import backend_session
 
     del programs  # the suite is fixed
-    for run in _algorithm_suite():
-        # A fresh graph per program: a container that outlives its device
-        # can read as rebound on a later device that reuses its id(), which
-        # makes the rebind count depend on the address allocator.
-        with backend_session(spec):
-            run(rmat(7, 8, seed=0, weighted=True))
-        yield _counters(spec)
+    for directed in (False, True):
+        for run in _algorithm_suite():
+            # A fresh graph per program.  Trees older than per-device serial
+            # rebind stamps counted a graph that outlived its device as
+            # rebound on a later device at a recycled address; a fresh graph
+            # keeps their digests deterministic, hence comparable.
+            with backend_session(spec):
+                run(rmat(7, 8, seed=0, weighted=True, directed=directed))
+            yield _counters(spec)
 
 
 def _serve_run(spec: str, seed: int, max_batch: int, max_wait_us: float) -> Dict[str, Any]:
