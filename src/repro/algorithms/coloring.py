@@ -34,7 +34,7 @@ def _induced_subgraph(g: Matrix, keep: Vector) -> Matrix:
     sub = Matrix.sparse(g.type, g.nrows, g.ncols)
     # Keep entries whose row and column both survive: two masked selects.
     cc = g.container
-    rows = np.repeat(np.arange(g.nrows, dtype=np.int64), cc.row_degrees())
+    rows = cc.row_ids()
     alive = np.zeros(g.nrows, dtype=bool)
     alive[idx] = True
     hold = alive[rows] & alive[cc.indices]
@@ -80,5 +80,4 @@ def verify_coloring(g: Matrix, colors: Vector) -> bool:
         return False
     col = colors.to_dense(-1)
     cc = g.container
-    rows = np.repeat(np.arange(g.nrows, dtype=np.int64), cc.row_degrees())
-    return not np.any(col[rows] == col[cc.indices])
+    return not np.any(col[cc.row_ids()] == col[cc.indices])

@@ -66,7 +66,7 @@ def label_propagation(g: Matrix, max_iter: int = 100) -> Vector:
         ops.reduce_to_vector(best, counts, MAX_MONOID)
         # Mark entries achieving the max, then take the smallest such label.
         cc = counts.container
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), cc.row_degrees())
+        row_ids = cc.row_ids()
         best_dense = best.to_dense(0)
         winners = cc.values == best_dense[row_ids]
         new_labels = labels.copy()
@@ -110,8 +110,7 @@ def modularity(g: Matrix, labels: Vector) -> float:
         return 0.0
     lab = labels.to_dense(-1).astype(np.int64)
     cc = g.container
-    rows = np.repeat(np.arange(n, dtype=np.int64), cc.row_degrees())
-    intra = float(np.count_nonzero(lab[rows] == lab[cc.indices]))  # directed count
+    intra = float(np.count_nonzero(lab[cc.row_ids()] == lab[cc.indices]))  # directed count
     deg = cc.row_degrees().astype(np.float64)
     q = intra / two_m
     for c in np.unique(lab[lab >= 0]):

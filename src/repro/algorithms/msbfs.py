@@ -89,7 +89,7 @@ def bfs_levels_multi(
         # Record depth at the new frontier: union keeping older entries.
         fc = frontier.container
         stamped = Matrix.from_lists(
-            np.repeat(np.arange(k, dtype=np.int64), fc.row_degrees()),
+            fc.row_ids(),
             fc.indices,
             np.full(fc.nvals, depth, dtype=np.int64),
             k,

@@ -56,6 +56,8 @@ CONTAINER_READ_METHODS = frozenset(
         "cached_transpose",
         "transpose",
         "row_degrees",
+        "row_ids",
+        "flat_keys",
         "in_degrees",
         "row_nnz_max",
         "row",

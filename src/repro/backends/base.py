@@ -280,14 +280,11 @@ class Backend(ABC):
         """Keep entries where ``op(x, i, j, thunk)`` is truthy."""
         if a.nvals == 0:
             return CSRMatrix.empty(a.nrows, a.ncols, a.type)
-        rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
+        rows = a.row_ids()
         keep = np.asarray(op(a.values, rows, a.indices, thunk), dtype=bool)
-        indptr = np.zeros(a.nrows + 1, dtype=np.int64)
-        kept_rows = rows[keep]
-        if kept_rows.size:
-            np.add.at(indptr, kept_rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSRMatrix(a.nrows, a.ncols, indptr, a.indices[keep], a.values[keep], a.type)
+        return CSRMatrix.from_rows(
+            a.nrows, a.ncols, rows[keep], a.indices[keep], a.values[keep], a.type
+        )
 
     def apply_indexop_vector(
         self, u: SparseVector, op: IndexUnaryOp, thunk: Any
@@ -306,8 +303,9 @@ class Backend(ABC):
         out_t = op.result_type(a.type)
         if a.nvals == 0:
             return CSRMatrix.empty(a.nrows, a.ncols, out_t)
-        rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-        vals = np.asarray(op(a.values, rows, a.indices, thunk)).astype(out_t.dtype, copy=False)
+        vals = np.asarray(op(a.values, a.row_ids(), a.indices, thunk)).astype(
+            out_t.dtype, copy=False
+        )
         return CSRMatrix(a.nrows, a.ncols, a.indptr.copy(), a.indices.copy(), vals, out_t)
 
     # ------------------------------------------------------------------
@@ -405,9 +403,7 @@ class Backend(ABC):
         out_t = op.result_type(promote(a.type, b.type))
         if a.nvals == 0 or b.nvals == 0:
             return CSRMatrix.empty(a.nrows * b.nrows, a.ncols * b.ncols, out_t)
-        a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-        b_rows = np.repeat(np.arange(b.nrows, dtype=np.int64), b.row_degrees())
-        rr = (a_rows[:, None] * b.nrows + b_rows[None, :]).ravel()
+        rr = (a.row_ids()[:, None] * b.nrows + b.row_ids()[None, :]).ravel()
         cc = (a.indices[:, None] * b.ncols + b.indices[None, :]).ravel()
         vv = np.asarray(op(np.repeat(a.values, b.nvals), np.tile(b.values, a.nvals)))
         from ..containers.coo import COO

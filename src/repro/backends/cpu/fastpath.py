@@ -21,11 +21,11 @@ in float64, which would not be bit-identical to a float32 fold, so only
 float64 takes the bincount lane and every other dtype uses ``np.add.at`` in
 the value dtype.
 
-The public surface is a dispatch table keyed on
-``(add.name, mult.name, dtype)`` (:func:`fast_path_key`,
-:func:`has_fast_path`) plus the keyed reduction itself
-(:func:`fast_reduce_by_key`).  Unknown monoids return ``None`` and callers
-fall back to the generic sort + :func:`~.segments.segment_reduce` path.
+The strategy depends on the additive monoid alone (the multiply computes
+products the same way on every path): :func:`has_fast_reduce` and
+:func:`reduce_strategy` look it up, :func:`fast_reduce_by_key` runs it.
+Unknown monoids return ``None`` and callers fall back to the generic sort +
+:func:`~.segments.segment_reduce` path.
 """
 
 from __future__ import annotations
@@ -34,20 +34,14 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ...containers.bitmap import dense_keyspace_ok
 from ...core.monoid import Monoid
-from ...core.semiring import Semiring
 from ...types import from_dtype
 
 __all__ = [
     "fast_reduce_by_key",
     "reduce_strategy",
     "has_fast_reduce",
-    "fast_path_key",
-    "has_fast_path",
-    "dense_keyspace_ok",
     "scratch",
-    "FAST_PATH_TABLE",
 ]
 
 
@@ -193,31 +187,3 @@ def fast_reduce_by_key(
     acc = fn(keys, values, n_out, monoid)
     return idx, acc[idx]
 
-
-# ---------------------------------------------------------------------------
-# The (add, mult, dtype) dispatch table
-# ---------------------------------------------------------------------------
-
-# Memoised resolution results; introspectable by tests and docs.
-FAST_PATH_TABLE: Dict[Tuple[str, str, str], bool] = {}
-
-
-def fast_path_key(semiring: Semiring, dtype) -> Tuple[str, str, str]:
-    """Dispatch key: ``(add.name, mult.name, dtype.name)``."""
-    return (semiring.add.op.name, semiring.mult.name, np.dtype(dtype).name)
-
-
-def has_fast_path(semiring: Semiring, dtype) -> bool:
-    """Does ``semiring`` over ``dtype`` lower onto a sort-free reduction?
-
-    The multiply half never blocks the fast path (products are computed the
-    same way on both paths); the key exists so the table mirrors how a real
-    code-generating backend would specialise per (add, mult, dtype) triple,
-    and so dtype-specific lanes (float64 PLUS → bincount) are visible.
-    """
-    key = fast_path_key(semiring, dtype)
-    hit = FAST_PATH_TABLE.get(key)
-    if hit is None:
-        hit = has_fast_reduce(semiring.add)
-        FAST_PATH_TABLE[key] = hit
-    return hit

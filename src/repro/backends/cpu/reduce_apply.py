@@ -52,7 +52,7 @@ def reduce_mat_vector(a: CSRMatrix, monoid: Monoid) -> SparseVector:
     out_t = monoid.result_type(a.type)
     if a.nvals == 0:
         return SparseVector.empty(a.nrows, out_t)
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
+    rows = a.row_ids()
     starts = run_starts(rows)
     vals = segment_reduce(a.values, starts, monoid, out_t.dtype)
     return SparseVector(a.nrows, rows[starts], vals, out_t)

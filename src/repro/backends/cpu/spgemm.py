@@ -30,13 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from ...containers.bitmap import locate
-from ...containers.csr import CSRMatrix
+from ...containers.bitmap import dense_keyspace_ok, locate
+from ...containers.csr import CSRMatrix, flat_keys
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
 from ...core.semiring import Semiring
 from ...types import GrBType
-from .fastpath import dense_keyspace_ok, fast_reduce_by_key, reduce_strategy, scratch
+from .fastpath import fast_reduce_by_key, reduce_strategy, scratch
 from .segments import run_starts, segment_reduce
 from .spmv import take_ranges
 
@@ -57,10 +57,9 @@ def expand_structure(a: CSRMatrix, b: CSRMatrix):
     (row-major, so ``rows`` is nondecreasing).  Deferring the value gathers
     lets masked SpGEMM drop coordinates before any multiply happens.
     """
-    a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
     # For every A entry (i, k, av): expand B's row k.
     b_take, lens = take_ranges(b.indptr, a.indices)
-    rows = np.repeat(a_rows, lens)
+    rows = np.repeat(a.row_ids(), lens)
     cols = b.indices[b_take]
     a_take = np.repeat(np.arange(a.nvals, dtype=np.int64), lens)
     return rows, cols, b_take, a_take
@@ -84,29 +83,10 @@ def mask_keys_for(mask: CSRMatrix, desc: Descriptor) -> np.ndarray:
     callers must check ``desc.complement_mask`` before using this (a
     complemented mask cannot prune this way).
     """
-    rows = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_degrees())
-    keys = rows * np.int64(mask.ncols) + mask.indices
+    keys = mask.flat_keys()
     if desc.structural_mask:
         return keys
     return keys[mask.values.astype(bool)]
-
-
-def _csr_from_flat(nrows, ncols, out_keys, out_vals, out_type) -> CSRMatrix:
-    """Assemble canonical CSR from sorted unique flat keys + reduced values."""
-    out_rows = out_keys // ncols
-    out_cols = out_keys - out_rows * ncols
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    if out_rows.size:
-        np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRMatrix(
-        nrows,
-        ncols,
-        indptr,
-        out_cols,
-        np.asarray(out_vals).astype(out_type.dtype, copy=False),
-        out_type,
-    )
 
 
 def _sorted_reduce_flat(nrows, ncols, keys, prods, semiring, out_type) -> CSRMatrix:
@@ -128,13 +108,13 @@ def _sorted_reduce_flat(nrows, ncols, keys, prods, semiring, out_type) -> CSRMat
     if fn is not None:
         uniq, inv = np.unique(keys, return_inverse=True)
         acc = fn(inv.astype(np.int64, copy=False), prods, uniq.size, semiring.add)
-        return _csr_from_flat(nrows, ncols, uniq, acc, out_type)
+        return CSRMatrix.from_flat_keys(nrows, ncols, uniq, acc, out_type)
     order = np.argsort(keys, kind="stable")  # gbsan: ok(argsort) -- generic fallback; hot shapes take the sort-free fastpath
     keys = keys[order]
     prods = prods[order]
     starts = run_starts(keys)
     out_vals = segment_reduce(prods, starts, semiring.add, out_type.dtype)
-    return _csr_from_flat(nrows, ncols, keys[starts], out_vals, out_type)
+    return CSRMatrix.from_flat_keys(nrows, ncols, keys[starts], out_vals, out_type)
 
 
 def _expand_keys_ws(a: CSRMatrix, b: CSRMatrix):
@@ -177,8 +157,7 @@ def _expand_keys_ws(a: CSRMatrix, b: CSRMatrix):
     np.cumsum(a_take, out=a_take)
 
     # keys: repeat(row(i) * ncols, lens) + B's column ids.
-    a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-    base = a_rows[src] * np.int64(b.ncols)
+    base = a.row_ids()[src] * np.int64(b.ncols)
     keys = scratch("spgemm.keys", total, np.int64)
     keys.fill(0)
     keys[0] = base[0]
@@ -234,7 +213,7 @@ def spgemm_masked_esr(
         # no value gather, no multiply, no accumulator scatter.
         counts = np.bincount(slots, minlength=nslots)
         idx = np.flatnonzero(counts)
-        return _csr_from_flat(
+        return CSRMatrix.from_flat_keys(
             a.nrows, b.ncols, allowed_keys[idx], counts[idx], out_type
         )
     # Only surviving coordinates are ever multiplied.
@@ -247,7 +226,7 @@ def spgemm_masked_esr(
     fast = fast_reduce_by_key(slots, prods, nslots, semiring.add)
     if fast is not None:
         slot_idx, out_vals = fast
-        return _csr_from_flat(
+        return CSRMatrix.from_flat_keys(
             a.nrows, b.ncols, allowed_keys[slot_idx], out_vals, out_type
         )
     return _sorted_reduce_flat(
@@ -268,11 +247,11 @@ def spgemm_esr(
     rows, cols, prods = expand_products(a, b, semiring)
     if rows.size == 0:
         return CSRMatrix.empty(a.nrows, b.ncols, out_type)
-    keys = rows * np.int64(b.ncols) + cols
+    keys = flat_keys(rows, cols, b.ncols)
     keyspace = int(a.nrows) * int(b.ncols)
     if dense_keyspace_ok(keyspace, keys.size):
         fast = fast_reduce_by_key(keys, prods, keyspace, semiring.add)
         if fast is not None:
             out_keys, out_vals = fast
-            return _csr_from_flat(a.nrows, b.ncols, out_keys, out_vals, out_type)
+            return CSRMatrix.from_flat_keys(a.nrows, b.ncols, out_keys, out_vals, out_type)
     return _sorted_reduce_flat(a.nrows, b.ncols, keys, prods, semiring, out_type)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ...containers.bitmap import locate
+from ...containers.bitmap import dense_keyspace_ok, locate
 from ...containers.csc import CSCMatrix
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
@@ -30,7 +30,7 @@ from ...core.descriptor import DEFAULT, Descriptor
 from ...core.mask import vector_mask_at
 from ...core.semiring import Semiring
 from ...types import GrBType
-from .fastpath import dense_keyspace_ok, fast_reduce_by_key
+from .fastpath import fast_reduce_by_key
 from .segments import run_starts, segment_reduce
 
 __all__ = [
@@ -119,7 +119,7 @@ def row_gather_product(
     if rows is None:
         flat_idx = csr.indices
         flat_vals = csr.values
-        row_ids = np.repeat(np.arange(csr.nrows, dtype=np.int64), csr.row_degrees())
+        row_ids = csr.row_ids()
     else:
         rows = np.asarray(rows, dtype=np.int64)
         take, lens = take_ranges(csr.indptr, rows)

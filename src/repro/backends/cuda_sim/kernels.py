@@ -552,8 +552,7 @@ def _spgemm_work(a: CSRMatrix, b: CSRMatrix, semiring, out_type, lane=None) -> K
     # Per-output-row work drives divergence for a block-per-row kernel.
     row_flops = np.zeros(a.nrows, dtype=np.float64)
     if a.nvals:
-        a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-        np.add.at(row_flops, a_rows, lens.astype(np.float64))
+        np.add.at(row_flops, a.row_ids(), lens.astype(np.float64))
     sched = _lane_sched(row_flops, lane, "scalar", threads_per_row=64)
     reads, coal = combine_coalescing(
         [
@@ -596,8 +595,7 @@ def _spgemm_masked_work(
     item = a.type.nbytes
     row_flops = np.zeros(a.nrows, dtype=np.float64)
     if a.nvals:
-        a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_degrees())
-        np.add.at(row_flops, a_rows, lens.astype(np.float64))
+        np.add.at(row_flops, a.row_ids(), lens.astype(np.float64))
     sched = _lane_sched(row_flops, lane, "scalar", threads_per_row=64)
     reads, coal_r = combine_coalescing(
         [

@@ -12,6 +12,9 @@ such sets; over a small enough keyspace both run on one reusable int32
 *slot map*, so a probe is one gather instead of a binary
 search and a union is a bitmap OR instead of a sort.  Both branches return
 the same arrays, so the choice is invisible to every caller.
+:func:`union_merge` builds the valued union on them: eWiseAdd and the
+write pipeline's accumulate step, for vectors and, over row-major keys
+(:meth:`~repro.containers.csr.CSRMatrix.flat_keys`), for matrices.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "dense_keyspace_ok",
     "locate",
     "union",
+    "union_merge",
 ]
 
 
@@ -175,3 +179,34 @@ def union(a: np.ndarray, b: np.ndarray, keyspace: int) -> np.ndarray:
             m[a] = 0
             m[b] = 0
     return np.union1d(a, b)
+
+
+def union_merge(
+    a: np.ndarray,
+    a_vals: np.ndarray,
+    b: np.ndarray,
+    b_vals: np.ndarray,
+    op,
+    out_dtype,
+    keyspace: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Union of two sorted, unique keyed value sets in ``[0, keyspace)``.
+
+    A key held by one side keeps its value; a key held by both gets
+    ``op(a_value, b_value)``.  Returns the sorted keys and their values in
+    ``out_dtype``.
+    """
+    keys = union(a, b, keyspace)
+    out = np.empty(keys.size, dtype=out_dtype)
+    in_a, pos_a = locate(a, keys, keyspace)
+    in_b, pos_b = locate(b, keys, keyspace)
+    only_a = in_a & ~in_b
+    only_b = in_b & ~in_a
+    both = in_a & in_b
+    if only_a.any():
+        out[only_a] = a_vals[pos_a[only_a]]
+    if only_b.any():
+        out[only_b] = b_vals[pos_b[only_b]]
+    if both.any():
+        out[both] = op(a_vals[pos_a[both]], b_vals[pos_b[both]])
+    return keys, out

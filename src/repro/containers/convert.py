@@ -92,8 +92,5 @@ def vector_as_row_matrix(sv: SparseVector) -> CSRMatrix:
 
 def vector_as_col_matrix(sv: SparseVector) -> CSRMatrix:
     """View a length-n vector as an n×1 matrix (copies)."""
-    indptr = np.zeros(sv.size + 1, dtype=np.int64)
-    indptr[sv.indices + 1] = 1
-    np.cumsum(indptr, out=indptr)
     cols = np.zeros(sv.nvals, dtype=np.int64)
-    return CSRMatrix(sv.size, 1, indptr, cols, sv.values.copy(), sv.type)
+    return CSRMatrix.from_rows(sv.size, 1, sv.indices, cols, sv.values.copy(), sv.type)

@@ -20,7 +20,27 @@ from ..policy import current
 from ..types import GrBType, from_dtype
 from .coo import COO
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "flat_keys"]
+
+
+def flat_keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Encode (row, col) pairs as sortable int64 keys (row-major).
+
+    The key of ``(i, j)`` is ``i * ncols + j``, so sorted keys are CSR
+    storage order and a matrix is a vector over ``nrows * ncols`` keys.
+    """
+    return np.asarray(rows, dtype=np.int64) * np.int64(ncols) + np.asarray(
+        cols, dtype=np.int64
+    )
+
+
+def _indptr(n: int, rows: np.ndarray) -> np.ndarray:
+    """Row pointers (length ``n + 1``) of entries with row ids ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if rows.size:
+        np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr
 
 
 class CSRMatrix:
@@ -141,12 +161,29 @@ class CSRMatrix:
         )
 
     @classmethod
+    def from_rows(
+        cls, nrows: int, ncols: int, rows, cols, values, typ: Optional[GrBType] = None
+    ) -> "CSRMatrix":
+        """Build from entries in row-major order, duplicate-free; ``rows``
+        are their row ids (only counted: the arrays stored are ``cols`` and
+        ``values``)."""
+        return cls(nrows, ncols, _indptr(nrows, rows), cols, values, typ)
+
+    @classmethod
+    def from_flat_keys(
+        cls, nrows: int, ncols: int, keys: np.ndarray, values, typ: Optional[GrBType] = None
+    ) -> "CSRMatrix":
+        """Decode sorted unique row-major keys (see :meth:`flat_keys`)."""
+        rows = keys // ncols if ncols else keys
+        cols = keys - rows * ncols if ncols else keys
+        return cls.from_rows(nrows, ncols, rows, cols, values, typ)
+
+    @classmethod
     def from_coo(cls, coo: COO) -> "CSRMatrix":
         """Build from *deduplicated, sorted* COO triplets."""
-        indptr = np.zeros(coo.nrows + 1, dtype=np.int64)
-        np.add.at(indptr, coo.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(coo.nrows, coo.ncols, indptr, coo.cols.copy(), coo.vals.copy(), coo.type)
+        return cls.from_rows(
+            coo.nrows, coo.ncols, coo.rows, coo.cols.copy(), coo.vals.copy(), coo.type
+        )
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, typ: Optional[GrBType] = None) -> "CSRMatrix":
@@ -190,6 +227,14 @@ class CSRMatrix:
         """Alias of :meth:`row_degrees` — out-degrees of an adjacency matrix."""
         return self.row_degrees()
 
+    def row_ids(self) -> np.ndarray:
+        """Row id of every stored entry, in storage order (nondecreasing)."""
+        return np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
+
+    def flat_keys(self) -> np.ndarray:
+        """Row-major key of every stored entry: sorted and unique."""
+        return self.row_ids() * np.int64(self.ncols) + self.indices
+
     def in_degrees(self) -> np.ndarray:
         """Entries per column (in-degrees); cached, no transpose needed."""
         return self._cached(
@@ -224,14 +269,15 @@ class CSRMatrix:
                 yield i, int(self.indices[k]), self.values[k]
 
     def to_coo(self) -> COO:
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        return COO(self.nrows, self.ncols, rows, self.indices.copy(), self.values.copy(), self.type)
+        return COO(
+            self.nrows, self.ncols, self.row_ids(), self.indices.copy(), self.values.copy(),
+            self.type,
+        )
 
     def to_dense(self, fill=0) -> np.ndarray:
         """Dense 2-D array with ``fill`` at implicit positions."""
         out = np.full((self.nrows, self.ncols), fill, dtype=self.type.dtype)
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-        out[rows, self.indices] = self.values
+        out[self.row_ids(), self.indices] = self.values
         return out
 
     def copy(self) -> "CSRMatrix":
@@ -269,21 +315,13 @@ class CSRMatrix:
     def transpose(self) -> "CSRMatrix":
         """CSR of the transpose (a stable counting-sort by column)."""
         CSRMatrix.transpose_builds += 1
-        nnz = self.nvals
-        t_indptr = np.zeros(self.ncols + 1, dtype=np.int64)
-        if nnz:
-            np.add.at(t_indptr, self.indices + 1, 1)
-        np.cumsum(t_indptr, out=t_indptr)
-        t_indices = np.empty(nnz, dtype=np.int64)
-        t_values = np.empty(nnz, dtype=self.values.dtype)
-        if nnz:
-            rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_degrees())
-            # Stable sort by column preserves row order within each column,
-            # so the transposed rows come out with sorted indices.
-            order = np.argsort(self.indices, kind="stable")
-            t_indices[:] = rows[order]
-            t_values[:] = self.values[order]
-        return CSRMatrix(self.ncols, self.nrows, t_indptr, t_indices, t_values, self.type)
+        # Stable sort by column preserves row order within each column, so
+        # the transposed rows come out with sorted indices.
+        order = np.argsort(self.indices, kind="stable")
+        return CSRMatrix(
+            self.ncols, self.nrows, _indptr(self.ncols, self.indices),
+            self.row_ids()[order], self.values[order], self.type,
+        )
 
     def validate(self) -> None:
         """Check all structural invariants; raise InvalidObjectError if broken."""

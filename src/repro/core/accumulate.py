@@ -14,9 +14,13 @@ the replace flag:
 
 Backends compute only ``T``; this module implements the merge once,
 vectorized over sorted index arrays, and both the vector and matrix paths
-share :func:`_merge_indexed` (matrices go through flat row-major keys).
-This centralisation is what guarantees bit-identical write semantics across
-the reference, CPU, and simulated-GPU backends.
+share :func:`_merge_indexed`: a matrix merges as the vector of its
+row-major keys (:meth:`~repro.containers.csr.CSRMatrix.flat_keys`, decoded
+by :meth:`~repro.containers.csr.CSRMatrix.from_flat_keys`).  The
+accumulate step is :func:`~repro.containers.bitmap.union_merge`, the same
+body the CPU eWiseAdd kernels run.  This centralisation is what guarantees
+bit-identical write semantics across the reference, CPU, and simulated-GPU
+backends.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..containers.bitmap import locate, union
+from ..containers.bitmap import union_merge
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..policy import current
 from ..types import GrBType, promote
 from .descriptor import DEFAULT, Descriptor
-from .mask import check_mask_shape, flat_keys, matrix_mask_at, vector_mask_at
+from .mask import check_mask_shape, matrix_mask_at, vector_mask_at
 from .operators import BinaryOp
 
 __all__ = ["merge_vector", "merge_matrix"]
@@ -79,20 +83,7 @@ def _accumulate(
     """Union-merge (C, T) under ``accum`` over sorted index arrays."""
     if accum is None:
         return t_idx, t_vals.astype(out_dtype, copy=False)
-    keys = union(c_idx, t_idx, keyspace)
-    out = np.empty(keys.size, dtype=out_dtype)
-    in_c, pos_c = locate(c_idx, keys, keyspace)
-    in_t, pos_t = locate(t_idx, keys, keyspace)
-    only_c = in_c & ~in_t
-    only_t = in_t & ~in_c
-    both = in_c & in_t
-    if only_c.any():
-        out[only_c] = c_vals[pos_c[only_c]]
-    if only_t.any():
-        out[only_t] = t_vals[pos_t[only_t]]
-    if both.any():
-        out[both] = accum(c_vals[pos_c[both]], t_vals[pos_t[both]])
-    return keys, out
+    return union_merge(c_idx, c_vals, t_idx, t_vals, accum, out_dtype, keyspace)
 
 
 def _merge_indexed(
@@ -198,14 +189,10 @@ def merge_matrix(
     out_type = _output_type(c.type, t.type, accum)
     if share and _trivial_merge(mask, accum, desc):
         return _note_result(t.astype(out_type))
-    c_rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
-    t_rows = np.repeat(np.arange(t.nrows, dtype=np.int64), t.row_degrees())
-    c_keys = flat_keys(c_rows, c.indices, c.ncols)
-    t_keys = flat_keys(t_rows, t.indices, t.ncols)
     keys, vals = _merge_indexed(
-        c_keys,
+        c.flat_keys(),
         c.values,
-        t_keys,
+        t.flat_keys(),
         t.values.astype(out_type.dtype, copy=False),
         lambda pos: matrix_mask_at(mask, desc, pos),
         accum,
@@ -213,10 +200,4 @@ def merge_matrix(
         out_type.dtype,
         c.nrows * c.ncols,
     )
-    rows = keys // c.ncols if c.ncols else keys
-    cols = keys - rows * c.ncols if c.ncols else keys
-    indptr = np.zeros(c.nrows + 1, dtype=np.int64)
-    if rows.size:
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return _note_result(CSRMatrix(c.nrows, c.ncols, indptr, cols, vals, out_type))
+    return _note_result(CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, out_type))

@@ -16,19 +16,19 @@ indices" (``GrB_ALL``).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 from ..backends.dispatch import current_backend
 from ..containers.bitmap import locate
-from ..containers.csr import CSRMatrix
+from ..containers.csr import CSRMatrix, flat_keys
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError, IndexOutOfBoundsError, InvalidValueError
 from ..lazy import schedule as _lz
 from .accumulate import _note_result
 from .descriptor import DEFAULT, Descriptor
-from .mask import flat_keys, matrix_mask_at, vector_mask_at
+from .mask import matrix_mask_at, vector_mask_at
 from .matrix import Matrix
 from .operators import BinaryOp
 from .vector import Vector
@@ -62,7 +62,54 @@ def _index_array(idx, dim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _merge_region_vector(
+def _merge_region(
+    c_keys: np.ndarray,
+    c_vals: np.ndarray,
+    t_keys: np.ndarray,
+    t_vals: np.ndarray,
+    in_region: np.ndarray,
+    mask_at,
+    accum: Optional[BinaryOp],
+    replace: bool,
+    out_dtype: np.dtype,
+    keyspace: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Write (t_keys, t_vals) into C's sorted (c_keys, c_vals) in a region.
+
+    ``in_region[k]`` tells whether ``c_keys[k]`` lies in the assigned
+    region and ``mask_at(keys)`` evaluates the effective mask; every key
+    lies in ``[0, keyspace)``.  The incoming keys are region-mapped, so
+    they arrive in any order.  Returns the merged sorted (keys, values).
+    """
+    t_vals = np.asarray(t_vals).astype(out_dtype, copy=False)
+    order = np.argsort(t_keys, kind="stable")
+    t_keys, t_vals = t_keys[order], t_vals[order]
+    allowed_t = mask_at(t_keys)
+    t_keys, t_vals = t_keys[allowed_t], t_vals[allowed_t]
+
+    c_masked = mask_at(c_keys)
+    if accum is None:
+        # Region ∧ mask-true positions are fully rewritten by T.
+        drop = in_region & c_masked
+    else:
+        # Accumulate: existing entries survive; T merges in.
+        both, pos = locate(t_keys, c_keys, keyspace)
+        drop = np.zeros(c_keys.size, dtype=bool)
+        if both.any():
+            sel = pos[both]
+            merged = np.asarray(accum(c_vals[both], t_vals[sel])).astype(out_dtype)
+            t_vals = t_vals.copy()
+            t_vals[sel] = merged
+            drop = both  # replaced by merged T entries
+    if replace:
+        drop = drop | (in_region & ~c_masked)
+    keys = np.concatenate([c_keys[~drop], t_keys])
+    vals = np.concatenate([c_vals[~drop], t_vals])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], vals[order]
+
+
+def merge_region_vector(
     c: SparseVector,
     t_idx: np.ndarray,
     t_vals: np.ndarray,
@@ -71,44 +118,25 @@ def _merge_region_vector(
     accum: Optional[BinaryOp],
     desc: Descriptor,
 ) -> SparseVector:
-    """Write (t_idx, t_vals) into ``c`` restricted to sorted ``region``."""
-    out_dtype = c.type.dtype
-    t_vals = np.asarray(t_vals).astype(out_dtype, copy=False)
-    # Sort the incoming entries (they are region-mapped, order arbitrary).
-    order = np.argsort(t_idx, kind="stable")
-    t_idx, t_vals = t_idx[order], t_vals[order]
-    allowed_t = vector_mask_at(mask, desc, t_idx)
-    t_idx, t_vals = t_idx[allowed_t], t_vals[allowed_t]
+    """Write (t_idx, t_vals) into ``c`` restricted to sorted ``region``.
 
-    c_in_region = locate(region, c.indices, c.size)[0]
-    c_masked = vector_mask_at(mask, desc, c.indices)
-    if accum is None:
-        # Region ∧ mask-true positions are fully rewritten by T.
-        drop = c_in_region & c_masked
-    else:
-        # Accumulate: existing entries survive; T merges in.
-        both, pos = locate(t_idx, c.indices, c.size)
-        drop = np.zeros(c.nvals, dtype=bool)
-        if both.any():
-            sel = pos[both]
-            merged = np.asarray(accum(c.values[both], t_vals[sel])).astype(out_dtype)
-            t_vals = t_vals.copy()
-            t_vals[sel] = merged
-            drop = both  # replaced by merged T entries
-    if desc.replace:
-        drop = drop | (c_in_region & ~c_masked)
-    keep_idx = c.indices[~drop]
-    keep_vals = c.values[~drop]
-    merged_idx = np.concatenate([keep_idx, t_idx])
-    merged_vals = np.concatenate([keep_vals, t_vals])
-    order = np.argsort(merged_idx, kind="stable")
-    return SparseVector(c.size, merged_idx[order], merged_vals[order], c.type)
-
-
-# Public alias: fused operations (see :mod:`repro.core.fused`) replay the
-# scalar-assign region merge at the container level without re-validating
-# index lists the caller already knows are canonical.
-merge_region_vector = _merge_region_vector
+    Public: fused operations (see :mod:`repro.core.fused`) replay the
+    scalar-assign region merge at the container level without
+    re-validating index lists the caller already knows are canonical.
+    """
+    idx, vals = _merge_region(
+        c.indices,
+        c.values,
+        t_idx,
+        t_vals,
+        locate(region, c.indices, c.size)[0],
+        lambda pos: vector_mask_at(mask, desc, pos),
+        accum,
+        desc.replace,
+        c.type.dtype,
+        c.size,
+    )
+    return SparseVector(c.size, idx, vals, c.type)
 
 
 def _merge_region_matrix(
@@ -122,45 +150,22 @@ def _merge_region_matrix(
     accum: Optional[BinaryOp],
     desc: Descriptor,
 ) -> CSRMatrix:
-    """Matrix analogue of :func:`_merge_region_vector` via flat keys."""
-    out_dtype = c.type.dtype
-    t_keys = flat_keys(t_rows, t_cols, c.ncols)
-    t_vals = np.asarray(t_vals).astype(out_dtype, copy=False)
-    order = np.argsort(t_keys, kind="stable")
-    t_keys, t_vals = t_keys[order], t_vals[order]
-    allowed_t = matrix_mask_at(mask, desc, t_keys)
-    t_keys, t_vals = t_keys[allowed_t], t_vals[allowed_t]
-
-    c_rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
-    c_keys = flat_keys(c_rows, c.indices, c.ncols)
-    in_region = (
-        locate(rows, c_rows, c.nrows)[0] & locate(cols, c.indices, c.ncols)[0]
+    """:func:`merge_region_vector` over C's row-major keys; the region is
+    the product of the sorted ``rows`` and ``cols``."""
+    c_rows = c.row_ids()
+    keys, vals = _merge_region(
+        flat_keys(c_rows, c.indices, c.ncols),
+        c.values,
+        flat_keys(t_rows, t_cols, c.ncols),
+        t_vals,
+        locate(rows, c_rows, c.nrows)[0] & locate(cols, c.indices, c.ncols)[0],
+        lambda pos: matrix_mask_at(mask, desc, pos),
+        accum,
+        desc.replace,
+        c.type.dtype,
+        c.nrows * c.ncols,
     )
-    c_masked = matrix_mask_at(mask, desc, c_keys)
-    if accum is None:
-        drop = in_region & c_masked
-    else:
-        both, pos = locate(t_keys, c_keys, c.nrows * c.ncols)
-        drop = np.zeros(c.nvals, dtype=bool)
-        if both.any():
-            sel = pos[both]
-            merged = np.asarray(accum(c.values[both], t_vals[sel])).astype(out_dtype)
-            t_vals = t_vals.copy()
-            t_vals[sel] = merged
-            drop = both
-    if desc.replace:
-        drop = drop | (in_region & ~c_masked)
-    keys = np.concatenate([c_keys[~drop], t_keys])
-    vals = np.concatenate([c.values[~drop], t_vals])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    out_rows = keys // c.ncols
-    out_cols = keys - out_rows * c.ncols
-    indptr = np.zeros(c.nrows + 1, dtype=np.int64)
-    if out_rows.size:
-        np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return CSRMatrix(c.nrows, c.ncols, indptr, out_cols, vals, c.type)
+    return CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, c.type)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +200,7 @@ def assign(
         def run(inp, params):
             sc = inp["src"]
             be.charge_assign(sc.nvals, inp["out"])
-            return _note_result(_merge_region_vector(
+            return _note_result(merge_region_vector(
                 inp["out"],
                 idx[sc.indices],
                 sc.values,
@@ -224,11 +229,10 @@ def assign(
         )
     sc = src.container
     current_backend().charge_assign(sc.nvals, out)
-    src_rows = np.repeat(np.arange(sc.nrows, dtype=np.int64), sc.row_degrees())
     return out._replace(
         _note_result(_merge_region_matrix(
             out.container,
-            r[src_rows],
+            r[sc.row_ids()],
             s[sc.indices],
             sc.values,
             np.sort(r),
@@ -267,7 +271,7 @@ def assign_scalar(
 
         def run(inp, params):
             be.charge_assign(idx.size, inp["out"])
-            return _note_result(_merge_region_vector(
+            return _note_result(merge_region_vector(
                 inp["out"],
                 idx.copy(),
                 vals,
@@ -389,8 +393,5 @@ def _lift_col_mask(mask: Optional[Vector], c: Matrix, j: int) -> Optional[CSRMat
     if mask is None:
         return None
     mc = mask.container
-    indptr = np.zeros(c.nrows + 1, dtype=np.int64)
-    indptr[mc.indices + 1] = 1
-    np.cumsum(indptr, out=indptr)
     cols = np.full(mc.nvals, j, dtype=np.int64)
-    return CSRMatrix(c.nrows, c.ncols, indptr, cols, mc.values.copy(), mc.type)
+    return CSRMatrix.from_rows(c.nrows, c.ncols, mc.indices, cols, mc.values.copy(), mc.type)

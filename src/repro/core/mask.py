@@ -20,7 +20,7 @@ from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError
 from .descriptor import Descriptor
 
-__all__ = ["vector_mask_at", "matrix_mask_at", "flat_keys", "check_mask_shape"]
+__all__ = ["vector_mask_at", "matrix_mask_at", "check_mask_shape"]
 
 
 def check_mask_shape(
@@ -40,11 +40,6 @@ def check_mask_shape(
             raise DimensionMismatchError(
                 "mask shape", expected=tuple(out_shape), actual=mask.shape
             )
-
-
-def flat_keys(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
-    """Encode (row, col) pairs as sortable int64 keys (row-major)."""
-    return rows.astype(np.int64) * np.int64(ncols) + cols.astype(np.int64)
 
 
 def _mask_truthy_sorted(indices: np.ndarray, values: np.ndarray, structural: bool):
@@ -82,8 +77,6 @@ def matrix_mask_at(
     """Matrix analogue of :func:`vector_mask_at` over flat row-major keys."""
     if mask is None:
         return np.ones(keys.size, dtype=bool)
-    rows = np.repeat(np.arange(mask.nrows, dtype=np.int64), mask.row_degrees())
-    mkeys = flat_keys(rows, mask.indices, mask.ncols)
-    truthy = _mask_truthy_sorted(mkeys, mask.values, desc.structural_mask)
+    truthy = _mask_truthy_sorted(mask.flat_keys(), mask.values, desc.structural_mask)
     hit = locate(truthy, keys, mask.nrows * mask.ncols)[0]
     return ~hit if desc.complement_mask else hit

@@ -58,7 +58,7 @@ def diag_extract(a: Matrix, k: int = 0) -> Vector:
         length = min(c.nrows + k, c.ncols)
     if length < 0:
         raise InvalidValueError(f"diagonal {k} outside a {c.nrows}x{c.ncols} matrix")
-    rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
+    rows = c.row_ids()
     on_diag = c.indices - rows == k
     rr = rows[on_diag]
     vals = c.values[on_diag]
@@ -105,8 +105,7 @@ def concat(tiles: Sequence[Sequence[Matrix]]) -> Matrix:
             c = t.container
             if not c.nvals:
                 continue
-            r = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
-            rows_parts.append(r + row_off[i])
+            rows_parts.append(c.row_ids() + row_off[i])
             cols_parts.append(c.indices + col_off[j])
             vals_parts.append(c.values.astype(out_t.dtype, copy=False))
     nrows, ncols = int(row_off[-1]), int(col_off[-1])
@@ -138,7 +137,7 @@ def split(a: Matrix, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> List
     row_off = np.concatenate(([0], np.cumsum(row_sizes))).astype(np.int64)
     col_off = np.concatenate(([0], np.cumsum(col_sizes))).astype(np.int64)
     c = a.container
-    rows = np.repeat(np.arange(c.nrows, dtype=np.int64), c.row_degrees())
+    rows = c.row_ids()
     r_tile = np.searchsorted(row_off, rows, side="right") - 1
     c_tile = np.searchsorted(col_off, c.indices, side="right") - 1
     out: List[List[Matrix]] = []

@@ -93,20 +93,10 @@ def ewise_union(
         raise DimensionMismatchError("output shape", expected=a.shape, actual=out.shape)
     ac, bc = a.container, b.container
     out_t = op.result_type(promote(ac.type, bc.type))
-    a_rows = np.repeat(np.arange(ac.nrows, dtype=np.int64), ac.row_degrees())
-    b_rows = np.repeat(np.arange(bc.nrows, dtype=np.int64), bc.row_degrees())
-    a_keys = a_rows * np.int64(ac.ncols) + ac.indices
-    b_keys = b_rows * np.int64(bc.ncols) + bc.indices
     keys, vals = _union_indexed(
-        a_keys, ac.values, alpha, b_keys, bc.values, beta, op, out_t.dtype,
-        ac.nrows * ac.ncols,
+        ac.flat_keys(), ac.values, alpha, bc.flat_keys(), bc.values, beta, op,
+        out_t.dtype, ac.nrows * ac.ncols,
     )
-    rows = keys // ac.ncols if ac.ncols else keys
-    cols = keys - rows * ac.ncols if ac.ncols else keys
-    indptr = np.zeros(ac.nrows + 1, dtype=np.int64)
-    if rows.size:
-        np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    t = CSRMatrix(ac.nrows, ac.ncols, indptr, cols, vals, out_t)
+    t = CSRMatrix.from_flat_keys(ac.nrows, ac.ncols, keys, vals, out_t)
     mc = mask.container if mask is not None else None
     return out._replace(merge_matrix(out.container, t, mc, accum, desc))

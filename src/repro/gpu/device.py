@@ -125,8 +125,9 @@ class Device:
         # captured loop replays only while this is unchanged: its launches
         # would otherwise dereference the old buffers.
         self.rebinds = 0
-        # Process-unique identity for stamps that outlive this device (see
-        # ResidentSet.mark); unlike id(self), never reused by a later device.
+        # Process-unique identity for stamps that outlive this device's
+        # session (see ResidentSet.mark); unlike id(self), never reused by a
+        # later device, and renewed by reset().
         self.serial = next(_SERIALS)
         # H2D payload discounts registered by the lazy optimizer's
         # dead-materialization pass: (id(container), version) -> bytes the
@@ -172,6 +173,11 @@ class Device:
         self.clock_us = 0.0
         self.active_graph = None
         self.h2d_hints.clear()
+        # A reset device holds no buffers, so a container bound in the
+        # previous session is bound here afresh, not rebound.  Without a new
+        # serial its first upload would count a rebind and make the loop
+        # capture that contains it re-capture.
+        self.serial = next(_SERIALS)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

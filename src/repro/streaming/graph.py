@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..backends import current_backend
+from ..containers.csr import CSRMatrix
 from ..core.matrix import Matrix
 from ..exceptions import InvalidValueError
 from .batch import EdgeBatch
@@ -154,15 +155,8 @@ class DynamicGraph:
         The mutation fuzzer samples delete targets from this; it is a host
         merge, so it neither charges device work nor bumps the version.
         """
-        base = self._matrix.container
-        if len(self._overlay) == 0:
-            rows = np.repeat(
-                np.arange(base.nrows, dtype=np.int64), np.diff(base.indptr)
-            )
-            return rows, base.indices.copy()
-        indptr, indices, _vals = merge_overlay(base, self._overlay)
-        rows = np.repeat(np.arange(base.nrows, dtype=np.int64), np.diff(indptr))
-        return rows, indices
+        m = self._merged() if len(self._overlay) else self._matrix.container
+        return m.row_ids(), m.indices.copy()
 
     # ------------------------------------------------------------------
     # Views
@@ -248,12 +242,13 @@ class DynamicGraph:
         Host-side merge into a fresh container — no device charge, no
         version bump, no compaction of the live graph.
         """
-        base = self._matrix.container
-        from ..containers.csr import CSRMatrix
+        return Matrix(self._merged())
 
-        indptr, indices, values = merge_overlay(base, self._overlay)
-        return Matrix(
-            CSRMatrix(base.nrows, base.ncols, indptr, indices, values, base.type)
+    def _merged(self) -> CSRMatrix:
+        """``base ⊕ overlay`` merged on the host into a fresh container."""
+        base = self._matrix.container
+        return CSRMatrix(
+            base.nrows, base.ncols, *merge_overlay(base, self._overlay), base.type
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

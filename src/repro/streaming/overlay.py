@@ -20,8 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..containers.csr import CSRMatrix
-from ..core.mask import flat_keys
+from ..containers.csr import CSRMatrix, flat_keys
 from .batch import EdgeBatch
 
 __all__ = ["DeltaOverlay", "merge_overlay"]
@@ -93,7 +92,7 @@ def merge_overlay(
     """
     if len(overlay) == 0:
         return base.indptr.copy(), base.indices.copy(), base.values.copy()
-    b_rows = np.repeat(np.arange(base.nrows, dtype=np.int64), np.diff(base.indptr))
+    b_rows = base.row_ids()
     all_rows = np.concatenate([b_rows, overlay.rows])
     all_cols = np.concatenate([base.indices, overlay.cols])
     all_vals = np.concatenate(
@@ -112,10 +111,7 @@ def merge_overlay(
     sel = order[last]
     survives = keep_op[sel]
     sel = sel[survives]
-    out_rows, out_cols = all_rows[sel], all_cols[sel]
-    out_vals = all_vals[sel].astype(base.type.dtype, copy=False)
-    indptr = np.zeros(base.nrows + 1, dtype=np.int64)
-    if out_rows.size:
-        np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, out_cols, out_vals
+    out = CSRMatrix.from_rows(
+        base.nrows, base.ncols, all_rows[sel], all_cols[sel], all_vals[sel], base.type
+    )
+    return out.indptr, out.indices, out.values

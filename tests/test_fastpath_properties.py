@@ -24,14 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as gb
-from repro.backends.cpu.fastpath import (
-    dense_keyspace_ok,
-    fast_reduce_by_key,
-    has_fast_path,
-    has_fast_reduce,
-)
+from repro.backends.cpu.fastpath import fast_reduce_by_key, has_fast_reduce
 from repro.backends.cpu.segments import segment_reduce, ufunc_for
 from repro.backends.cpu.spmv import choose_direction, mask_pull_rows
+from repro.containers.bitmap import dense_keyspace_ok
 from repro.core import operations as ops
 from repro.core.descriptor import DEFAULT, Descriptor, STRUCTURE_MASK
 from repro.core.monoid import Monoid
@@ -109,7 +105,7 @@ class TestFastReduceBitExact:
 
     def test_dispatch_table_covers_registered_semirings(self):
         for s in SEMIRINGS.values():
-            assert has_fast_path(s, np.float64), s.name
+            assert has_fast_reduce(s.add), s.name
 
     def test_unknown_monoid_returns_none(self):
         fold = binary_op("TEST_NOFAST", lambda x, y: x, associative=True)

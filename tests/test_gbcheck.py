@@ -135,6 +135,22 @@ class TestAccessInference:
         found = _rules(rep, "access-undeclared-read")
         assert found and "'b'" in found[0].message, rep.findings
 
+    @pytest.mark.parametrize("method", ["row_ids", "flat_keys"])
+    def test_undeclared_read_through_key_codec(self, method):
+        # The CSR key codec reads indptr/indices: a kernel reaching an
+        # operand only through it still reads that operand's payload.
+        rep = analyze_sources(
+            {
+                "backends/x/k.py": (
+                    f"K = Kernel('r', lambda a, b: a.values + b.{method}(),\n"
+                    "           lambda a, b: None,\n"
+                    "           accesses=lambda a, b: Access(reads=(a,)))\n"
+                )
+            }
+        )
+        found = _rules(rep, "access-undeclared-read")
+        assert found and "'b'" in found[0].message, rep.findings
+
     def test_over_declaration_flagged(self):
         rep = analyze_sources(
             {

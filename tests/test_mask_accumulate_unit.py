@@ -9,11 +9,11 @@ positions semantics of complements.
 import numpy as np
 import pytest
 
-from repro.containers.csr import CSRMatrix
+from repro.containers.csr import CSRMatrix, flat_keys
 from repro.containers.sparsevec import SparseVector
 from repro.core.accumulate import merge_matrix, merge_vector
 from repro.core.descriptor import DEFAULT, Descriptor
-from repro.core.mask import flat_keys, matrix_mask_at, vector_mask_at
+from repro.core.mask import matrix_mask_at, vector_mask_at
 from repro.core.operators import MAX, PLUS
 from repro.exceptions import DimensionMismatchError
 from repro.types import BOOL, FP64, INT64

@@ -27,7 +27,12 @@ After each program the tool records, per device: every profiler record
 (name, kind, start, duration, flops, bytes, threads, replay members),
 the profiler's H2D bytes, the allocator's elided and D2H counters, the
 clock and the rebind count; and per cluster: comm stats, makespan and the
-ordering-edge count.  A serve program adds each query record (qid,
+ordering-edge count.  A fuzz or mutation program adds the result of each
+op (a container's indices, values and dtype, a scalar, or the name of the
+error it raised): every backend runs the write pipeline, assign and the
+other frontend merges through shared code, so the cross-backend fuzzer
+cannot see a change there, but an old-vs-new diff of these digests can.
+A serve program adds each query record (qid,
 tenant, status, start, completion, batch size, lane, digest), the depth
 of every ``Overloaded``, the batch sizes, and the scheduler's busy time
 and makespan.  Allocator alloc/free/pool-hit counts and ``in_use`` are
@@ -123,13 +128,30 @@ def _digest(obj: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _result(snapshot: Any) -> Any:
+    """One op's result as plain data (executor snapshots are forced copies)."""
+    from repro.core.matrix import Matrix
+    from repro.core.vector import Vector
+
+    if isinstance(snapshot, Vector):
+        c = snapshot.container
+        return [c.size, c.indices.tolist(), c.values.tolist(), str(c.values.dtype)]
+    if isinstance(snapshot, Matrix):
+        c = snapshot.container
+        return [c.nrows, c.ncols, c.indptr.tolist(), c.indices.tolist(),
+                c.values.tolist(), str(c.values.dtype)]
+    if isinstance(snapshot, tuple):  # ("raised", name) or a streaming record
+        return [_result(s) for s in snapshot]
+    return snapshot
+
+
 def _fuzz(spec: str, programs: int) -> Iterator[Dict[str, Any]]:
     from repro.testing.executor import execute
     from repro.testing.programs import generate_program
 
     for i in range(programs):
-        execute(generate_program(i), spec)
-        yield _counters(spec)
+        snapshots = execute(generate_program(i), spec)
+        yield {**_counters(spec), "results": [_result(s) for s in snapshots]}
 
 
 def _mutation(spec: str, programs: int) -> Iterator[Dict[str, Any]]:
@@ -137,8 +159,8 @@ def _mutation(spec: str, programs: int) -> Iterator[Dict[str, Any]]:
     from repro.testing.streaming import execute_streaming
 
     for i in range(programs):
-        execute_streaming(generate_mutation_program(i), spec)
-        yield _counters(spec)
+        snapshots, _ = execute_streaming(generate_mutation_program(i), spec)
+        yield {**_counters(spec), "results": [_result(s) for s in snapshots]}
 
 
 def _algorithm_suite() -> List[Callable[[Any], Any]]:
