@@ -13,10 +13,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..core import operations as ops
-from ..core.descriptor import Descriptor, TRANSPOSE_A
+from ..core.descriptor import Descriptor
 from ..core.matrix import Matrix
-from ..core.operators import DIV, MINV, ONE, PLUS, TIMES
-from ..core.monoid import PLUS_MONOID
+from ..core.operators import DIV, ONE, PLUS, TIMES
 from ..core.semiring import PLUS_TIMES
 from ..core.vector import Vector
 from ..exceptions import IndexOutOfBoundsError, InvalidValueError

@@ -14,7 +14,6 @@ import numpy as np
 from ..core import operations as ops
 from ..core.assign import assign_scalar
 from ..core.matrix import Matrix
-from ..core.monoid import PLUS_MONOID
 from ..core.operators import ONE, VALUEGE
 from ..core.vector import Vector
 from ..exceptions import InvalidValueError

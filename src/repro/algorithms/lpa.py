@@ -14,18 +14,15 @@ argmax per row via reduce + ewise compare.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..core import operations as ops
 from ..core.matrix import Matrix
-from ..core.monoid import MAX_MONOID, MIN_MONOID, PLUS_MONOID
-from ..core.operators import EQ, FIRST, ONE, PLUS, SECOND, TIMES
-from ..core.semiring import PLUS_PAIR, PLUS_SECOND, PLUS_TIMES, MIN_SECOND
+from ..core.monoid import MAX_MONOID
+from ..core.semiring import PLUS_PAIR
 from ..core.vector import Vector
 from ..exceptions import InvalidValueError
-from ..types import FP64, INT64
+from ..types import INT64
 
 __all__ = ["label_propagation", "modularity"]
 

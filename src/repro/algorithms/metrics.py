@@ -14,10 +14,10 @@ from ..core import operations as ops
 from ..core.descriptor import TRANSPOSE_A
 from ..core.matrix import Matrix
 from ..core.monoid import MAX_MONOID, PLUS_MONOID
-from ..core.operators import ONE, PLUS
+from ..core.operators import ONE
 from ..core.vector import Vector
 from ..exceptions import InvalidValueError
-from ..types import FP64, INT64
+from ..types import INT64
 from .bfs import bfs_levels
 
 __all__ = [

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..core import operations as ops
 from ..core.assign import assign_scalar
 from ..core.descriptor import Descriptor

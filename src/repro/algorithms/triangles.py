@@ -14,7 +14,7 @@ from ..core import operations as ops
 from ..core.descriptor import STRUCTURE_MASK
 from ..core.matrix import Matrix
 from ..core.monoid import PLUS_MONOID
-from ..core.operators import PLUS, TRIL
+from ..core.operators import TRIL
 from ..core.semiring import PLUS_PAIR
 from ..core.vector import Vector
 from ..exceptions import InvalidValueError

@@ -57,7 +57,14 @@ __all__ = [
 ]
 
 SYNTACTIC_RULES = frozenset(
-    {"kernel-decl", "fused-kernel-decl", "container-mutation", "argsort", "uncharged-numpy"}
+    {
+        "kernel-decl",
+        "fused-kernel-decl",
+        "container-mutation",
+        "argsort",
+        "uncharged-numpy",
+        "unused-import",
+    }
 )
 DATAFLOW_RULES = frozenset(
     {

@@ -75,7 +75,6 @@ FORCING_CALLS = frozenset(
     {
         "_settle",
         "_force",
-        "_invalidate",
         "indices_array",
         "values_array",
         "to_dense",

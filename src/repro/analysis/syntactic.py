@@ -1,7 +1,7 @@
 """gbcheck's syntactic rules: kernel contracts enforced at the AST.
 
 The dataflow rules (:mod:`repro.analysis.rules`) follow effects through the
-call graph; these five rules need only one module's syntax tree:
+call graph; these six rules need only one module's syntax tree:
 
 ``kernel-decl``
     Every :class:`~repro.gpu.kernel.Kernel` instantiated under
@@ -33,6 +33,14 @@ call graph; these five rules need only one module's syntax tree:
     outside kernel semantics — host work there is real compute the cost
     model never charges.
 
+``unused-import``
+    Every name a module-level import binds (directly, or under a
+    module-level ``if``/``try``) is read somewhere in the module, in a
+    string annotation, or listed in ``__all__``.  Package ``__init__.py``
+    files (whose imports are the package surface) and ``from __future__``
+    are exempt; a name other modules import from this one belongs in its
+    ``__all__``.
+
 The visitor reports raw findings; :mod:`repro.analysis.engine` applies the
 ``# gbsan: ok(rule) -- reason`` directives after auditing them.
 """
@@ -40,7 +48,7 @@ The visitor reports raw findings; :mod:`repro.analysis.engine` applies the
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Iterable, Iterator, List, Set, Union
 
 from .findings import Finding
 from .summaries import PAYLOAD_ATTRS
@@ -86,7 +94,53 @@ def rules_for(relpath: str) -> Set[str]:
         rules |= {"container-mutation"}
     if relpath in _ORCHESTRATORS:
         rules |= {"uncharged-numpy"}
+    if relpath.rsplit("/", 1)[-1] != "__init__.py":
+        rules |= {"unused-import"}
     return rules
+
+
+def _module_imports(
+    body: List[ast.stmt],
+) -> Iterator[Union[ast.Import, ast.ImportFrom]]:
+    """Import statements at module level, descending into ``if``/``try``."""
+    for stmt in body:
+        if isinstance(stmt, ast.Import) or (
+            isinstance(stmt, ast.ImportFrom)
+            and stmt.module != "__future__"
+            and stmt.names[0].name != "*"
+        ):
+            yield stmt
+        elif isinstance(stmt, (ast.If, ast.Try)):
+            handlers = [s for h in getattr(stmt, "handlers", ()) for s in h.body]
+            yield from _module_imports(
+                stmt.body + handlers + stmt.orelse + getattr(stmt, "finalbody", [])
+            )
+
+
+def _strings(node: ast.AST) -> Iterator[str]:
+    for c in ast.walk(node):
+        if isinstance(c, ast.Constant) and isinstance(c.value, str):
+            yield c.value
+
+
+def _names_read(module: ast.Module) -> Set[str]:
+    """Names the module reads: loads, string annotations and ``__all__``."""
+    used: Set[str] = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(_strings(node.value))
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for text in _strings(ann) if ann is not None else ():
+                try:
+                    parsed = ast.parse(text, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return used
 
 
 class SyntacticVisitor(ast.NodeVisitor):
@@ -102,6 +156,24 @@ class SyntacticVisitor(ast.NodeVisitor):
             self.raw.append(
                 Finding(self.relpath, getattr(node, "lineno", 0), rule, message)
             )
+
+    # -- unused-import --------------------------------------------------
+
+    def visit_Module(self, node: ast.Module) -> None:
+        if "unused-import" in self.rules:
+            used = _names_read(node)
+            for stmt in _module_imports(node.body):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        self._flag(
+                            stmt,
+                            "unused-import",
+                            f"'{bound}' is imported but never used; delete "
+                            "it, or list it in __all__ if other modules "
+                            "import it from here",
+                        )
+        self.generic_visit(node)
 
     # -- kernel-decl ----------------------------------------------------
 

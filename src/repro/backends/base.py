@@ -33,7 +33,7 @@ from ..core.descriptor import DEFAULT, Descriptor
 from ..core.monoid import Monoid
 from ..core.operators import BinaryOp, IndexUnaryOp, UnaryOp
 from ..core.semiring import Semiring
-from ..types import GrBType, promote
+from ..types import promote
 
 __all__ = ["Backend"]
 
@@ -56,13 +56,12 @@ class Backend(ABC):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc=None,
     ) -> SparseVector:
         """``t = A ⊗ u`` (row picture).
 
-        ``mask``/``desc`` are pruning hints; ``csc`` is an optional cached
-        column view of ``a`` enabling the push direction without a fresh
-        transpose.
+        ``mask``/``desc`` are pruning hints.  A backend that needs Aᵀ (push
+        direction) reads ``a.cached_transpose()``, the one memo per matrix
+        version.
         """
 
     @abstractmethod
@@ -74,7 +73,6 @@ class Backend(ABC):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc=None,
     ) -> SparseVector:
         """``t = u ⊗ A`` (column picture); the multiply is ``mult(u_k, A_kj)``."""
 
@@ -148,7 +146,6 @@ class Backend(ABC):
         semiring: Semiring,
         desc: Descriptor,
         direction: str = "auto",
-        csc=None,
     ):
         """One fused BFS-style expansion step; returns (new_levels, new_frontier).
 
@@ -170,7 +167,7 @@ class Backend(ABC):
         new_levels = merge_region_vector(
             levels, idx.copy(), vals, idx, None, None, DEFAULT
         )
-        t = self.vxm(frontier, a, semiring, new_levels, desc, direction, csc)
+        t = self.vxm(frontier, a, semiring, new_levels, desc, direction)
         new_frontier = merge_vector(frontier, t, new_levels, None, desc)
         return new_levels, new_frontier
 

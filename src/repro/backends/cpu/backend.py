@@ -5,9 +5,10 @@ containers and produces bit-identical results to the reference backend (the
 test suite enforces this), but each kernel is a handful of whole-array NumPy
 passes instead of Python loops.
 
-``mxv``/``vxm`` accept an optional pre-transposed CSC hint (supplied by the
-frontend's cache) enabling the push/pull direction optimization; ``auto``
-chooses by comparing the frontier's total degree against nnz(A) (see
+``mxv``/``vxm`` run the push/pull direction optimization: the side that
+needs Aᵀ (push mxv, pull vxm) reads the container's memo
+(``a.cached_transpose()``), and ``auto`` compares the frontier's exact
+degree sum against nnz(A) (see
 :func:`~repro.backends.cpu.spmv.choose_direction`).
 """
 
@@ -15,9 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
-from ...containers.csc import CSCMatrix
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
@@ -61,23 +59,12 @@ class CpuBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc: Optional[CSCMatrix] = None,
     ) -> SparseVector:
         out_t = semiring.result_type(a.type, u.type)
-        d = choose_direction(
-            a,
-            u,
-            mask,
-            desc,
-            direction,
-            csc is not None,
-            push_indptr=csc.indptr if csc is not None else None,
-            pull_indptr=a.indptr,
-        )
-        if d == "push":
-            tcsr = csc.tcsr if csc is not None else a.transpose()
+        if choose_direction(a, u, mask, desc, direction, False) == "push":
             return scatter_product(
-                tcsr, u, semiring, out_t, flip=False, mask=mask, desc=desc
+                a.cached_transpose(), u, semiring, out_t, flip=False, mask=mask,
+                desc=desc,
             )
         rows = mask_pull_rows(mask, desc, a.nrows)
         return row_gather_product(a, u, semiring, out_t, flip=False, rows=rows)
@@ -90,27 +77,17 @@ class CpuBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc: Optional[CSCMatrix] = None,
     ) -> SparseVector:
         out_t = semiring.result_type(u.type, a.type)
-        d = choose_direction(
-            a,
-            u,
-            mask,
-            desc,
-            direction,
-            True,
-            push_indptr=a.indptr,
-            pull_indptr=csc.indptr if csc is not None else None,
-        )
-        if d == "push":
+        if choose_direction(a, u, mask, desc, direction, True) == "push":
             # Push never needs the transpose for vxm: u selects rows of A.
             return scatter_product(
                 a, u, semiring, out_t, flip=True, mask=mask, desc=desc
             )
-        tcsr = csc.tcsr if csc is not None else a.transpose()
         rows = mask_pull_rows(mask, desc, a.ncols)
-        return row_gather_product(tcsr, u, semiring, out_t, flip=True, rows=rows)
+        return row_gather_product(
+            a.cached_transpose(), u, semiring, out_t, flip=True, rows=rows
+        )
 
     def mxm(
         self,

@@ -12,7 +12,7 @@ and runs to the next start (last one to ``len(values)``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

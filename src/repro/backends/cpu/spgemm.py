@@ -26,14 +26,11 @@ Two refinements over the classic expand–sort–reduce:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ...containers.bitmap import dense_keyspace_ok, locate
 from ...containers.csr import CSRMatrix, flat_keys
-from ...containers.sparsevec import SparseVector
-from ...core.descriptor import DEFAULT, Descriptor
+from ...core.descriptor import Descriptor
 from ...core.semiring import Semiring
 from ...types import GrBType
 from .fastpath import fast_reduce_by_key, reduce_strategy, scratch

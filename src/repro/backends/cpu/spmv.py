@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from ...containers.bitmap import dense_keyspace_ok, locate
-from ...containers.csc import CSCMatrix
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
@@ -207,45 +206,29 @@ def choose_direction(
     mask: Optional[SparseVector],
     desc: Descriptor,
     direction: str,
-    csc_available: bool,
-    push_indptr: Optional[np.ndarray] = None,
-    pull_indptr: Optional[np.ndarray] = None,
+    flip: bool,
 ) -> str:
     """Resolve "auto" into "push" or "pull".
 
-    Push wins when the frontier is small: its cost is the frontier's total
-    degree, versus pull's cost of nnz(A) (or the masked-row subset).  Auto
-    never picks push when it would require materialising a transpose first.
-
-    ``push_indptr`` is the row-pointer array of the matrix the push kernel
-    would expand (Aᵀ for mxv, A for vxm).  When provided, the push cost is
-    the *exact* frontier degree sum ``Σ (indptr[u_k+1] − indptr[u_k])`` — an
-    O(frontier) probe.  R-MAT frontiers are heavy-tailed, so the old
-    ``u.nvals · avg_deg`` estimate was routinely off by an order of
-    magnitude in either direction.  ``pull_indptr`` likewise sharpens the
-    masked pull cost to the exact degree sum of the mask-allowed rows.
-    Without the hints the avg-degree estimate is kept.
+    Push wins when the frontier is small: its cost is the frontier's exact
+    total degree in the matrix push expands (Aᵀ for mxv, ``flip=False``; A
+    for vxm, ``flip=True``), versus pull's cost of nnz(A), or the exact
+    degree sum of the mask-allowed rows of the matrix pull reads.  Both
+    sides read the version-cached :meth:`~CSRMatrix.row_degrees` (rows of
+    A) and :meth:`~CSRMatrix.in_degrees` (rows of Aᵀ), so deciding builds
+    no transpose.  R-MAT frontiers are heavy-tailed, which is why the cost
+    is the exact O(frontier) degree sum and not ``u.nvals · avg_deg``.
     """
     if direction in ("push", "pull"):
         return direction
-    if not csc_available:
-        return "pull"
-    n = max(a.nrows, 1)
-    avg_deg = a.nvals / n
-    if push_indptr is not None and u.nvals:
-        deg = push_indptr[u.indices + 1] - push_indptr[u.indices]
-        # Sort-free push no longer pays the old 4× sort penalty; keep a 2×
-        # margin for its scattered (atomic-like) writes.
-        push_cost = float(deg.sum()) * 2.0
-    else:
-        push_cost = u.nvals * max(avg_deg, 1.0) * 4.0
+    push_deg, pull_deg = (
+        (a.row_degrees(), a.in_degrees()) if flip else (a.in_degrees(), a.row_degrees())
+    )
+    # Sort-free push no longer pays the old 4× sort penalty; keep a 2×
+    # margin for its scattered (atomic-like) writes.
+    push_cost = float(push_deg[u.indices].sum()) * 2.0
     # The mask covers the output vector, whose length is the pull-side row
     # count (a.nrows for mxv, a.ncols for vxm) — so size the complement off it.
     rows = mask_pull_rows(mask, desc, mask.size) if mask is not None else None
-    if rows is None:
-        pull_cost = float(a.nvals)
-    elif pull_indptr is not None:
-        pull_cost = float((pull_indptr[rows + 1] - pull_indptr[rows]).sum())
-    else:
-        pull_cost = rows.size * max(avg_deg, 1.0)
+    pull_cost = float(a.nvals) if rows is None else float(pull_deg[rows].sum())
     return "push" if push_cost < pull_cost else "pull"

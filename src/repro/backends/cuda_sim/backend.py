@@ -24,7 +24,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ...containers.csc import CSCMatrix
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
@@ -34,7 +33,6 @@ from ...core.semiring import Semiring
 from ...gpu.device import Device, get_device
 from ...gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
 from ...gpu.residency import RESIDENT_CAP, ResidentSet
-from ...policy import current
 from .. import dispatch
 from ..base import Backend
 from ..cpu.spmv import choose_direction, mask_pull_rows
@@ -70,8 +68,9 @@ __all__ = ["CudaSimBackend"]
 _RESIDENT_CAP = RESIDENT_CAP
 
 # Same launch charge as TRANSPOSE_COUNTSORT, but the semantic function is
-# the per-version memoised transpose: a host-side a.csc() and a device-side
-# derivation share one counting sort per matrix version.
+# the per-version memoised transpose: host-side readers of
+# ``cached_transpose()`` and a device-side derivation share one counting
+# sort per matrix version.
 _TRANSPOSE_MEMOISED = Kernel(
     TRANSPOSE_COUNTSORT.name,
     lambda a: a.cached_transpose(),
@@ -152,27 +151,18 @@ class CudaSimBackend(Backend):
     def _device_transpose(self, a: CSRMatrix) -> CSRMatrix:
         """Launch TRANSPOSE_COUNTSORT at most once per matrix version.
 
-        The result is stored in the container's auxiliary cache under the
-        same key as :meth:`CSRMatrix.cached_transpose`, so host- and
-        device-side consumers share one transpose per version.
+        The result is the container's own memo
+        (:meth:`CSRMatrix.cached_transpose`), so host- and device-side
+        consumers share one transpose per version.
         """
-        if not current().aux_cache:
-            out = launch(
-                TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a, device=self._dev()
-            )
-            # The transpose is produced on-device; without this mark the
-            # push/pull kernel that consumes it next would read an
-            # unresident container (gbsan residency gap).
-            self._mark_resident(out)
-            return out
         hit = a._aux.get("tcsr")
         if hit is not None and hit in self._resident:
             self._mark_resident(hit)  # LRU touch
             return hit
         # Derive aᵀ on-device — charged as one transpose kernel per matrix
         # version.  The semantic function is the memoised cached_transpose,
-        # so if the frontend's a.csc() already built the structure this
-        # launch charges the derivation without rebuilding it: at most one
+        # so if a host reader already built the structure this launch
+        # charges the derivation without rebuilding it: at most one
         # counting sort per matrix version, host and device combined.
         # Aux-structure builds are one-time costs, so they are charged
         # outside any capturing graph to keep iteration signatures stable
@@ -186,25 +176,14 @@ class CudaSimBackend(Backend):
         self._mark_resident(hit)
         return hit
 
-    def _transposed_operand(self, a: CSRMatrix, csc: Optional[CSCMatrix]) -> CSRMatrix:
+    def _transposed_operand(self, a: CSRMatrix) -> CSRMatrix:
         """Device-resident aᵀ for push-mxv / pull-vxm / pull-frontier kernels.
 
         A symmetric ``a`` is its own transpose: the kernels read the
-        resident CSR and nothing is launched.  Otherwise, with the aux cache
-        on, the transpose is derived on-device at most once per matrix
-        version (sharing the container the frontend's ``a.csc()`` cached,
-        when present).  Without it, a frontend-supplied CSC was materialised
-        on the host, so its device use charges an upload of the transposed
-        copy.
+        resident CSR and nothing is launched.  Otherwise the transpose is
+        derived on-device at most once per matrix version.
         """
-        if a.symmetric:
-            return a
-        if current().aux_cache:
-            return self._device_transpose(a)
-        if csc is not None:
-            self._ensure_resident(csc.tcsr)
-            return csc.tcsr
-        return self._device_transpose(a)
+        return a if a.symmetric else self._device_transpose(a)
 
     # ------------------------------------------------------------------
     # Products
@@ -218,28 +197,17 @@ class CudaSimBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc: Optional[CSCMatrix] = None,
     ) -> SparseVector:
         self._ensure_resident(a)
         self._ensure_resident(u)
         out_t = semiring.result_type(a.type, u.type)
-        d = choose_direction(
-            a,
-            u,
-            mask,
-            desc,
-            direction,
-            csc is not None,
-            push_indptr=csc.indptr if csc is not None else None,
-            pull_indptr=a.indptr,
-        )
-        if d == "push":
+        if choose_direction(a, u, mask, desc, direction, False) == "push":
             if mask is not None:
                 # The push kernel probes the mask bitmap in-kernel; it must
                 # be on the device (gbsan residency gap: the upload was
                 # never charged before).
                 self._ensure_resident(mask)
-            tcsr = self._transposed_operand(a, csc)
+            tcsr = self._transposed_operand(a)
             cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
             out = launch(
                 laned(SPMSV_PUSH, kernels.push_lane(tcsr, u), "scalar"),
@@ -266,22 +234,11 @@ class CudaSimBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc: Optional[CSCMatrix] = None,
     ) -> SparseVector:
         self._ensure_resident(a)
         self._ensure_resident(u)
         out_t = semiring.result_type(u.type, a.type)
-        d = choose_direction(
-            a,
-            u,
-            mask,
-            desc,
-            direction,
-            True,
-            push_indptr=a.indptr,
-            pull_indptr=csc.indptr if csc is not None else None,
-        )
-        if d == "push":
+        if choose_direction(a, u, mask, desc, direction, True) == "push":
             if mask is not None:
                 # Same in-kernel mask probe as mxv's push path.
                 self._ensure_resident(mask)
@@ -292,7 +249,7 @@ class CudaSimBackend(Backend):
                 device=self._dev(),
             )
         else:
-            tcsr = self._transposed_operand(a, csc)
+            tcsr = self._transposed_operand(a)
             rows = mask_pull_rows(mask, desc, a.ncols)
             nrows = tcsr.nrows if rows is None else len(rows)
             cfg = LaunchConfig.cover(max(nrows, 1) * 32)
@@ -433,23 +390,12 @@ class CudaSimBackend(Backend):
         semiring: Semiring,
         desc: Descriptor,
         direction: str = "auto",
-        csc: Optional[CSCMatrix] = None,
     ):
         """Level assign + masked SpMSpV + frontier merge as ONE launch."""
         self._ensure_resident(a)
         self._ensure_resident(frontier)
         self._ensure_resident(levels)
-        d = choose_direction(
-            a,
-            frontier,
-            levels,
-            desc,
-            direction,
-            True,
-            push_indptr=a.indptr,
-            pull_indptr=csc.indptr if csc is not None else None,
-        )
-        if d == "push":
+        if choose_direction(a, frontier, levels, desc, direction, True) == "push":
             cfg = LaunchConfig.cover(max(frontier.nvals, 1) * 32)
             out = launch(
                 laned(SPMV_PUSH_FUSED, kernels.push_lane(a, frontier), "scalar"),
@@ -457,7 +403,7 @@ class CudaSimBackend(Backend):
                 device=self._dev(),
             )
         else:
-            tcsr = self._transposed_operand(a, csc)
+            tcsr = self._transposed_operand(a)
             cfg = LaunchConfig.cover(max(tcsr.nrows, 1) * 32)
             out = launch(
                 laned(SPMV_PULL_FUSED, kernels.pull_lane(tcsr), "vector"),

@@ -17,7 +17,7 @@ CUSP:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -25,19 +25,13 @@ from ...containers.bitmap import locate
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.monoid import Monoid
-from ...core.operators import BinaryOp, UnaryOp
-from ...core.semiring import Semiring
 from ...gpu import loadbalance
 from ...gpu.costmodel import KernelWork
 from ...gpu.kernel import Kernel
 from ...sanitizer.access import Access
-from ...gpu.simt import (
-    COALESCING,
-    divergence_thread_per_row,
-    divergence_warp_per_row,
-)
+from ...gpu.simt import COALESCING, divergence_warp_per_row
 from ...core.descriptor import DEFAULT
-from ...types import GrBType, promote
+from ...types import GrBType
 from ..cpu.ewise import ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec
 from ..cpu.reduce_apply import apply_mat, apply_vec, reduce_mat_vector
 from ..cpu.spgemm import spgemm_esr

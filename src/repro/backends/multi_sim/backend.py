@@ -69,7 +69,6 @@ from ...distributed.topology import DGX_NVLINK, Topology
 from ...exceptions import InvalidValueError
 from ...gpu.device import Device, DeviceProperties, K40
 from ...gpu.kernel import LaunchConfig, charge_transfer, launch
-from ...policy import current
 from ...sanitizer import runtime as _gbsan
 from ..base import Backend
 from ..cpu.ewise import ewise_add_vec
@@ -355,8 +354,7 @@ class MultiSimBackend(Backend):
         self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
         for ex, shard in zip(self._cluster.executors, part.shards):
             ex._mark_resident(shard)
-        if current().aux_cache:
-            self._tparts[id(a)] = (a, a.version, part)
+        self._tparts[id(a)] = (a, a.version, part)
         return part
 
     def _launch_uncaptured(self, kernel, cfg, *args, p: int):
@@ -412,7 +410,7 @@ class MultiSimBackend(Backend):
         return not out_t.is_floating
 
     def _product(
-        self, a, u, semiring, flip, mask, desc, direction, csc, probe
+        self, a, u, semiring, flip, mask, desc, direction, probe
     ) -> SparseVector:
         """The push/pull router behind mxv, vxm and frontier_step.
 
@@ -422,23 +420,11 @@ class MultiSimBackend(Backend):
         single-device backend.  vxm pushes over A's row shards and pulls
         over Aᵀ's; mxv the reverse.
         """
-        t_indptr = csc.indptr if csc is not None else None
         if flip:
             out_t = semiring.result_type(u.type, a.type)
-            push_indptr, pull_indptr = a.indptr, t_indptr
         else:
             out_t = semiring.result_type(a.type, u.type)
-            push_indptr, pull_indptr = t_indptr, a.indptr
-        d = choose_direction(
-            a,
-            u,
-            probe,
-            desc,
-            direction,
-            flip or csc is not None,
-            push_indptr=push_indptr,
-            pull_indptr=pull_indptr,
-        )
+        d = choose_direction(a, u, probe, desc, direction, flip)
         if d == "push" and not self._exact_add(semiring, out_t):
             d = "pull"
         if mask is not None:
@@ -543,9 +529,8 @@ class MultiSimBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc=None,
     ) -> SparseVector:
-        out = self._product(a, u, semiring, False, mask, desc, direction, csc, mask)
+        out = self._product(a, u, semiring, False, mask, desc, direction, mask)
         self._mark_sliced(out)
         return out
 
@@ -558,9 +543,8 @@ class MultiSimBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc=None,
     ) -> SparseVector:
-        out = self._product(a, u, semiring, True, mask, desc, direction, csc, mask)
+        out = self._product(a, u, semiring, True, mask, desc, direction, mask)
         self._mark_sliced(out)
         return out
 
@@ -729,7 +713,6 @@ class MultiSimBackend(Backend):
         semiring: Semiring,
         desc: Descriptor,
         direction: str = "auto",
-        csc=None,
     ):
         from ...core.accumulate import merge_vector
 
@@ -744,7 +727,7 @@ class MultiSimBackend(Backend):
         # direction is chosen against the pre-step visited set, exactly as
         # the single-device fused kernel chooses it.
         t = self._product(
-            a, frontier, semiring, True, new_levels, desc, direction, csc, levels
+            a, frontier, semiring, True, new_levels, desc, direction, levels
         )
         new_frontier = merge_vector(frontier, t, new_levels, None, desc)
         return new_levels, new_frontier

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
@@ -51,7 +49,6 @@ class ReferenceBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc=None,
     ) -> SparseVector:
         out_t = semiring.result_type(a.type, u.type)
         t = spmv_dict(mat_to_dict(a), vec_to_dict(u), semiring, out_t)
@@ -65,7 +62,6 @@ class ReferenceBackend(Backend):
         mask: Optional[SparseVector] = None,
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
-        csc=None,
     ) -> SparseVector:
         # Column picture without materialising Aᵀ: scatter u[k]·A[k, :].
         out_t = semiring.result_type(u.type, a.type)

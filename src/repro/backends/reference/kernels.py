@@ -9,11 +9,10 @@ baseline" series measures them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Dict
 
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
-from ...core.monoid import Monoid
 from ...core.operators import BinaryOp
 from ...core.semiring import Semiring
 from ...types import GrBType

@@ -8,7 +8,7 @@ matching absolute numbers from 2016 hardware.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = ["format_table", "format_series", "ascii_chart", "speedup", "check_ordering"]
 

@@ -9,7 +9,7 @@ must not pollute kernel timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ..core.matrix import Matrix
 from ..core.vector import Vector

@@ -93,15 +93,11 @@ class COO:
                 f"({self.rows.size}, {self.cols.size}, {self.vals.size})"
             )
         if self.rows.size:
-            if self.rows.min(initial=0) < 0 or (
-                self.nrows and self.rows.max(initial=-1) >= self.nrows
-            ):
+            if self.rows.min() < 0 or self.rows.max() >= self.nrows:
                 raise IndexOutOfBoundsError(
                     f"row index outside [0, {self.nrows})"
                 )
-            if self.cols.min(initial=0) < 0 or (
-                self.ncols and self.cols.max(initial=-1) >= self.ncols
-            ):
+            if self.cols.min() < 0 or self.cols.max() >= self.ncols:
                 raise IndexOutOfBoundsError(
                     f"column index outside [0, {self.ncols})"
                 )

@@ -1,11 +1,11 @@
 """CSC (compressed sparse column) view.
 
-Pull-direction kernels (e.g. the pull variant of masked SpMV that Fig. 5's
-ablation measures) need fast access to *columns* of A, i.e. rows of Aᵀ.
-:class:`CSCMatrix` is a lightweight wrapper holding the CSR of the transpose
-together with the logical (untransposed) shape, so kernels can iterate
-columns of A without re-transposing per call.  Frontends cache one per
-matrix and invalidate on mutation.
+Column access to A means row access to Aᵀ.  :class:`CSCMatrix` is a
+lightweight wrapper holding the CSR of the transpose together with the
+logical (untransposed) shape, so callers can iterate columns of A.  It
+caches nothing itself: :meth:`from_csr` (and ``Matrix.csc()``) wrap the
+container's version-stamped memo, :meth:`CSRMatrix.cached_transpose`,
+which is the only place Aᵀ is kept.
 """
 
 from __future__ import annotations

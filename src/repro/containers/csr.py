@@ -16,7 +16,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..exceptions import IndexOutOfBoundsError, InvalidObjectError, InvalidValueError
-from ..policy import current
 from ..types import GrBType, from_dtype
 from .coo import COO
 
@@ -96,8 +95,7 @@ class CSRMatrix:
         Set by the producer that guarantees it (undirected generator
         output) and carried by :meth:`copy` and :meth:`astype`.  The flag
         lives in ``_aux``, so every mutation (:meth:`bump_version`, hence
-        :meth:`install_arrays`) clears it.  It is a property of the data,
-        not a cache: ``policy(aux_cache=False)`` does not hide it.
+        :meth:`install_arrays`) clears it.
         """
         return bool(self._aux.get("symmetric"))
 
@@ -107,8 +105,6 @@ class CSRMatrix:
         return self
 
     def _cached(self, key: str, build):
-        if not current().aux_cache:
-            return build()
         hit = self._aux.get(key)
         if hit is None:
             hit = build()
@@ -302,11 +298,12 @@ class CSRMatrix:
     def cached_transpose(self) -> "CSRMatrix":
         """Memoised :meth:`transpose`, invalidated by :meth:`bump_version`.
 
-        Pull-mode SpMV, CSC views, and default vxm routing all need the
-        transpose; caching it here means one counting sort per matrix
-        *version* instead of one per call.  A :attr:`symmetric` matrix is
-        its own transpose: row j of A holds exactly row j of Aᵀ, so it is
-        returned as is and nothing is built.
+        The one home of Aᵀ: push mxv, pull vxm, CSC views and descriptor
+        transposes all read it, so there is one counting sort per matrix
+        *version* instead of one per call, and a mutation (which bumps the
+        version) can leave no stale copy behind.  A :attr:`symmetric`
+        matrix is its own transpose: row j of A holds exactly row j of Aᵀ,
+        so it is returned as is and nothing is built.
         """
         if self.symmetric:
             return self

@@ -13,7 +13,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..exceptions import IndexOutOfBoundsError, InvalidObjectError, InvalidValueError
-from ..policy import current
 from ..types import GrBType, from_dtype
 from ..core.operators import BinaryOp
 
@@ -52,8 +51,6 @@ class SparseVector:
         return self._version
 
     def _cached(self, key: str, build):
-        if not current().aux_cache:
-            return build()
         hit = self._aux.get(key)
         if hit is None:
             hit = build()

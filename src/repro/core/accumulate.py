@@ -33,7 +33,7 @@ from ..containers.bitmap import union_merge
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
 from ..policy import current
-from ..types import GrBType, promote
+from ..types import GrBType
 from .descriptor import DEFAULT, Descriptor
 from .mask import check_mask_shape, matrix_mask_at, vector_mask_at
 from .operators import BinaryOp

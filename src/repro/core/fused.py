@@ -110,7 +110,6 @@ def frontier_step(
     _require(frontier.size == g.nrows, "frontier size", g.nrows, frontier.size)
     _require(levels.size == g.nrows, "levels size", g.nrows, levels.size)
     be = current_backend()
-    csc = g.csc()
 
     def run(inp, params):
         return be.frontier_step(
@@ -121,7 +120,6 @@ def frontier_step(
             semiring,
             desc,
             params["direction"],
-            csc,
         )
 
     _lz.emit(

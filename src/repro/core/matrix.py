@@ -1,9 +1,9 @@
 """The frontend Matrix object.
 
-A typed handle over a :class:`~repro.containers.csr.CSRMatrix` with a cached
-column (CSC) view.  The cache powers the push/pull direction optimization
-and descriptor transposes without repeated O(nnz) work; any mutation
-invalidates it.  Compute goes through :mod:`repro.core.operations`.
+A typed handle over a :class:`~repro.containers.csr.CSRMatrix`.  The handle
+caches nothing: Aᵀ lives in the container's version-stamped memo
+(:meth:`~repro.containers.csr.CSRMatrix.cached_transpose`), which every
+mutation drops.  Compute goes through :mod:`repro.core.operations`.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ __all__ = ["Matrix"]
 class Matrix:
     """A sparse GraphBLAS matrix of fixed shape and domain."""
 
-    __slots__ = ("_container", "_csc")
+    __slots__ = ("_container",)
 
     def __init__(self, container: CSRMatrix):
         self._container = container
-        self._csc: Optional[CSCMatrix] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -106,10 +105,8 @@ class Matrix:
         return self._container
 
     def csc(self) -> CSCMatrix:
-        """Cached column view (built lazily, invalidated by mutation)."""
-        if self._csc is None:
-            self._csc = CSCMatrix.from_csr(self._container)
-        return self._csc
+        """Column view over the container's memoised transpose."""
+        return CSCMatrix.from_csr(self._container)
 
     @property
     def nrows(self) -> int:
@@ -151,9 +148,6 @@ class Matrix:
     # Mutation
     # ------------------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._csc = None
-
     def _settle(self) -> None:
         """Barrier before mutation: recorded lazy ops may read us."""
         from ..lazy import schedule
@@ -175,7 +169,6 @@ class Matrix:
         c = np.asarray(list(cols) if not isinstance(cols, np.ndarray) else cols, dtype=np.int64)
         v = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
         self._container = build_matrix(self.nrows, self.ncols, r, c, v, self.type, dup)
-        self._invalidate()
         return self
 
     def set_element(self, i: int, j: int, value: Any) -> "Matrix":
@@ -195,7 +188,6 @@ class Matrix:
             # auxiliary structures and device-resident copies must be
             # invalidated through the mutation counter (dirty bit).
             m.bump_version()
-            self._invalidate()
             return self
         indptr = m.indptr.copy()
         indptr[i + 1 :] += 1
@@ -207,7 +199,6 @@ class Matrix:
             np.insert(m.values, k, value),
             m.type,
         )
-        self._invalidate()
         return self
 
     def remove_element(self, i: int, j: int) -> "Matrix":
@@ -231,14 +222,12 @@ class Matrix:
                 np.delete(m.values, k),
                 m.type,
             )
-            self._invalidate()
-        return self
+            return self
 
     def clear(self) -> "Matrix":
         """Drop all stored entries, keeping shape and domain."""
         self._settle()
         self._container = CSRMatrix.empty(self.nrows, self.ncols, self.type)
-        self._invalidate()
         return self
 
     def _replace(self, container: CSRMatrix) -> "Matrix":
@@ -248,7 +237,6 @@ class Matrix:
                 "replacement container", expected=self.shape, actual=container.shape
             )
         self._container = container
-        self._invalidate()
         return self
 
     # ------------------------------------------------------------------

@@ -26,14 +26,12 @@ code minus the tape.  Matrix-valued operations stay eager.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
 from ..backends.dispatch import current_backend
-from ..containers.csc import CSCMatrix
 from ..containers.csr import CSRMatrix
-from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError, DomainMismatchError, InvalidValueError
 from ..lazy import schedule as _lz
 from ..types import BOOL, GrBType
@@ -71,16 +69,8 @@ __all__ = [
 
 
 def _mat_input(a: Matrix, transposed: bool) -> CSRMatrix:
-    """A's container, honouring a descriptor transpose via the CSC cache."""
-    return a.csc().tcsr if transposed else a.container
-
-
-def _csc_hint(a: Matrix, transposed: bool) -> CSCMatrix:
-    """Column view of the (possibly transposed) input, free of extra work."""
-    if transposed:
-        # Columns of Aᵀ are rows of A: wrap the original CSR directly.
-        return CSCMatrix(a.container)
-    return a.csc()
+    """A's container, honouring a descriptor transpose via the container memo."""
+    return a.container.cached_transpose() if transposed else a.container
 
 
 def _mask_cont(mask):
@@ -178,12 +168,11 @@ def mxv(
     _check_mask_v(mask, w.size)
     be = current_backend()
     cdesc = _clean(desc)
-    csc = _csc_hint(a, desc.transpose_a)
 
     def run(inp, params):
         t = be.mxv(
             inp["a"], inp["u"], semiring, inp.get("mask"), cdesc,
-            params["direction"], csc=csc,
+            params["direction"],
         )
         return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
 
@@ -218,12 +207,11 @@ def vxm(
     _check_mask_v(mask, w.size)
     be = current_backend()
     cdesc = _clean(desc)
-    csc = _csc_hint(a, desc.transpose_a)
 
     def run(inp, params):
         t = be.vxm(
             inp["u"], inp["a"], semiring, inp.get("mask"), cdesc,
-            params["direction"], csc=csc,
+            params["direction"],
         )
         return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
 
@@ -540,8 +528,9 @@ def transpose(
     # desc.transpose_a composes: transpose of the transpose is A.
     if desc.transpose_a:
         ac = a.container
-    elif a._csc is not None or a.container._aux.get("tcsr") is not None:
-        ac = a.csc().tcsr  # already materialised: reuse, no backend work
+    elif a.container._aux.get("tcsr") is not None:
+        # Already materialised: reuse the memo, no backend work.
+        ac = a.container.cached_transpose()
     else:
         ac = current_backend().transpose(a.container)
     _require(c.shape == ac.shape, "output shape", ac.shape, c.shape)
@@ -653,7 +642,7 @@ def extract_col(
     if desc.transpose_a:
         src = a.container
     else:
-        src = a.csc().tcsr  # rows of the CSC view are columns of A
+        src = a.container.cached_transpose()  # rows of Aᵀ are columns of A
     from ..containers.convert import matrix_row_as_vector
 
     col = matrix_row_as_vector(src, j)

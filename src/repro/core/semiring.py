@@ -25,7 +25,6 @@ from .monoid import (
     MIN_MONOID,
     Monoid,
     PLUS_MONOID,
-    TIMES_MONOID,
 )
 from .operators import (
     BinaryOp,

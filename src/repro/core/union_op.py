@@ -30,7 +30,6 @@ from ..exceptions import DimensionMismatchError
 from ..types import promote
 from .accumulate import merge_matrix, merge_vector
 from .descriptor import DEFAULT, Descriptor
-from .matrix import Matrix
 from .operators import BinaryOp
 from .vector import Vector
 

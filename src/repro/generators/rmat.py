@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.matrix import Matrix
-from ..core.operators import FIRST, PLUS
 from ..exceptions import InvalidValueError
 from ..types import FP64, GrBType
 from .common import finalize_edges

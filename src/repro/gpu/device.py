@@ -13,7 +13,7 @@ simulated clock; kernels advance the clock by their modeled duration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .costmodel import CostModel

@@ -21,7 +21,7 @@ would observe.  The pool only changes *accounting*; capacity semantics
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 

@@ -7,7 +7,6 @@ bit-exactly for integer/pattern and to full float precision for real.
 
 from __future__ import annotations
 
-import io as _io
 from pathlib import Path
 from typing import Optional, TextIO, Union
 

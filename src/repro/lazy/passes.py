@@ -21,7 +21,7 @@ and materializations change.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..core.accumulate import merge_vector
 from .ir import LazyValue, Node

@@ -45,7 +45,6 @@ class Policy:
     - ``lanes`` — ``auto`` bins rows per launch, a lane name forces that
       lane, ``off`` keeps each kernel's native lane
       (:mod:`repro.gpu.loadbalance`);
-    - ``aux_cache`` — version-stamped transpose/degree memos on containers;
     - ``elision`` — identity-preserving trivial merges and device-resident
       results, so clean containers skip repeated H2D uploads.
     """
@@ -57,7 +56,6 @@ class Policy:
     direction: bool = True
     capture: bool = True
     lanes: str = "auto"
-    aux_cache: bool = True
     elision: bool = True
 
     def __post_init__(self) -> None:
@@ -120,9 +118,9 @@ def policy(**overrides: Any) -> Iterator[Policy]:
             _CURRENT = prev
 
 
-#: The ``noreuse`` spec suffix: the pre-reuse baseline, with the reuse
-#: layer and loop capture off.
-_NOREUSE = {"aux_cache": False, "elision": False, "capture": False}
+#: The ``noreuse`` spec suffix: transfer elision and loop capture off.  The
+#: containers' version-stamped memos (Aᵀ, degrees) have no switch.
+_NOREUSE = {"elision": False, "capture": False}
 
 
 def parse_suffixes(suffixes: Iterable[str]) -> Dict[str, Any]:

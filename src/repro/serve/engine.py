@@ -39,7 +39,7 @@ from ..algorithms.triangles import triangles_per_vertex
 from ..backends.dispatch import get_backend, use_backend
 from ..core.matrix import Matrix
 from ..exceptions import InvalidValueError
-from .queries import FeatureQuery, KHopQuery, PprQuery, Query, QueryResult
+from .queries import KHopQuery, Query, QueryResult
 
 __all__ = ["GraphHandle", "ExecutionEngine"]
 

@@ -26,7 +26,7 @@ and decide between frontier seeding and full recompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -221,7 +221,6 @@ class DynamicGraph:
         m = self._matrix
         m._settle()  # recorded lazy ops may still read the old arrays
         current_backend().compact(m.container, self._overlay)
-        m._invalidate()
         self._overlay.clear()
         self.stats.compactions += 1
         return True

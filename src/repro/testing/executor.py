@@ -11,8 +11,9 @@ A *backend spec* is a string naming one execution configuration:
 Suffixes, in any order, set fields of the optimisation policy
 (:mod:`repro.policy`, which owns their parse) for the run:
 
-- ``noreuse`` — aux caches, transfer elision and loop capture all off (the
-  pre-reuse baseline);
+- ``noreuse`` — transfer elision and loop capture off, so every op
+  uploads its operands and launches on its own (the containers'
+  version-stamped memos of Aᵀ and degrees have no switch and stay on);
 - ``lanes=<mode>`` — the load-balancing lane policy pinned to ``mode`` (a
   lane name, ``auto``, or ``off``), e.g. ``"cuda_sim:lanes=merge"``;
 - ``lazy=<mode>`` — the lazy evaluation mode; both simulated backends

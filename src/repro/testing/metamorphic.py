@@ -45,7 +45,7 @@ from ..core.vector import Vector
 from ..types import FP64
 from .equivalence import same
 from .executor import execute
-from .programs import Program, annotate_exactness, build_env, build_graph, generate_program
+from .programs import Program, annotate_exactness, build_env, generate_program
 
 __all__ = [
     "check_permutation_equivariance",

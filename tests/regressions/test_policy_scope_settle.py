@@ -50,7 +50,7 @@ def _reuse_run(lazy):
     with policy(lazy=lazy), use_backend("cuda_sim"):
         w1 = gb.Vector.sparse(gb.FP64, g.nrows)
         w2 = gb.Vector.sparse(gb.FP64, g.nrows)
-        with policy(aux_cache=False, elision=False):
+        with policy(elision=False):
             ops.mxv(w1, g, u, PLUS_TIMES, direction="pull")
             ops.mxv(w2, g, w1, PLUS_TIMES, direction="pull")
         return w2.to_lists(), get_device().allocator.stats.h2d_elided_bytes

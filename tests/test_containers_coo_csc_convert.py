@@ -7,6 +7,7 @@ from repro.containers import convert
 from repro.containers.coo import COO, dedupe_triplets
 from repro.containers.csc import CSCMatrix
 from repro.containers.csr import CSRMatrix
+from repro.core.matrix import Matrix
 from repro.core.operators import MIN, PLUS, SECOND
 from repro.exceptions import IndexOutOfBoundsError, InvalidValueError
 from repro.types import FP64
@@ -22,6 +23,13 @@ class TestCOO:
             COO(2, 2, [2], [0], [1.0])
         with pytest.raises(IndexOutOfBoundsError):
             COO(2, 2, [0], [-1], [1.0])
+        # A zero-length dimension has no valid index: a 2×0 matrix holding
+        # column 5 or a 0×3 one holding row 0 would be an invalid CSR.
+        with pytest.raises(IndexOutOfBoundsError):
+            Matrix.from_lists([0], [5], [1.0], 2, 0, FP64)
+        with pytest.raises(IndexOutOfBoundsError):
+            Matrix.from_lists([0], [0], [1.0], 0, 3, FP64)
+        assert Matrix.from_lists([], [], [], 0, 3, FP64).shape == (0, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidValueError):

@@ -9,6 +9,7 @@ from repro.backends.cpu.spmv import (
     mask_row_candidates,
     take_ranges,
 )
+from repro.containers.coo import COO
 from repro.containers.csr import CSRMatrix
 from repro.containers.sparsevec import SparseVector
 from repro.core.descriptor import DEFAULT, Descriptor
@@ -145,17 +146,35 @@ class TestChooseDirection:
 
     def test_explicit_passthrough(self, a):
         u = SparseVector.empty(100, FP64)
-        assert choose_direction(a, u, None, DEFAULT, "push", True) == "push"
-        assert choose_direction(a, u, None, DEFAULT, "pull", False) == "pull"
+        assert choose_direction(a, u, None, DEFAULT, "push", flip=True) == "push"
+        assert choose_direction(a, u, None, DEFAULT, "pull", flip=False) == "pull"
 
     def test_auto_small_frontier_pushes(self, a):
         u = SparseVector(100, [5], [1.0], FP64)
-        assert choose_direction(a, u, None, DEFAULT, "auto", True) == "push"
+        assert choose_direction(a, u, None, DEFAULT, "auto", flip=True) == "push"
 
     def test_auto_dense_frontier_pulls(self, a):
         u = SparseVector.full(100, 1.0, FP64)
-        assert choose_direction(a, u, None, DEFAULT, "auto", True) == "pull"
+        assert choose_direction(a, u, None, DEFAULT, "auto", flip=True) == "pull"
 
-    def test_auto_without_csc_never_pushes(self, a):
-        u = SparseVector(100, [5], [1.0], FP64)
-        assert choose_direction(a, u, None, DEFAULT, "auto", False) == "pull"
+    def test_directed_out_star_prices_the_right_degrees(self):
+        # Out-star: hub 0 -> every leaf.  Row degrees are (n-1, 0, ..., 0),
+        # in-degrees (0, 1, ..., 1), so swapping the two vectors flips
+        # every decision below.  mxv (flip=False) pushes over Aᵀ and pulls
+        # rows of A; vxm (flip=True) pushes over A and pulls rows of Aᵀ.
+        n = 16
+        a = CSRMatrix.from_coo(
+            COO(n, n, np.zeros(n - 1, np.int64), np.arange(1, n), np.ones(n - 1))
+        )
+        hub = SparseVector(n, [0], [1.0], FP64)
+        leaf = SparseVector(n, [5], [1.0], FP64)
+        leaves = SparseVector(n, np.arange(1, n), np.ones(n - 1, bool), None)
+        # Unmasked hub frontier: pull costs nnz = n-1.  In mxv the hub has
+        # in-degree 0, so push is free; in vxm it expands n-1 edges (×2).
+        assert choose_direction(a, hub, None, DEFAULT, "auto", flip=False) == "push"
+        assert choose_direction(a, hub, None, DEFAULT, "auto", flip=True) == "pull"
+        # Leaf frontier, mask = the leaves.  mxv: push 2·in_deg(5) = 2 vs
+        # pull Σ row_deg(leaves) = 0; vxm: push 2·row_deg(5) = 0 vs pull
+        # Σ in_deg(leaves) = n-1.
+        assert choose_direction(a, leaf, leaves, DEFAULT, "auto", flip=False) == "pull"
+        assert choose_direction(a, leaf, leaves, DEFAULT, "auto", flip=True) == "push"

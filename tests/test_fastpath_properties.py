@@ -324,7 +324,6 @@ class TestDirectionAndFusion:
             n,
             BOOL,
         ).container
-        csc = g  # symmetric pattern; degrees match
         hub = gb.Vector.from_lists(
             np.array([0], dtype=np.int64), np.array([True]), n, BOOL
         ).container
@@ -332,14 +331,8 @@ class TestDirectionAndFusion:
             np.array([5], dtype=np.int64), np.array([True]), n, BOOL
         ).container
         # Exact costs: hub frontier sums deg 63, leaf frontier deg 1.
-        d_hub = choose_direction(
-            g, hub, None, DEFAULT, "auto", True,
-            push_indptr=csc.indptr, pull_indptr=g.indptr,
-        )
-        d_leaf = choose_direction(
-            g, leaf, None, DEFAULT, "auto", True,
-            push_indptr=csc.indptr, pull_indptr=g.indptr,
-        )
+        d_hub = choose_direction(g, hub, None, DEFAULT, "auto", flip=True)
+        d_leaf = choose_direction(g, leaf, None, DEFAULT, "auto", flip=True)
         assert d_leaf == "push"
         # The hub's exact push cost (2 * 63) exceeds the pull cost of
         # scanning all rows' nnz (126) only via the exact sum — both are

@@ -384,6 +384,59 @@ class TestDirectives:
 
 
 # ---------------------------------------------------------------------------
+# unused-import (syntactic)
+# ---------------------------------------------------------------------------
+
+
+class TestUnusedImport:
+    def test_planted_unused_imports_flagged(self):
+        rep = analyze_sources(
+            {
+                "core/x.py": (
+                    "from __future__ import annotations\n"
+                    "import os.path\n"
+                    "import numpy as np\n"
+                    "from typing import Optional, Tuple\n"
+                    "from .csc import CSCMatrix as View\n"
+                    "def f(x: Optional[int]):\n"
+                    "    return x\n"
+                )
+            }
+        )
+        found = sorted(
+            (f.line, f.message.split("'")[1]) for f in _rules(rep, "unused-import")
+        )
+        assert found == [(2, "os"), (3, "np"), (4, "Tuple"), (5, "View")]
+
+    def test_reads_annotations_all_and_exemptions_clean(self):
+        body = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import TYPE_CHECKING, Optional\n"
+            "from .csr import CSRMatrix, flat_keys\n"
+            "if TYPE_CHECKING:\n"
+            "    from .csc import CSCMatrix\n"
+            "try:\n"
+            "    from .fast import kernel\n"
+            "except ImportError:\n"
+            "    kernel = None\n"
+            "__all__ = ['flat_keys']\n"
+            "def f(a: 'CSCMatrix', b: Optional['CSRMatrix']) -> None:\n"
+            "    return os.path.join(kernel)\n"
+        )
+        init = "import numpy as np\n"  # a package's imports are its surface
+        rep = analyze_sources({"core/x.py": body, "core/__init__.py": init})
+        assert _rules(rep, "unused-import") == []
+
+    def test_suppressible_with_reasoned_directive(self):
+        src = (
+            "import numpy as np  # gbsan: ok(unused-import) -- "
+            "imported for its registration side effect\n"
+        )
+        assert analyze_sources({"core/x.py": src}).findings == []
+
+
+# ---------------------------------------------------------------------------
 # Tree-wide acceptance
 # ---------------------------------------------------------------------------
 

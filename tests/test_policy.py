@@ -114,12 +114,12 @@ class TestSpecs:
         a = parse_suffixes(["noreuse", "lazy=off", "lanes=merge"])
         b = parse_suffixes(["lanes=merge", "lazy=off", "noreuse"])
         assert a == b == {
-            "aux_cache": False, "elision": False, "capture": False,
+            "elision": False, "capture": False,
             "lazy": "off", "lanes": "merge",
         }
         for spec in ("cuda_sim:noreuse:lazy=off", "cuda_sim:lazy=off:noreuse"):
             with backend_session(spec):
-                assert (current().lazy, current().aux_cache) == ("off", False)
+                assert (current().lazy, current().elision) == ("off", False)
 
 
 def _import_with_env(value):

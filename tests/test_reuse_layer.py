@@ -9,8 +9,9 @@ Covers the PR's tentpole pieces end to end:
 - host→device transfer elision via per-container residency dirty bits;
 - lazy loop capture/replay and its launch-overhead amortisation;
 - the acceptance comparison: PageRank with the reuse layer vs the same code
-  with every reuse feature disabled (the PR 1 cost model), bit-identical
-  results with far fewer charged launches and uploaded bytes.
+  with transfer elision and loop capture off (the ``noreuse`` policy; the
+  version-stamped memos have no switch), bit-identical results with far
+  fewer charged launches and uploaded bytes.
 """
 
 import numpy as np
@@ -120,11 +121,6 @@ class TestAuxCache:
         m2 = c.present_mask()
         np.testing.assert_array_equal(m1, m2)  # structure unchanged
         assert c.version >= 1
-
-    def test_disabled_cache_rebuilds_every_call(self):
-        m = CSRMatrix.from_dense(np.ones((3, 3)))
-        with policy(aux_cache=False, elision=False):
-            assert m.cached_transpose() is not m.cached_transpose()
 
 
 class TestTransposeOncePerVersion:
@@ -267,7 +263,7 @@ class TestTransferElision:
 
     def test_disabled_elision_restores_seed_traffic(self):
         a, u = _inputs()
-        with policy(aux_cache=False, elision=False):
+        with policy(elision=False):
             with use_backend("cuda_sim"):
                 w = gb.Vector.sparse(gb.FP64, 64)
                 ops.mxv(w, a, u, PLUS_TIMES)
@@ -388,7 +384,7 @@ class TestBackendIdentity:
             get_backend("cuda_sim").evict_all()
             reset_device()
             if label == "off":
-                with policy(aux_cache=False, elision=False):
+                with policy(elision=False):
                     with use_backend("cuda_sim"):
                         results[label] = gb.algorithms.bfs_levels(g, 0).to_lists()
             else:
@@ -411,7 +407,7 @@ class TestBackendIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: PageRank vs the PR 1 cost model
+# Acceptance: PageRank vs the noreuse policy
 # ---------------------------------------------------------------------------
 
 
@@ -428,7 +424,7 @@ class TestPageRankAcceptance:
             return r, dev.profiler.launch_count, dev.profiler.h2d_bytes
 
         r_new, launches_new, h2d_new = run()
-        with policy(aux_cache=False, elision=False, capture=False):
+        with policy(elision=False, capture=False):
             r_old, launches_old, h2d_old = run()
         assert r_new.to_lists() == r_old.to_lists()  # bit-identical
         assert launches_old >= 5 * launches_new, (launches_old, launches_new)
@@ -445,7 +441,7 @@ class TestPageRankAcceptance:
             return levels, get_device().profiler.replay_count
 
         levels_new, replays = run()
-        with policy(aux_cache=False, elision=False, capture=False):
+        with policy(elision=False, capture=False):
             levels_old, replays_off = run()
         assert levels_new.to_lists() == levels_old.to_lists()
         assert replays > 0 and replays_off == 0

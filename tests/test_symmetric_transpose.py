@@ -77,15 +77,6 @@ def test_directed_generator_output_gets_a_real_transpose(name):
     _assert_is_transpose(t, a)
 
 
-def test_holds_without_the_aux_cache():
-    a = generators.rmat(6, 4, seed=2).container
-    builds = CSRMatrix.transpose_builds
-    with policy(aux_cache=False):
-        assert a.symmetric
-        assert a.cached_transpose() is a
-    assert CSRMatrix.transpose_builds == builds
-
-
 class TestPropagation:
     def test_copy_and_astype_keep_it(self):
         g = generators.rmat(6, 4, seed=3, weighted=True)
