@@ -8,6 +8,8 @@
     Rule 1b: a launch of a kernel with no declared accesses (the
     ``_no_declared_access`` idiom) must declare its operands at the launch
     site via ``san_reads=``/``san_writes=`` when any operand is a container.
+    A launch site is a bare ``launch(kernel, cfg, ...)`` call or a method
+    call ``<obj>._launch(kernel, cfg, ...)`` (cuda_sim's launch wrapper).
 
 ``version-bump-missing``
     Rule 2: a store into container payload must reach ``bump_version``/
@@ -310,6 +312,18 @@ def _is_container_operand(arg: ast.expr, s: FunctionSummary) -> bool:
     return False
 
 
+def _is_launch_call(node: ast.AST) -> bool:
+    """``launch(K, ...)`` or ``<obj>._launch(K, ...)`` with a named kernel."""
+    if not (
+        isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+    ):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Name) and f.id == "launch") or (
+        isinstance(f, ast.Attribute) and f.attr == "_launch"
+    )
+
+
 def check_launch_sites(
     program: Program, summaries: Dict[SummaryKey, FunctionSummary]
 ) -> List[Finding]:
@@ -320,13 +334,7 @@ def check_launch_sites(
         for qualname, fn in mod.functions.items():
             s = summaries[(mod.relpath, qualname)]
             for node in ast.walk(fn):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "launch"
-                    and node.args
-                    and isinstance(node.args[0], ast.Name)
-                ):
+                if not _is_launch_call(node):
                     continue
                 resolved_k = program.resolve_kernel(mod, node.args[0].id)
                 if resolved_k is None:

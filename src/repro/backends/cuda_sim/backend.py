@@ -8,7 +8,10 @@ GBTL-CUDA's backend orchestrated CUSP kernels:
   pay the PCIe cost once — as a real GPU graph library keeps the graph on
   the device across BFS iterations;
 - results are **created device-resident** (no download charged; use
-  :meth:`CudaSimBackend.download` to model an explicit copy-out);
+  :meth:`CudaSimBackend.download` to model an explicit copy-out).  The rule
+  is stated once, in :meth:`CudaSimBackend._launch`: every container a
+  launch returns is marked clean in the resident set, so no operation
+  marks its own result;
 - each operation is one or more kernel launches whose modeled times
   accumulate on the device clock; benchmarks read
   ``get_device().profiler`` for the simulated GPU series.
@@ -114,8 +117,18 @@ class CudaSimBackend(Backend):
         """Charge an H2D upload unless the container is clean on-device."""
         self._resident.ensure(container)
 
-    def _mark_resident(self, container) -> None:
-        self._resident.mark(container)
+    def _launch(self, kernel, cfg, *args, **kw):
+        """Launch on this backend's device; what the launch returns is born there.
+
+        Every container in the result (each element of a returned tuple
+        too) is marked clean in the resident set, so the next kernel that
+        reads it elides the upload.
+        """
+        out = launch(kernel, cfg, *args, device=self._dev(), **kw)
+        for c in out if isinstance(out, tuple) else (out,):
+            if isinstance(c, (SparseVector, CSRMatrix)):
+                self._resident.mark(c)
+        return out
 
     def busy_us(self) -> float:
         """Simulated kernel + transfer time charged to this backend's device."""
@@ -128,7 +141,7 @@ class CudaSimBackend(Backend):
         Marks it resident without charging an upload, so the next kernel
         that reads it elides the H2D copy (the data never left the device).
         """
-        self._mark_resident(container)
+        self._resident.mark(container)
 
     def download(self, container) -> Any:
         """Model an explicit D2H copy of a result; returns the container."""
@@ -157,7 +170,7 @@ class CudaSimBackend(Backend):
         """
         hit = a._aux.get("tcsr")
         if hit is not None and hit in self._resident:
-            self._mark_resident(hit)  # LRU touch
+            self._resident.mark(hit)  # LRU touch
             return hit
         # Derive aᵀ on-device — charged as one transpose kernel per matrix
         # version.  The semantic function is the memoised cached_transpose,
@@ -170,11 +183,9 @@ class CudaSimBackend(Backend):
         dev = self._dev()
         saved, dev.active_graph = dev.active_graph, None
         try:
-            hit = launch(_TRANSPOSE_MEMOISED, LaunchConfig.cover(a.nvals), a, device=dev)
+            return self._launch(_TRANSPOSE_MEMOISED, LaunchConfig.cover(a.nvals), a)
         finally:
             dev.active_graph = saved
-        self._mark_resident(hit)
-        return hit
 
     def _transposed_operand(self, a: CSRMatrix) -> CSRMatrix:
         """Device-resident aᵀ for push-mxv / pull-vxm / pull-frontier kernels.
@@ -209,22 +220,17 @@ class CudaSimBackend(Backend):
                 self._ensure_resident(mask)
             tcsr = self._transposed_operand(a)
             cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
-            out = launch(
+            return self._launch(
                 laned(SPMSV_PUSH, kernels.push_lane(tcsr, u), "scalar"),
                 cfg, tcsr, u, semiring, out_t, False, mask, desc,
-                device=self._dev(),
             )
-        else:
-            rows = mask_pull_rows(mask, desc, a.nrows)
-            nrows = a.nrows if rows is None else len(rows)
-            cfg = LaunchConfig.cover(max(nrows, 1) * 32)
-            out = launch(
-                laned(SPMV_CSR_VECTOR, kernels.pull_lane(a, rows), "vector"),
-                cfg, a, u, semiring, out_t, False, rows,
-                device=self._dev(),
-            )
-        self._mark_resident(out)
-        return out
+        rows = mask_pull_rows(mask, desc, a.nrows)
+        nrows = a.nrows if rows is None else len(rows)
+        cfg = LaunchConfig.cover(max(nrows, 1) * 32)
+        return self._launch(
+            laned(SPMV_CSR_VECTOR, kernels.pull_lane(a, rows), "vector"),
+            cfg, a, u, semiring, out_t, False, rows,
+        )
 
     def vxm(
         self,
@@ -243,23 +249,18 @@ class CudaSimBackend(Backend):
                 # Same in-kernel mask probe as mxv's push path.
                 self._ensure_resident(mask)
             cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
-            out = launch(
+            return self._launch(
                 laned(SPMSV_PUSH, kernels.push_lane(a, u), "scalar"),
                 cfg, a, u, semiring, out_t, True, mask, desc,
-                device=self._dev(),
             )
-        else:
-            tcsr = self._transposed_operand(a)
-            rows = mask_pull_rows(mask, desc, a.ncols)
-            nrows = tcsr.nrows if rows is None else len(rows)
-            cfg = LaunchConfig.cover(max(nrows, 1) * 32)
-            out = launch(
-                laned(SPMV_CSR_VECTOR, kernels.pull_lane(tcsr, rows), "vector"),
-                cfg, tcsr, u, semiring, out_t, True, rows,
-                device=self._dev(),
-            )
-        self._mark_resident(out)
-        return out
+        tcsr = self._transposed_operand(a)
+        rows = mask_pull_rows(mask, desc, a.ncols)
+        nrows = tcsr.nrows if rows is None else len(rows)
+        cfg = LaunchConfig.cover(max(nrows, 1) * 32)
+        return self._launch(
+            laned(SPMV_CSR_VECTOR, kernels.pull_lane(tcsr, rows), "vector"),
+            cfg, tcsr, u, semiring, out_t, True, rows,
+        )
 
     def mxm(
         self,
@@ -278,17 +279,14 @@ class CudaSimBackend(Backend):
 
             self._ensure_resident(mask)
             keys = mask_keys_for(mask, desc)
-            out = launch(
+            return self._launch(
                 laned(SPGEMM_HASH_MASKED, kernels.spgemm_lane(a), "scalar"),
-                cfg, a, b, semiring, out_t, keys, device=self._dev(),
+                cfg, a, b, semiring, out_t, keys,
             )
-        else:
-            out = launch(
-                laned(SPGEMM_HASH, kernels.spgemm_lane(a), "scalar"),
-                cfg, a, b, semiring, out_t, device=self._dev(),
-            )
-        self._mark_resident(out)
-        return out
+        return self._launch(
+            laned(SPGEMM_HASH, kernels.spgemm_lane(a), "scalar"),
+            cfg, a, b, semiring, out_t,
+        )
 
     # ------------------------------------------------------------------
     # Elementwise
@@ -297,11 +295,7 @@ class CudaSimBackend(Backend):
     def _ewise(self, kernel, x, y, op):
         self._ensure_resident(x)
         self._ensure_resident(y)
-        out = launch(
-            kernel, LaunchConfig.cover(x.nvals + y.nvals), x, y, op, device=self._dev()
-        )
-        self._mark_resident(out)
-        return out
+        return self._launch(kernel, LaunchConfig.cover(x.nvals + y.nvals), x, y, op)
 
     def ewise_add_vector(self, u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
         return self._ewise(EWISE_ADD_V, u, v, op)
@@ -322,14 +316,11 @@ class CudaSimBackend(Backend):
     def ewise_apply_vector(self, u, v, binop, unop, union=True):
         self._ensure_resident(u)
         self._ensure_resident(v)
-        out = launch(
+        return self._launch(
             EWISE_APPLY_FUSED_V,
             LaunchConfig.cover(u.nvals + v.nvals),
             u, v, binop, unop, union,
-            device=self._dev(),
         )
-        self._mark_resident(out)
-        return out
 
     def ewise_reduce_vector(self, u, v, binop, unop, union, monoid, out_type):
         """Elementwise(+apply) chain feeding a reduction — ONE launch.
@@ -340,14 +331,11 @@ class CudaSimBackend(Backend):
         """
         self._ensure_resident(u)
         self._ensure_resident(v)
-        t, val = launch(
+        return self._launch(
             EWISE_REDUCE_FUSED_V,
             LaunchConfig.cover(u.nvals + v.nvals),
             u, v, binop, unop, union, monoid, out_type,
-            device=self._dev(),
         )
-        self._mark_resident(t)
-        return t, val
 
     def fill_ewise_vector(self, value, size, fill_type, other, binop, fill_first):
         """Constant-fill operand consumed by a union ewise — ONE launch.
@@ -356,14 +344,11 @@ class CudaSimBackend(Backend):
         the scatter-assign launch and its container are both eliminated.
         """
         self._ensure_resident(other)
-        out = launch(
+        return self._launch(
             FILL_EWISE_FUSED_V,
             LaunchConfig.cover(max(int(size), 1) + other.nvals),
             value, size, fill_type, other, binop, fill_first,
-            device=self._dev(),
         )
-        self._mark_resident(out)
-        return out
 
     def sink_restrict(self, container, mask):
         """Mask sinking: pre-restrict an input to the mask's stored indices.
@@ -378,7 +363,7 @@ class CudaSimBackend(Backend):
         self._ensure_resident(mask)
         out = kernels.mask_restrict(container, mask)
         if out is not container:
-            self._mark_resident(out)
+            self._resident.mark(out)
         return out
 
     def frontier_step(
@@ -397,23 +382,16 @@ class CudaSimBackend(Backend):
         self._ensure_resident(levels)
         if choose_direction(a, frontier, levels, desc, direction, True) == "push":
             cfg = LaunchConfig.cover(max(frontier.nvals, 1) * 32)
-            out = launch(
+            return self._launch(
                 laned(SPMV_PUSH_FUSED, kernels.push_lane(a, frontier), "scalar"),
                 cfg, levels, frontier, a, value, semiring, desc,
-                device=self._dev(),
             )
-        else:
-            tcsr = self._transposed_operand(a)
-            cfg = LaunchConfig.cover(max(tcsr.nrows, 1) * 32)
-            out = launch(
-                laned(SPMV_PULL_FUSED, kernels.pull_lane(tcsr), "vector"),
-                cfg, levels, frontier, tcsr, value, semiring, desc,
-                device=self._dev(),
-            )
-        new_levels, new_frontier = out
-        self._mark_resident(new_levels)
-        self._mark_resident(new_frontier)
-        return out
+        tcsr = self._transposed_operand(a)
+        cfg = LaunchConfig.cover(max(tcsr.nrows, 1) * 32)
+        return self._launch(
+            laned(SPMV_PULL_FUSED, kernels.pull_lane(tcsr), "vector"),
+            cfg, levels, frontier, tcsr, value, semiring, desc,
+        )
 
     # ------------------------------------------------------------------
     # Apply / reduce / transpose
@@ -421,50 +399,39 @@ class CudaSimBackend(Backend):
 
     def apply_vector(self, u: SparseVector, op: UnaryOp) -> SparseVector:
         self._ensure_resident(u)
-        out = launch(APPLY_V, LaunchConfig.cover(u.nvals), u, op, device=self._dev())
-        self._mark_resident(out)
-        return out
+        return self._launch(APPLY_V, LaunchConfig.cover(u.nvals), u, op)
 
     def apply_matrix(self, a: CSRMatrix, op: UnaryOp) -> CSRMatrix:
         self._ensure_resident(a)
-        out = launch(APPLY_M, LaunchConfig.cover(a.nvals), a, op, device=self._dev())
-        self._mark_resident(out)
-        return out
+        return self._launch(APPLY_M, LaunchConfig.cover(a.nvals), a, op)
 
     def reduce_vector_scalar(self, u: SparseVector, monoid: Monoid) -> Any:
         self._ensure_resident(u)
         t = monoid.result_type(u.type)
-        val = launch(
+        val = self._launch(
             REDUCE_TREE, LaunchConfig.cover(u.nvals), u.values, monoid, u.type,
-            device=self._dev(), san_reads=(u,),
+            san_reads=(u,),
         )
         return t.cast(val)
 
     def reduce_matrix_vector(self, a: CSRMatrix, monoid: Monoid) -> SparseVector:
         self._ensure_resident(a)
-        out = launch(
-            REDUCE_ROWS, LaunchConfig.cover(max(a.nrows, 1) * 32), a, monoid,
-            device=self._dev(),
+        return self._launch(
+            REDUCE_ROWS, LaunchConfig.cover(max(a.nrows, 1) * 32), a, monoid
         )
-        self._mark_resident(out)
-        return out
 
     def reduce_matrix_scalar(self, a: CSRMatrix, monoid: Monoid) -> Any:
         self._ensure_resident(a)
         t = monoid.result_type(a.type)
-        val = launch(
+        val = self._launch(
             REDUCE_TREE, LaunchConfig.cover(a.nvals), a.values, monoid, a.type,
-            device=self._dev(), san_reads=(a,),
+            san_reads=(a,),
         )
         return t.cast(val)
 
     def transpose(self, a: CSRMatrix) -> CSRMatrix:
         self._ensure_resident(a)
-        out = launch(
-            TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a, device=self._dev()
-        )
-        self._mark_resident(out)
-        return out
+        return self._launch(TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a)
 
     # ------------------------------------------------------------------
     # Select / indexed apply accounting
@@ -472,17 +439,14 @@ class CudaSimBackend(Backend):
 
     def _select_launch(self, src, thunk_fn):
         self._ensure_resident(src)
-        out = launch(
+        return self._launch(
             SELECT_COMPACT,
             LaunchConfig.cover(src.nvals),
             thunk_fn,
             float(src.nvals),
             src.type.nbytes,
-            device=self._dev(),
             san_reads=(src,),
         )
-        self._mark_resident(out)
-        return out
 
     def select_vector(self, u, op, thunk):
         return self._select_launch(u, lambda: super(CudaSimBackend, self).select_vector(u, op, thunk))
@@ -506,36 +470,30 @@ class CudaSimBackend(Backend):
 
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
         self._ensure_resident(u)
-        out = launch(
+        return self._launch(
             GATHER,
             LaunchConfig.cover(len(idx)),
             lambda: super(CudaSimBackend, self).extract_vector(u, idx),
             len(idx),
             u.type.nbytes,
-            device=self._dev(),
             san_reads=(u,),
         )
-        self._mark_resident(out)
-        return out
 
     def extract_matrix(self, a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatrix:
         self._ensure_resident(a)
-        out = launch(
+        return self._launch(
             GATHER,
             LaunchConfig.cover(len(rows) * max(len(cols), 1)),
             lambda: super(CudaSimBackend, self).extract_matrix(a, rows, cols),
             float(len(rows)) * max(len(cols), 1),
             a.type.nbytes,
-            device=self._dev(),
             san_reads=(a,),
         )
-        self._mark_resident(out)
-        return out
 
     def charge_assign(self, nvals: int, out) -> None:
-        launch(
+        self._launch(
             SCATTER_ASSIGN, LaunchConfig.cover(nvals), float(nvals), 8,
-            device=self._dev(), san_writes=(out,),
+            san_writes=(out,),
         )
 
     # ------------------------------------------------------------------
@@ -544,15 +502,13 @@ class CudaSimBackend(Backend):
 
     def compact(self, base: CSRMatrix, overlay) -> None:
         """Upload the delta, merge it on-device, keep the result resident."""
-        dev = self._dev()
         self._ensure_resident(base)
-        charge_transfer(overlay.nbytes, "h2d", device=dev)
-        arrays = launch(
+        charge_transfer(overlay.nbytes, "h2d", device=self._dev())
+        arrays = self._launch(
             STREAM_COMPACT_MERGE,
             LaunchConfig.cover(base.nvals + len(overlay)),
             base,
             overlay,
-            device=dev,
         )
         base.install_arrays(*arrays)
         # The merged arrays were produced on-device: mark the new version

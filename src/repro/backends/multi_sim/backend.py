@@ -34,9 +34,12 @@ Execution semantics (see ``docs/distributed.md`` for the full accounting):
   with the same :func:`~repro.backends.cpu.spmv.choose_direction` call the
   single-device backend makes.
 - **Results are sliced-resident**: each device holds its owned slice.
-  Consuming a sliced container as a replicated operand (e.g. the PageRank
-  rank vector feeding the next SpMV) charges an ``allgather`` — the
-  per-iteration replication cost that dominates multi-GPU GraphBLAS scaling.
+  :func:`_sharded` states this once for every operation at P > 1, so no
+  operation marks its own result; a returned operand and a result already
+  replicated on the devices keep their residency.  Consuming a sliced
+  container as a replicated operand (e.g. the PageRank rank vector feeding
+  the next SpMV) charges an ``allgather`` — the per-iteration replication
+  cost that dominates multi-GPU GraphBLAS scaling.
 
 The frontend never sees any of this: algorithms written against
 ``repro.core`` run unchanged, and ``BFS``/``PageRank``/``delta-stepping``
@@ -109,11 +112,15 @@ def _noop() -> None:
 
 
 def _sharded(method):
-    """The P = 1 rule, stated once: a one-device cluster delegates the op.
+    """The result rules, stated once for every operation.
 
-    The single executor runs the call itself, so ``multi_sim:1`` is bit- and
-    counter-identical to ``cuda_sim``; the decorated body only ever runs
-    at P > 1.
+    At P = 1 a one-device cluster delegates the op: the single executor
+    runs the call itself, so ``multi_sim:1`` is bit- and counter-identical
+    to ``cuda_sim``.  At P > 1 the body runs, and every container it
+    returns (each element of a returned tuple too) is born sliced: each
+    device holds its owned slice.  Two kinds keep their residency: one of
+    the call's own operands handed back, and a result the body already
+    replicated on the devices (clean on device 0).
     """
     name = method.__name__
 
@@ -121,7 +128,16 @@ def _sharded(method):
     def op(self, *args, **kwargs):
         if self.nparts == 1:
             return getattr(self._ex(0), name)(*args, **kwargs)
-        return method(self, *args, **kwargs)
+        out = method(self, *args, **kwargs)
+        operands = (*args, *kwargs.values())
+        for c in out if isinstance(out, tuple) else (out,):
+            if (
+                isinstance(c, (SparseVector, CSRMatrix))
+                and not any(c is x for x in operands)
+                and not self._ex(0)._resident.is_clean(c)
+            ):
+                self._mark_sliced(c)
+        return out
 
     return op
 
@@ -252,19 +268,19 @@ class MultiSimBackend(Backend):
             dt = self._cluster.comm.allgather(float(c.nbytes))
             self._cluster.charge_comm("allgather", dt, float(c.nbytes))
             for ex in self._cluster.executors:
-                ex._mark_resident(c)
+                ex._resident.mark(c)
             return
         ex0 = self._ex(0)
         if ex0._resident.is_clean(c):
             for ex in self._cluster.executors:
-                ex._mark_resident(c)  # LRU touch on every replica
+                ex._resident.mark(c)  # LRU touch on every replica
             return
         # Fresh host data: one PCIe upload to device 0, then a peer broadcast.
         ex0._ensure_resident(c)
         dt = self._cluster.comm.broadcast(float(c.nbytes))
         self._cluster.charge_comm("broadcast", dt, float(c.nbytes))
         for ex in self._cluster.executors[1:]:
-            ex._mark_resident(c)
+            ex._resident.mark(c)
 
     def _ensure_available(self, c) -> None:
         """Container consumable shard-wise: sliced residency is sufficient."""
@@ -315,7 +331,7 @@ class MultiSimBackend(Backend):
         sliced = self._is_sliced(a)
         for ex, shard in zip(self._cluster.executors, part.shards):
             if sliced:
-                ex._mark_resident(shard)  # produced on-device; no upload
+                ex._resident.mark(shard)  # produced on-device; no upload
             else:
                 ex._ensure_resident(shard)  # 1/P of the matrix per device
         return part
@@ -337,14 +353,14 @@ class MultiSimBackend(Backend):
         if hit is not None and hit[0] is a and hit[1] == a.version:
             part = hit[2]
             for ex, shard in zip(self._cluster.executors, part.shards):
-                ex._mark_resident(shard)
+                ex._resident.mark(shard)
             return part
         ta = a.cached_transpose()
         part = PartitionedCSR(ta, self.nparts, self.splitter)
         for ex, shard in zip(self._cluster.executors, part.shards):
             # The shard materialises on its device as the sort runs; mark
             # residency first so the pricing launch reads a known buffer.
-            ex._mark_resident(shard)
+            ex._resident.mark(shard)
         for p, shard in enumerate(part.shards):
             if shard.nvals:
                 self._launch_uncaptured(
@@ -352,8 +368,6 @@ class MultiSimBackend(Backend):
                 )
         dt = self._cluster.comm.all_to_all(float(a.nbytes))
         self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
-        for ex, shard in zip(self._cluster.executors, part.shards):
-            ex._mark_resident(shard)
         self._tparts[id(a)] = (a, a.version, part)
         return part
 
@@ -530,9 +544,7 @@ class MultiSimBackend(Backend):
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
     ) -> SparseVector:
-        out = self._product(a, u, semiring, False, mask, desc, direction, mask)
-        self._mark_sliced(out)
-        return out
+        return self._product(a, u, semiring, False, mask, desc, direction, mask)
 
     @_sharded
     def vxm(
@@ -544,9 +556,7 @@ class MultiSimBackend(Backend):
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
     ) -> SparseVector:
-        out = self._product(a, u, semiring, True, mask, desc, direction, mask)
-        self._mark_sliced(out)
-        return out
+        return self._product(a, u, semiring, True, mask, desc, direction, mask)
 
     @_sharded
     def mxm(
@@ -586,9 +596,7 @@ class MultiSimBackend(Backend):
                     cfg, shard, b, semiring, out_t, device=self._dev(p),
                 )
             blocks.append(blk)
-        out = concat_row_blocks(blocks, b.ncols, out_t)
-        self._mark_sliced(out)
-        return out
+        return concat_row_blocks(blocks, b.ncols, out_t)
 
     # ------------------------------------------------------------------
     # Elementwise (sliced by equal output ranges; bit-exact elementwise)
@@ -613,11 +621,8 @@ class MultiSimBackend(Backend):
             for p, (sx, sy) in enumerate(zip(xs, ys))
         ]
         if isinstance(x, SparseVector):
-            out = PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
-        else:
-            out = concat_row_blocks(outs, x.ncols, outs[0].type)
-        self._mark_sliced(out)
-        return out
+            return PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
+        return concat_row_blocks(outs, x.ncols, outs[0].type)
 
     @_sharded
     def ewise_add_vector(self, u, v, op: BinaryOp) -> SparseVector:
@@ -663,7 +668,6 @@ class MultiSimBackend(Backend):
             for p, (su, sv) in enumerate(zip(us, vs))
         ]
         t = PartitionedVector.reassemble(outs, sp, typ=out_type)
-        self._mark_sliced(t)
         rt = monoid.result_type(t.type)
         self._allreduce(rt)
         return t, rt.cast(monoid.reduce_array(t.values, t.type))
@@ -683,9 +687,7 @@ class MultiSimBackend(Backend):
                     derived=((so, other),),
                 )
             )
-        out = PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
-        self._mark_sliced(out)
-        return out
+        return PartitionedVector.reassemble(outs, sp, typ=outs[0].type)
 
     @_sharded
     def sink_restrict(self, container, mask):
@@ -694,10 +696,7 @@ class MultiSimBackend(Backend):
             return container
         self._ensure_available(container)
         self._ensure_available(mask)
-        out = mask_restrict(container, mask)
-        if out is not container:
-            self._mark_sliced(out)
-        return out
+        return mask_restrict(container, mask)
 
     # ------------------------------------------------------------------
     # Fused BFS frontier step
@@ -722,7 +721,7 @@ class MultiSimBackend(Backend):
         new_levels = _frontier_assign(levels, frontier, value)
         self.charge_assign(frontier.nvals, new_levels)
         for ex in self._cluster.executors:
-            ex._mark_resident(new_levels)
+            ex._resident.mark(new_levels)
         # The router's mask replication only touches these replicas.  The
         # direction is chosen against the pre-step visited set, exactly as
         # the single-device fused kernel chooses it.
@@ -744,9 +743,7 @@ class MultiSimBackend(Backend):
             self._on_shard(p, APPLY_V, su.nvals, su, op, derived=((su, u),))
             for p, su in enumerate(us)
         ]
-        out = PartitionedVector.reassemble(outs, sp, typ=op.result_type(u.type))
-        self._mark_sliced(out)
-        return out
+        return PartitionedVector.reassemble(outs, sp, typ=op.result_type(u.type))
 
     @_sharded
     def apply_matrix(self, a: CSRMatrix, op: UnaryOp) -> CSRMatrix:
@@ -755,9 +752,7 @@ class MultiSimBackend(Backend):
             self._on_shard(p, APPLY_M, shard.nvals, shard, op)
             for p, shard in enumerate(parts.shards)
         ]
-        out = concat_row_blocks(outs, a.ncols, op.result_type(a.type))
-        self._mark_sliced(out)
-        return out
+        return concat_row_blocks(outs, a.ncols, op.result_type(a.type))
 
     @_sharded
     def reduce_vector_scalar(self, u: SparseVector, monoid: Monoid) -> Any:
@@ -785,11 +780,9 @@ class MultiSimBackend(Backend):
             )
             for p, shard in enumerate(parts.shards)
         ]
-        out = PartitionedVector.reassemble(
+        return PartitionedVector.reassemble(
             outs, parts.splitters, typ=monoid.result_type(a.type)
         )
-        self._mark_sliced(out)
-        return out
 
     @_sharded
     def reduce_matrix_scalar(self, a: CSRMatrix, monoid: Monoid) -> Any:
@@ -810,9 +803,7 @@ class MultiSimBackend(Backend):
             self._on_shard(p, TRANSPOSE_SHARD, shard.nvals, shard)
         dt = self._cluster.comm.all_to_all(float(a.nbytes))
         self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
-        out = a.transpose()
-        self._mark_sliced(out)
-        return out
+        return a.transpose()
 
     # ------------------------------------------------------------------
     # Select / indexed apply / extract: host-computed, priced per device
@@ -820,7 +811,7 @@ class MultiSimBackend(Backend):
 
     def _host_op(self, kernel, src, n_items: float, compute):
         """Price a host-computed op as 1/P of ``n_items`` per device, then
-        return ``compute()`` as a sliced result."""
+        return ``compute()`` (sliced by :func:`_sharded`)."""
         self._ensure_available(src)
         per = max(float(n_items) / self.nparts, 1.0)
         for p in range(self.nparts):
@@ -828,9 +819,7 @@ class MultiSimBackend(Backend):
                 kernel, LaunchConfig.cover(int(per)), _noop, per, src.type.nbytes,
                 device=self._dev(p), san_reads=(src,),
             )
-        out = compute()
-        self._mark_sliced(out)
-        return out
+        return compute()
 
     @_sharded
     def select_vector(self, u, op, thunk):

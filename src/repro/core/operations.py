@@ -528,8 +528,9 @@ def transpose(
     # desc.transpose_a composes: transpose of the transpose is A.
     if desc.transpose_a:
         ac = a.container
-    elif a.container._aux.get("tcsr") is not None:
-        # Already materialised: reuse the memo, no backend work.
+    elif a.container.symmetric or a.container._aux.get("tcsr") is not None:
+        # A itself (symmetric) or an already materialised memo: reuse it,
+        # no backend work.
         ac = a.container.cached_transpose()
     else:
         ac = current_backend().transpose(a.container)

@@ -2,9 +2,11 @@
 
 The allocator hands out :class:`DeviceBuffer` objects backed by host NumPy
 arrays (the simulation computes on the host) while accounting for capacity
-and traffic exactly as a real ``cudaMalloc``/``cudaMemcpy`` sequence would:
-allocations count against the device's global memory, and every host↔device
-copy is recorded so transfer time can be charged by the cost model.
+exactly as a real ``cudaMalloc`` sequence would: allocations count against
+the device's global memory.  Host↔device copies are not recorded here: the
+profiler's ``h2d``/``d2h`` records (:func:`~repro.gpu.kernel.charge_transfer`)
+are the one transfer ledger, and the allocator only counts the uploads
+that residency skipped (``h2d_elided_*``).
 
 Buffers are freed explicitly or by garbage collection (a finalizer returns
 the bytes to the pool), mirroring RAII device vectors in CUSP/GBTL-CUDA.
@@ -43,12 +45,11 @@ def _size_class(nbytes: int) -> int:
 
 
 class MemoryStats:
-    """Counters for allocations, pooling, and transfers.
+    """Counters for allocations, pooling, and elided uploads.
 
-    ``h2d_*``/``d2h_*`` count only :meth:`DeviceAllocator.upload` and
-    :meth:`DeviceAllocator.download`.  Uploads of resident containers are
-    charged as profiler ``h2d`` records, the one transfer ledger; only the
-    uploads they skip are counted here (``h2d_elided_*``).
+    Transfers themselves are profiler ``h2d``/``d2h`` records, the one
+    transfer ledger; only the uploads residency skips are counted here
+    (``h2d_elided_*``).
     """
 
     __slots__ = (
@@ -57,12 +58,8 @@ class MemoryStats:
         "bytes_allocated_total",
         "pool_hit_count",
         "pool_hit_bytes",
-        "h2d_count",
-        "h2d_bytes",
         "h2d_elided_count",
         "h2d_elided_bytes",
-        "d2h_count",
-        "d2h_bytes",
     )
 
     def __init__(self) -> None:
@@ -74,12 +71,8 @@ class MemoryStats:
         self.bytes_allocated_total = 0
         self.pool_hit_count = 0
         self.pool_hit_bytes = 0
-        self.h2d_count = 0
-        self.h2d_bytes = 0
         self.h2d_elided_count = 0
         self.h2d_elided_bytes = 0
-        self.d2h_count = 0
-        self.d2h_bytes = 0
 
     @property
     def pool_hit_rate(self) -> float:
@@ -208,28 +201,10 @@ class DeviceAllocator:
         block = self._reserve(nbytes)
         return DeviceBuffer(self, nbytes, np.empty(0, dtype=np.uint8), block)
 
-    def upload(self, host_array: np.ndarray) -> DeviceBuffer:
-        """``cudaMemcpy`` H2D into a fresh allocation; records traffic."""
-        arr = np.ascontiguousarray(host_array)
-        block = self._reserve(arr.nbytes)
-        self.stats.h2d_count += 1
-        self.stats.h2d_bytes += arr.nbytes
-        # The simulation shares the host array (read-only by convention);
-        # copying here would double host memory for zero fidelity gain.
-        return DeviceBuffer(self, arr.nbytes, arr, block)
-
     def record_h2d_elided(self, nbytes: int) -> None:
         """Count one upload skipped because the target was clean-resident."""
         self.stats.h2d_elided_count += 1
         self.stats.h2d_elided_bytes += int(nbytes)
-
-    def download(self, buf: DeviceBuffer) -> np.ndarray:
-        """``cudaMemcpy`` D2H; records traffic and returns the host array."""
-        if not buf.alive:
-            raise InvalidValueError("download from freed device buffer")
-        self.stats.d2h_count += 1
-        self.stats.d2h_bytes += buf.nbytes
-        return buf.array
 
     def reset(self) -> None:
         """Drop accounting and the pool (buffers already handed out keep working)."""

@@ -45,8 +45,11 @@ class Policy:
     - ``lanes`` — ``auto`` bins rows per launch, a lane name forces that
       lane, ``off`` keeps each kernel's native lane
       (:mod:`repro.gpu.loadbalance`);
-    - ``elision`` — identity-preserving trivial merges and device-resident
-      results, so clean containers skip repeated H2D uploads.
+    - ``elision`` — identity-preserving trivial merges, device-resident
+      write-pipeline outputs (``note_result``) and iso-value upload hints,
+      so clean containers skip repeated H2D uploads.  Backend results are
+      born on the device whatever it says (``CudaSimBackend._launch``,
+      multi_sim's ``_sharded``).
     """
 
     lazy: str = "auto"

@@ -2,8 +2,10 @@
 
 ``undeclared_reduce`` passes container payload to a kernel whose
 ``accesses=`` declares nothing — gbcheck flags the launch site
-(``launch-undeclared-access``).  ``declared_reduce`` is the fixed twin:
-with ``san_reads=`` present, gbsan can see the access, and launching it
+(``launch-undeclared-access``).  ``PlantedBackend.undeclared_reduce`` is
+the same plant routed through a backend's ``self._launch`` wrapper, the
+way cuda_sim launches.  ``declared_reduce`` is the fixed twin: with
+``san_reads=`` present, gbsan can see the access, and launching it
 against an unresident container raises ``unresident-read`` at runtime.
 """
 
@@ -40,3 +42,17 @@ def declared_reduce(c, device):
         PLANTED_REDUCE, LaunchConfig.cover(c.nvals), c.values,
         device=device, san_reads=(c,),
     )
+
+
+class PlantedBackend:
+    """Launches through a ``_launch`` wrapper, as cuda_sim's backend does."""
+
+    def __init__(self, device):
+        self._device = device
+
+    def _launch(self, kernel, cfg, *args, **kw):
+        return launch(kernel, cfg, *args, device=self._device, **kw)
+
+    def undeclared_reduce(self, c):
+        # BUG: the same hidden payload operand, one wrapper call away.
+        return self._launch(PLANTED_REDUCE, LaunchConfig.cover(c.nvals), c.values)

@@ -1,4 +1,4 @@
-"""The frontend matrix merges against a dense NumPy model of the spec.
+"""The frontend merges against a dense NumPy model of the spec.
 
 Every backend, the reference included, computes only the result ``T``;
 the write pipeline (accumulate, mask, replace), assign's region merge and
@@ -19,8 +19,10 @@ written here from the semantics instead:
 - eWiseUnion: the operator applies at every union position, with
   ``alpha`` / ``beta`` standing in for a missing left / right entry.
 
-Shapes include empty matrices and 0×n / n×0.  Everything is INT64, so the
-model is exact.
+The vector forms run through the same merges over the same keys: a vector
+of size n is the 1×n matrix, so the same models check them.  Shapes
+include empty matrices, 0×n / n×0 and size-0 vectors.  Everything is
+INT64, so the model is exact.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.core.matrix import Matrix
 from repro.core.operators import MAX, MIN, MINUS, PLUS
 from repro.core.semiring import PLUS_TIMES
 from repro.core.union_op import ewise_union
+from repro.core.vector import Vector
 from repro.types import INT64
 
 #: Operator -> the same function on dense int64 arrays.
@@ -91,10 +94,23 @@ def to_matrix(pair) -> Matrix:
     )
 
 
-def to_pair(m: Matrix):
-    rows, cols, vals = m.to_lists()
-    present = np.zeros(m.shape, dtype=bool)
-    values = np.zeros(m.shape, dtype=np.int64)
+def to_vector(pair) -> Vector:
+    """A 1×n dense pair as a size-n vector."""
+    present, values = pair
+    (idx,) = np.nonzero(present[0])
+    return Vector.from_lists(idx, values[0, idx], present.shape[1], INT64)
+
+
+def to_pair(m):
+    """Dense form of a matrix, or of a vector as its 1×n matrix."""
+    if isinstance(m, Vector):
+        cols, vals = m.to_lists()
+        rows, shape = [0] * len(cols), (1, m.size)
+    else:
+        rows, cols, vals = m.to_lists()
+        shape = m.shape
+    present = np.zeros(shape, dtype=bool)
+    values = np.zeros(shape, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     present[rows, cols] = True
@@ -102,7 +118,7 @@ def to_pair(m: Matrix):
     return present, values
 
 
-def assert_same(got: Matrix, expected) -> None:
+def assert_same(got, expected) -> None:
     assert got.type is INT64
     gp, gv = to_pair(got)
     ep, ev = expected
@@ -285,6 +301,97 @@ class TestAssign:
         assign_scalar(
             out, value, rows, cols,
             mask=None if mask is None else to_matrix(mask),
+            accum=None if accum is None else OPS[accum],
+            desc=descriptor(flags),
+        )
+        assert_same(out, expected)
+
+
+# ---------------------------------------------------------------------------
+# Vector forms: the same models over 1×n
+# ---------------------------------------------------------------------------
+
+
+sizes = st.integers(0, 8)
+
+
+def _vec_or_none(pair):
+    return None if pair is None else to_vector(pair)
+
+
+class TestVectorForms:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), sizes, st.sampled_from(sorted(DENSE_OPS)))
+    def test_ewise_add(self, data, n, op):
+        c, mask, accum, flags = data.draw(write_args(1, n))
+        a = data.draw(dense_pair(1, n))
+        b = data.draw(dense_pair(1, n))
+        expected = write_model(c, union_model(a, b, op), mask, accum, flags)
+        out = to_vector(c)
+        ops.ewise_add(
+            out, to_vector(a), to_vector(b), OPS[op],
+            mask=_vec_or_none(mask),
+            accum=None if accum is None else OPS[accum],
+            desc=descriptor(flags),
+        )
+        assert_same(out, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.data(), sizes, st.sampled_from(sorted(DENSE_OPS)),
+        st.integers(-2, 3), st.integers(-2, 3),
+    )
+    def test_ewise_union(self, data, n, op, alpha, beta):
+        c, mask, accum, flags = data.draw(write_args(1, n))
+        (pa, va), (pb, vb) = data.draw(dense_pair(1, n)), data.draw(dense_pair(1, n))
+        t = (pa | pb, DENSE_OPS[op](np.where(pa, va, alpha), np.where(pb, vb, beta)))
+        expected = write_model(c, t, mask, accum, flags)
+        out = to_vector(c)
+        ewise_union(
+            out, to_vector((pa, va)), alpha, to_vector((pb, vb)), beta, OPS[op],
+            mask=_vec_or_none(mask),
+            accum=None if accum is None else OPS[accum],
+            desc=descriptor(flags),
+        )
+        assert_same(out, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), sizes)
+    def test_assign(self, data, n):
+        c, mask, accum, flags = data.draw(write_args(1, n))
+        idx = data.draw(region(n))
+        _, r = region_dense(None, idx, (1, n))
+        src = data.draw(dense_pair(1, r.size))
+        inside = np.zeros((1, n), dtype=bool)
+        inside[0, r] = True
+        pt = np.zeros((1, n), dtype=bool)
+        vt = np.zeros((1, n), dtype=np.int64)
+        pt[0, r] = src[0][0]
+        vt[0, r] = src[1][0]
+        expected = assign_model(c, (pt, vt), inside, mask, accum, flags)
+        out = to_vector(c)
+        assign(
+            out, to_vector(src), idx,
+            mask=_vec_or_none(mask),
+            accum=None if accum is None else OPS[accum],
+            desc=descriptor(flags),
+        )
+        assert_same(out, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), sizes, st.integers(-2, 3))
+    def test_assign_scalar(self, data, n, value):
+        c, mask, accum, flags = data.draw(write_args(1, n))
+        idx = data.draw(region(n))
+        _, r = region_dense(None, idx, (1, n))
+        inside = np.zeros((1, n), dtype=bool)
+        inside[0, r] = True
+        t = (inside, np.full((1, n), value, dtype=np.int64))
+        expected = assign_model(c, t, inside, mask, accum, flags)
+        out = to_vector(c)
+        assign_scalar(
+            out, value, idx,
+            mask=_vec_or_none(mask),
             accum=None if accum is None else OPS[accum],
             desc=descriptor(flags),
         )

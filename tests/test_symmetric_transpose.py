@@ -4,9 +4,10 @@
 Every generator's undirected output has it; ``copy``/``astype`` carry it;
 any mutation clears it with the aux cache.  Consumers of Aᵀ read A itself:
 no host counting sort, no ``transpose_countsort`` launch on cuda_sim, no
-``transpose_shard``/``all_to_all`` on multi_sim, and the lazy direction
-pass leaves BFS hops to the runtime push/pull heuristic.  Only charges and
-direction choices change; values are bit-identical to cpu.
+``transpose_shard``/``all_to_all`` on multi_sim, ``ops.transpose`` copies A
+into C without calling the backend, and the lazy direction pass leaves BFS
+hops to the runtime push/pull heuristic.  Only charges and direction
+choices change; values are bit-identical to cpu.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import repro as gb
 from repro import generators
 from repro.backends.dispatch import get_backend, use_backend
 from repro.containers.csr import CSRMatrix
+from repro.core import operations as ops
 from repro.gpu.device import get_device, reset_device
 from repro.policy import policy
 from repro.streaming import DynamicGraph
@@ -179,3 +181,42 @@ def test_multi_sim_pagerank_builds_no_transpose(weighted_graph, nparts):
     names = set().union(*(_kernels(d) for d in ms.cluster.devices))
     assert "transpose_shard" not in names
     assert ms.metrics()["comm"]["counts"]["all_to_all"] == 0
+
+
+def _transpose(a: gb.Matrix):
+    c = gb.Matrix.sparse(a.type, a.ncols, a.nrows)
+    ops.transpose(c, a)
+    assert c.container is not a.container  # C never aliases A
+    return c.to_lists()
+
+
+def _transpose_subject(symmetric: bool) -> gb.Matrix:
+    """A fresh matrix per backend: a transpose memo must not carry over."""
+    return generators.cycle_graph(64) if symmetric else DIRECTED["rmat"]()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_cuda_sim_ops_transpose_of_a_symmetric_matrix_launches_nothing(symmetric):
+    with use_backend("cpu"):
+        expect = _transpose(_transpose_subject(symmetric))
+    be = get_backend("cuda_sim")
+    be.evict_all()
+    reset_device()
+    with use_backend(be):
+        got = _transpose(_transpose_subject(symmetric))
+    assert got == expect
+    assert ("transpose_countsort" in _kernels(get_device())) is not symmetric
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_multi_sim_ops_transpose_of_a_symmetric_matrix_shuffles_nothing(symmetric):
+    with use_backend("cpu"):
+        expect = _transpose(_transpose_subject(symmetric))
+    ms = get_backend("multi_sim").configure(nparts=2, splitter="equal_rows")
+    ms.reset()
+    with use_backend(ms):
+        got = _transpose(_transpose_subject(symmetric))
+    assert got == expect
+    names = set().union(*(_kernels(d) for d in ms.cluster.devices))
+    assert ("transpose_shard" in names) is not symmetric
+    assert (ms.metrics()["comm"]["counts"]["all_to_all"] == 0) is symmetric

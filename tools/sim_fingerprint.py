@@ -23,9 +23,13 @@ Four suites run on the simulated specs:
   sheds, deadlines that expire queries, one ``mutate`` and one raw matrix
   write that leaves queued pools stale.
 
+The fuzz, mutation and algorithm suites also run ``cuda_sim:noreuse`` and
+``multi_sim:2:equal_rows:noreuse`` (transfer elision and loop capture
+off), where residency that ``policy(elision=...)`` gates can differ.
+
 After each program the tool records, per device: every profiler record
 (name, kind, start, duration, flops, bytes, threads, replay members),
-the profiler's H2D bytes, the allocator's elided and D2H counters, the
+the profiler's H2D bytes, the allocator's elided-upload counters, the
 clock and the rebind count; and per cluster: comm stats, makespan and the
 ordering-edge count.  A fuzz or mutation program adds the result of each
 op (a container's indices, values and dtype, a scalar, or the name of the
@@ -51,6 +55,10 @@ from typing import Any, Callable, Dict, Iterator, List
 
 _REPO = Path(__file__).resolve().parent.parent
 
+#: Transfer elision and loop capture off: where residency bookkeeping that
+#: ``policy(elision=...)`` gates differs from what the backends mark alone.
+_NOREUSE_SPECS = ("cuda_sim:noreuse", "multi_sim:2:equal_rows:noreuse")
+
 FUZZ_SPECS = (
     "cuda_sim",
     "cuda_sim:lazy=off",
@@ -60,25 +68,26 @@ FUZZ_SPECS = (
     "multi_sim:2:degree_balanced",
     "multi_sim:4:equal_rows",
     "multi_sim:4:degree_balanced",
-)
+) + _NOREUSE_SPECS
 MUTATION_SPECS = (
     "cuda_sim",
     "cuda_sim:lazy=off",
     "multi_sim:1:equal_rows",
     "multi_sim:2:degree_balanced",
     "multi_sim:4:equal_rows",
-)
+) + _NOREUSE_SPECS
 ALGORITHM_SPECS = (
     ("cuda_sim", "cuda_sim:lazy=off")
     + tuple(
         f"multi_sim:{p}:equal_rows{lazy}" for p in (1, 2, 3, 4) for lazy in ("", ":lazy=off")
     )
     + ("multi_sim:3:degree_balanced", "multi_sim:4:degree_balanced")
+    + _NOREUSE_SPECS
 )
 SERVE_SPECS = ("cuda_sim", "multi_sim:1:degree_balanced", "multi_sim:2:degree_balanced")
 
 #: Allocator counters that do not depend on garbage-collection timing.
-_MEMORY_KEYS = ("h2d_elided_count", "h2d_elided_bytes", "d2h_count", "d2h_bytes")
+_MEMORY_KEYS = ("h2d_elided_count", "h2d_elided_bytes")
 
 #: fig9's traffic shape (benchmarks/bench_fig9_serving_qps.py) on 4 tenants,
 #: offered at a fifth of its rate so that pools also close by age mid-trace.
