@@ -18,7 +18,8 @@ Shape claims:
   few percent — binning bookkeeping must not tax uniform graphs.
 
 Emits ``BENCH_table6.json`` with the deterministic cuda_sim counters that
-``check_bench_regressions.py`` gates.
+``check_bench_regressions.py`` gates: launches and H2D bytes, and each
+case's simulated ``kernel_us``, which no lane change may raise.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ def test_table6_render(benchmark):
                 metrics[f"{gname}.push_{lane}"] = {
                     "kernel_launches": launches,
                     "h2d_bytes": round(h2d),
+                    "kernel_us": round(us, 3),
                 }
                 rows.append([gname, "push_spmv", lane, round(us, 2)])
             # Lane selection is pure scheduling: bit-identical results.
@@ -173,6 +175,7 @@ def test_table6_render(benchmark):
             metrics[f"bfs_{lane}"] = {
                 "kernel_launches": launches,
                 "h2d_bytes": round(h2d),
+                "kernel_us": round(us, 3),
             }
             rows.append(["rmat_s13_a57", "bfs", lane, round(us, 2)])
         for lane in LANES[1:]:

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Gate deterministic benchmark counters against committed baselines.
 
-The cuda_sim backend's kernel-launch counts and H2D byte totals come from
-the cost model, not the host clock, so they are bit-stable across machines.
-This script compares the ``cuda_sim_metrics`` blocks of freshly generated
-``BENCH_<fig>.json`` records against the committed baselines and fails when
-any counter grew by more than the tolerance (default 10%) — catching
-regressions like a lost transfer-elision path or a kernel sequence that
-stopped fusing, without any wall-clock noise.
+The cuda_sim backend's kernel-launch counts, H2D byte totals and simulated
+kernel time come from the cost model, not the host clock, so they are
+bit-stable across machines.  This script compares the ``cuda_sim_metrics``
+blocks of freshly generated ``BENCH_<fig>.json`` records against the
+committed baselines and fails when a counter grew by more than the
+tolerance (default 10%) — catching regressions like a lost
+transfer-elision path or a kernel sequence that stopped fusing, without any
+wall-clock noise.  Simulated time (``kernel_us``) is a deterministic clock,
+so it has no tolerance: any rise fails until the baseline is regenerated.
 
 Usage::
 
@@ -24,7 +26,10 @@ import json
 import sys
 from pathlib import Path
 
-TRACKED_KEYS = ("kernel_launches", "h2d_bytes")
+TRACKED_KEYS = ("kernel_launches", "h2d_bytes", "kernel_us")
+#: Gated with zero tolerance: the simulated clock moves only when the model
+#: or the schedule it prices changes, never with noise.
+EXACT_KEYS = ("kernel_us",)
 
 
 def _flatten(metrics: dict, prefix: str = "") -> dict:
@@ -57,11 +62,12 @@ def compare(baseline: dict, current: dict, tolerance: float) -> list:
             if new > 0:
                 problems.append(f"{name}: {old:g} -> {new:g} (was zero)")
             continue
+        limit = 0.0 if name.rsplit(".", 1)[1] in EXACT_KEYS else tolerance
         growth = (new - old) / old
-        if growth > tolerance:
+        if growth > limit:
             problems.append(
-                f"{name}: {old:g} -> {new:g} (+{growth * 100:.1f}% > "
-                f"{tolerance * 100:.0f}% tolerance)"
+                f"{name}: {old:g} -> {new:g} (+{growth * 100:.4g}% > "
+                f"{limit * 100:.0f}% tolerance)"
             )
     return problems
 

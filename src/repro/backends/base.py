@@ -35,7 +35,21 @@ from ..core.operators import BinaryOp, IndexUnaryOp, UnaryOp
 from ..core.semiring import Semiring
 from ..types import promote
 
-__all__ = ["Backend"]
+__all__ = ["Backend", "frontier_assign"]
+
+
+def frontier_assign(levels: SparseVector, frontier: SparseVector, value: Any) -> SparseVector:
+    """``assign_scalar(levels, value, frontier.indices)``: BFS's level write.
+
+    Every backend's frontier step starts with it.  ``frontier.indices``
+    must be canonical (sorted unique), which the write pipeline guarantees
+    for any vector container.
+    """
+    from ..core.assign import merge_region_vector
+
+    idx = frontier.indices
+    vals = np.full(idx.size, levels.type.cast(value), dtype=levels.type.dtype)
+    return merge_region_vector(levels, idx.copy(), vals, idx, None, None, DEFAULT)
 
 
 class Backend(ABC):
@@ -149,24 +163,16 @@ class Backend(ABC):
     ):
         """One fused BFS-style expansion step; returns (new_levels, new_frontier).
 
-        Semantics are exactly ``assign_scalar(levels, value, frontier.indices)``
-        followed by ``frontier<levels, desc> = frontier ⊗ A`` (vxm) — the
-        loop body of level BFS.  The default composes the region merge and
-        the masked product; the simulated GPU overrides it with one fused
-        kernel launch, collapsing the per-iteration launch count.
-
-        ``frontier.indices`` must be canonical (sorted unique), which the
-        write pipeline guarantees for any vector container.
+        Semantics are exactly :func:`frontier_assign` followed by
+        ``frontier<levels, desc> = frontier ⊗ A`` (vxm) — the loop body of
+        level BFS.  The default composes the region merge and the masked
+        product; the simulated GPU overrides it with one fused kernel
+        launch, collapsing the per-iteration launch count.
         """
         from ..core.accumulate import merge_vector
-        from ..core.assign import merge_region_vector
 
-        idx = frontier.indices
-        vals = np.full(idx.size, levels.type.cast(value), dtype=levels.type.dtype)
-        self.charge_assign(idx.size, levels)
-        new_levels = merge_region_vector(
-            levels, idx.copy(), vals, idx, None, None, DEFAULT
-        )
+        self.charge_assign(frontier.nvals, levels)
+        new_levels = frontier_assign(levels, frontier, value)
         t = self.vxm(frontier, a, semiring, new_levels, desc, direction)
         new_frontier = merge_vector(frontier, t, new_levels, None, desc)
         return new_levels, new_frontier
@@ -216,12 +222,7 @@ class Backend(ABC):
         constant in-register inside one kernel, so the dense fill vector is
         never allocated on the device nor scattered by a separate launch.
         """
-        fill = SparseVector(
-            size,
-            np.arange(size, dtype=np.int64),
-            np.full(size, fill_type.cast(value), dtype=fill_type.dtype),
-            fill_type,
-        )
+        fill = SparseVector.full(size, fill_type.cast(value), fill_type)
         if fill_first:
             return self.ewise_add_vector(fill, other, binop)
         return self.ewise_add_vector(other, fill, binop)

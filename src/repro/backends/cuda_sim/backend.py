@@ -63,7 +63,6 @@ from .kernels import (
     SPMV_PUSH_FUSED,
     STREAM_COMPACT_MERGE,
     TRANSPOSE_COUNTSORT,
-    laned,
 )
 
 __all__ = ["CudaSimBackend"]
@@ -130,6 +129,21 @@ class CudaSimBackend(Backend):
                 self._resident.mark(c)
         return out
 
+    def _launch_uncaptured(self, kernel, cfg, *args, **kw):
+        """:meth:`_launch` outside any capturing graph.
+
+        For the one-time build of an auxiliary structure (a transpose, a
+        shard's sort): it is charged once, apart from the steady-state
+        sequence a loop capture records, so iteration signatures stay
+        stable (real CUDA Graphs capture steady-state sequences too).
+        """
+        dev = self._dev()
+        saved, dev.active_graph = dev.active_graph, None
+        try:
+            return self._launch(kernel, cfg, *args, **kw)
+        finally:
+            dev.active_graph = saved
+
     def busy_us(self) -> float:
         """Simulated kernel + transfer time charged to this backend's device."""
         prof = self._dev().profiler
@@ -177,15 +191,9 @@ class CudaSimBackend(Backend):
         # so if a host reader already built the structure this launch
         # charges the derivation without rebuilding it: at most one
         # counting sort per matrix version, host and device combined.
-        # Aux-structure builds are one-time costs, so they are charged
-        # outside any capturing graph to keep iteration signatures stable
-        # (real CUDA Graphs capture steady-state sequences too).
-        dev = self._dev()
-        saved, dev.active_graph = dev.active_graph, None
-        try:
-            return self._launch(_TRANSPOSE_MEMOISED, LaunchConfig.cover(a.nvals), a)
-        finally:
-            dev.active_graph = saved
+        return self._launch_uncaptured(
+            _TRANSPOSE_MEMOISED, LaunchConfig.cover(a.nvals), a
+        )
 
     def _transposed_operand(self, a: CSRMatrix) -> CSRMatrix:
         """Device-resident aᵀ for push-mxv / pull-vxm / pull-frontier kernels.
@@ -221,16 +229,12 @@ class CudaSimBackend(Backend):
             tcsr = self._transposed_operand(a)
             cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
             return self._launch(
-                laned(SPMSV_PUSH, kernels.push_lane(tcsr, u), "scalar"),
-                cfg, tcsr, u, semiring, out_t, False, mask, desc,
+                SPMSV_PUSH, cfg, tcsr, u, semiring, out_t, False, mask, desc
             )
         rows = mask_pull_rows(mask, desc, a.nrows)
         nrows = a.nrows if rows is None else len(rows)
         cfg = LaunchConfig.cover(max(nrows, 1) * 32)
-        return self._launch(
-            laned(SPMV_CSR_VECTOR, kernels.pull_lane(a, rows), "vector"),
-            cfg, a, u, semiring, out_t, False, rows,
-        )
+        return self._launch(SPMV_CSR_VECTOR, cfg, a, u, semiring, out_t, False, rows)
 
     def vxm(
         self,
@@ -250,17 +254,13 @@ class CudaSimBackend(Backend):
                 self._ensure_resident(mask)
             cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
             return self._launch(
-                laned(SPMSV_PUSH, kernels.push_lane(a, u), "scalar"),
-                cfg, a, u, semiring, out_t, True, mask, desc,
+                SPMSV_PUSH, cfg, a, u, semiring, out_t, True, mask, desc
             )
         tcsr = self._transposed_operand(a)
         rows = mask_pull_rows(mask, desc, a.ncols)
         nrows = tcsr.nrows if rows is None else len(rows)
         cfg = LaunchConfig.cover(max(nrows, 1) * 32)
-        return self._launch(
-            laned(SPMV_CSR_VECTOR, kernels.pull_lane(tcsr, rows), "vector"),
-            cfg, tcsr, u, semiring, out_t, True, rows,
-        )
+        return self._launch(SPMV_CSR_VECTOR, cfg, tcsr, u, semiring, out_t, True, rows)
 
     def mxm(
         self,
@@ -279,14 +279,8 @@ class CudaSimBackend(Backend):
 
             self._ensure_resident(mask)
             keys = mask_keys_for(mask, desc)
-            return self._launch(
-                laned(SPGEMM_HASH_MASKED, kernels.spgemm_lane(a), "scalar"),
-                cfg, a, b, semiring, out_t, keys,
-            )
-        return self._launch(
-            laned(SPGEMM_HASH, kernels.spgemm_lane(a), "scalar"),
-            cfg, a, b, semiring, out_t,
-        )
+            return self._launch(SPGEMM_HASH_MASKED, cfg, a, b, semiring, out_t, keys)
+        return self._launch(SPGEMM_HASH, cfg, a, b, semiring, out_t)
 
     # ------------------------------------------------------------------
     # Elementwise
@@ -383,14 +377,12 @@ class CudaSimBackend(Backend):
         if choose_direction(a, frontier, levels, desc, direction, True) == "push":
             cfg = LaunchConfig.cover(max(frontier.nvals, 1) * 32)
             return self._launch(
-                laned(SPMV_PUSH_FUSED, kernels.push_lane(a, frontier), "scalar"),
-                cfg, levels, frontier, a, value, semiring, desc,
+                SPMV_PUSH_FUSED, cfg, levels, frontier, a, value, semiring, desc
             )
         tcsr = self._transposed_operand(a)
         cfg = LaunchConfig.cover(max(tcsr.nrows, 1) * 32)
         return self._launch(
-            laned(SPMV_PULL_FUSED, kernels.pull_lane(tcsr), "vector"),
-            cfg, levels, frontier, tcsr, value, semiring, desc,
+            SPMV_PULL_FUSED, cfg, levels, frontier, tcsr, value, semiring, desc
         )
 
     # ------------------------------------------------------------------

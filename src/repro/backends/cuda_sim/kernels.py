@@ -17,7 +17,7 @@ CUSP:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from ...sanitizer.access import Access
 from ...gpu.simt import COALESCING, divergence_warp_per_row
 from ...core.descriptor import DEFAULT
 from ...types import GrBType
+from ..base import frontier_assign
 from ..cpu.ewise import ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec
 from ..cpu.reduce_apply import apply_mat, apply_vec, reduce_mat_vector
 from ..cpu.spgemm import spgemm_esr
@@ -39,11 +40,7 @@ from ..cpu.spmv import row_gather_product, scatter_product, take_ranges
 
 __all__ = [
     "combine_coalescing",
-    "laned",
     "mask_restrict",
-    "push_lane",
-    "pull_lane",
-    "spgemm_lane",
     "SPMV_CSR_VECTOR",
     "SPMSV_PUSH",
     "SPMV_PUSH_FUSED",
@@ -108,72 +105,27 @@ def _no_declared_access(*args, **kwargs) -> Access:
 # ---------------------------------------------------------------------------
 #
 # The row-structured kernels (SpMV/SpMSpV/frontier/SpGEMM) each have a
-# *native* lane — the single strategy the seed kernels modeled.  Their work
-# estimators now accept an optional ``lane`` chosen by the backend (or
-# resolved here from the same policy when called directly), and derive the
-# divergence/thread schedule from repro.gpu.loadbalance.  Forcing a
-# kernel's native lane reproduces the pre-lanes estimate bit for bit.
+# *native* lane — the single strategy the seed kernels modeled.  Each one's
+# work estimator is the one place its lane is decided: it hands the per-row
+# work it schedules (row lengths; per-row FLOPs for SpGEMM) to
+# repro.gpu.loadbalance under the current policy, prices the chosen lane's
+# schedule, and reports a non-native lane in KernelWork.lane, which the
+# launch turns into the record's "name[lane]" label.  So a launch is
+# labelled by the lane it is priced on, and a direct ``K.work(...)`` call
+# prices exactly what the backend launches.  Forcing a kernel's native lane
+# reproduces the pre-lanes estimate bit for bit.
 
 
-def _lane_sched(lens, lane, native, threads_per_row: int = 32):
-    resolved = lane if lane is not None else loadbalance.choose_lanes(lens, native=native)
-    return loadbalance.schedule(lens, resolved, threads_per_row=threads_per_row)
+def _lane_sched(lens, native: str, nnz_max=None, threads_per_row: int = 32):
+    """Decide the lane for rows of ``lens`` work and schedule it.
 
-
-_LANED: Dict[Tuple[str, str], Kernel] = {}
-
-
-def laned(base: Kernel, lane: str, native: str) -> Kernel:
-    """A lane-pinned variant of ``base`` (memoised per kernel/lane pair).
-
-    The variant shares the semantic function and access declaration —
-    lanes are pure schedule decisions — and passes ``lane=`` through to
-    the work estimator.  The native lane returns ``base`` itself, so
-    default-shaped launches stay bit- and label-identical to seed.
+    ``nnz_max`` is the rows' cached maximum when there is one (a
+    short-circuit for uniformly short rows).  Returns ``(schedule, lane)``
+    with ``lane`` None when the decision is the native lane.
     """
-    if lane == native:
-        return base
-    key = (base.name, lane)
-    hit = _LANED.get(key)
-    if hit is None:
-        work = base.work
-
-        def lane_work(*args, _work=work, _lane=lane, **kwargs):
-            return _work(*args, lane=_lane, **kwargs)
-
-        hit = Kernel(base.name, base.run, lane_work, accesses=base.accesses, lane=lane)
-        _LANED[key] = hit
-    return hit
-
-
-def push_lane(csr: CSRMatrix, u: SparseVector) -> str:
-    """Per-launch lane for a push (SpMSpV/frontier-expand) kernel: bin the
-    frontier rows' degrees (an O(frontier) indptr lookup, no matrix pass)."""
-    lens = csr.indptr[u.indices + 1] - csr.indptr[u.indices]
-    return loadbalance.choose_lanes(lens, native="scalar")
-
-
-def pull_lane(a: CSRMatrix, rows=None) -> str:
-    """Per-launch lane for a pull (CSR-vector SpMV) kernel.
-
-    The full-matrix case reads the version-cached ``row_degrees`` /
-    ``row_nnz_max`` aux stats; the row-restricted case bins just the
-    requested rows.
-    """
-    if rows is None:
-        return loadbalance.choose_lanes(
-            a.row_degrees(), nnz_max=a.row_nnz_max(), native="vector"
-        )
-    lens = a.indptr[np.asarray(rows) + 1] - a.indptr[np.asarray(rows)]
-    return loadbalance.choose_lanes(lens, native="vector")
-
-
-def spgemm_lane(a: CSRMatrix) -> str:
-    """Per-launch lane for the hash SpGEMM: A's cached degree stats proxy
-    the per-output-row FLOP distribution (heavy A rows expand the most)."""
-    return loadbalance.choose_lanes(
-        a.row_degrees(), nnz_max=a.row_nnz_max(), native="scalar"
-    )
+    lane = loadbalance.choose_lanes(lens, nnz_max=nnz_max, native=native)
+    sched = loadbalance.schedule(lens, lane, threads_per_row=threads_per_row)
+    return sched, (None if lane == native else lane)
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +138,19 @@ def _spmv_run(a, u, semiring, out_type, flip, rows):
 
 
 def _spmv_work(
-    a: CSRMatrix, u: SparseVector, semiring, out_type, flip, rows, lane=None
+    a: CSRMatrix, u: SparseVector, semiring, out_type, flip, rows
 ) -> KernelWork:
     if rows is None:
+        # The full matrix: its degree stats are version-cached.
         lens = a.row_degrees()
         nrows = a.nrows
+        sched, lane = _lane_sched(lens, "vector", a.row_nnz_max())
     else:
         lens = a.indptr[np.asarray(rows) + 1] - a.indptr[np.asarray(rows)]
         nrows = len(rows)
+        sched, lane = _lane_sched(lens, "vector")
     nnz = float(lens.sum())
     item = a.type.nbytes
-    sched = _lane_sched(lens, lane, "vector")
     reads, coal = combine_coalescing(
         [
             (2.0 * nrows * _IDX, "sequential"),  # indptr
@@ -213,6 +167,7 @@ def _spmv_work(
         threads=sched.threads if nrows else nrows * 32,
         divergence=sched.divergence,
         coalescing=coal,
+        lane=lane,
     )
 
 
@@ -246,13 +201,13 @@ def _spmsv_run(csr, u, semiring, out_type, flip, mask=None, desc=DEFAULT):
 
 
 def _spmsv_work(
-    csr: CSRMatrix, u: SparseVector, semiring, out_type, flip, mask=None, desc=DEFAULT,
-    lane=None,
+    csr: CSRMatrix, u: SparseVector, semiring, out_type, flip, mask=None, desc=DEFAULT
 ) -> KernelWork:
+    # The frontier rows' degrees: an O(frontier) indptr lookup.
     lens = csr.indptr[u.indices + 1] - csr.indptr[u.indices]
     expanded = float(lens.sum())
     item = csr.type.nbytes
-    sched = _lane_sched(lens, lane, "scalar")
+    sched, lane = _lane_sched(lens, "scalar")
     read_parts = [
         (2.0 * u.nvals * _IDX, "gather"),  # indptr probes at frontier rows
         (expanded * (_IDX + item), "segmented"),  # expanded row slices
@@ -275,6 +230,7 @@ def _spmsv_work(
         threads=sched.threads,
         divergence=sched.divergence,
         coalescing=coal,
+        lane=lane,
     )
 
 
@@ -293,18 +249,10 @@ SPMSV_PUSH = Kernel("spmsv_push", _spmsv_run, _spmsv_work, accesses=_reads_all)
 # global memory as a standalone vector.
 
 
-def _frontier_assign(levels, frontier, value):
-    from ...core.assign import merge_region_vector
-
-    idx = frontier.indices
-    vals = np.full(idx.size, levels.type.cast(value), dtype=levels.type.dtype)
-    return merge_region_vector(levels, idx.copy(), vals, idx, None, None, DEFAULT)
-
-
 def _frontier_push_run(levels, frontier, a, value, semiring, desc):
     from ...core.accumulate import merge_vector
 
-    new_levels = _frontier_assign(levels, frontier, value)
+    new_levels = frontier_assign(levels, frontier, value)
     out_t = semiring.result_type(frontier.type, a.type)
     t = scatter_product(
         a, frontier, semiring, out_t, flip=True, mask=new_levels, desc=desc
@@ -312,12 +260,12 @@ def _frontier_push_run(levels, frontier, a, value, semiring, desc):
     return new_levels, merge_vector(frontier, t, new_levels, None, desc)
 
 
-def _frontier_push_work(levels, frontier, a, value, semiring, desc, lane=None) -> KernelWork:
+def _frontier_push_work(levels, frontier, a, value, semiring, desc) -> KernelWork:
     lens = a.indptr[frontier.indices + 1] - a.indptr[frontier.indices]
     expanded = float(lens.sum())
     item = a.type.nbytes
     kept = expanded * _mask_keep_fraction(levels, desc)
-    sched = _lane_sched(lens, lane, "scalar")
+    sched, lane = _lane_sched(lens, "scalar")
     reads, coal_r = combine_coalescing(
         [
             (2.0 * frontier.nvals * _IDX, "gather"),  # indptr probes
@@ -341,6 +289,7 @@ def _frontier_push_work(levels, frontier, a, value, semiring, desc, lane=None) -
         threads=sched.threads,
         divergence=sched.divergence,
         coalescing=coal,
+        lane=lane,
     )
 
 
@@ -353,14 +302,14 @@ def _frontier_pull_run(levels, frontier, tcsr, value, semiring, desc):
     from ...core.accumulate import merge_vector
     from ..cpu.spmv import mask_pull_rows
 
-    new_levels = _frontier_assign(levels, frontier, value)
+    new_levels = frontier_assign(levels, frontier, value)
     out_t = semiring.result_type(frontier.type, tcsr.type)
     rows = mask_pull_rows(new_levels, desc, tcsr.nrows)
     t = row_gather_product(tcsr, frontier, semiring, out_t, flip=True, rows=rows)
     return new_levels, merge_vector(frontier, t, new_levels, None, desc)
 
 
-def _frontier_pull_work(levels, frontier, tcsr, value, semiring, desc, lane=None) -> KernelWork:
+def _frontier_pull_work(levels, frontier, tcsr, value, semiring, desc) -> KernelWork:
     # Pull over the unvisited rows only (the kernel skips settled vertices).
     unvisited = max(tcsr.nrows - levels.nvals - frontier.nvals, 1)
     lens = tcsr.row_degrees()
@@ -370,7 +319,7 @@ def _frontier_pull_work(levels, frontier, tcsr, value, semiring, desc, lane=None
     # Divergence follows the full degree distribution (the unvisited set is
     # a structural sample of it); threads scale the lane schedule down to
     # the unvisited fraction the kernel actually covers.
-    sched = _lane_sched(lens, lane, "vector")
+    sched, lane = _lane_sched(lens, "vector", tcsr.row_nnz_max())
     reads, coal = combine_coalescing(
         [
             (2.0 * unvisited * _IDX, "sequential"),  # indptr
@@ -389,6 +338,7 @@ def _frontier_pull_work(levels, frontier, tcsr, value, semiring, desc, lane=None
         threads=max(int(round(sched.threads * nnz_frac)), 1),
         divergence=sched.divergence,
         coalescing=coal,
+        lane=lane,
     )
 
 
@@ -495,12 +445,7 @@ EWISE_REDUCE_FUSED_V = Kernel(
 def _fill_ewise_run_v(value, size, fill_type, other, binop, fill_first):
     # The fill operand is generated in registers — a dense constant vector
     # never touches device memory as a standalone container.
-    fill = SparseVector(
-        int(size),
-        np.arange(int(size), dtype=np.int64),
-        np.full(int(size), fill_type.cast(value), dtype=fill_type.dtype),
-        fill_type,
-    )
+    fill = SparseVector.full(int(size), fill_type.cast(value), fill_type)
     if fill_first:
         return ewise_add_vec(fill, other, binop)
     return ewise_add_vec(other, fill, binop)
@@ -538,16 +483,23 @@ def _spgemm_run(a, b, semiring, out_type):
     return spgemm_esr(a, b, semiring, out_type)
 
 
-def _spgemm_work(a: CSRMatrix, b: CSRMatrix, semiring, out_type, lane=None) -> KernelWork:
-    # FLOPs: one multiply+add per expanded partial product.
+def _spgemm_schedule(a: CSRMatrix, b: CSRMatrix):
+    """Per-A-entry expansion lengths, and the lane schedule of a block-per-row
+    kernel over the per-output-row FLOPs they sum to (the lane is decided
+    from the work it is priced on, not from A's degrees)."""
     _, lens = take_ranges(b.indptr, a.indices)
-    expanded = float(lens.sum())
-    item = a.type.nbytes
-    # Per-output-row work drives divergence for a block-per-row kernel.
     row_flops = np.zeros(a.nrows, dtype=np.float64)
     if a.nvals:
         np.add.at(row_flops, a.row_ids(), lens.astype(np.float64))
-    sched = _lane_sched(row_flops, lane, "scalar", threads_per_row=64)
+    sched, lane = _lane_sched(row_flops, "scalar", threads_per_row=64)
+    return lens, sched, lane
+
+
+def _spgemm_work(a: CSRMatrix, b: CSRMatrix, semiring, out_type) -> KernelWork:
+    # FLOPs: one multiply+add per expanded partial product.
+    lens, sched, lane = _spgemm_schedule(a, b)
+    expanded = float(lens.sum())
+    item = a.type.nbytes
     reads, coal = combine_coalescing(
         [
             (a.nvals * (_IDX + item), "segmented"),  # A entries
@@ -565,6 +517,7 @@ def _spgemm_work(a: CSRMatrix, b: CSRMatrix, semiring, out_type, lane=None) -> K
         threads=sched.threads,
         divergence=sched.divergence,
         coalescing=coal,
+        lane=lane,
     )
 
 
@@ -578,19 +531,15 @@ def _spgemm_masked_run(a, b, semiring, out_type, allowed_keys):
 
 
 def _spgemm_masked_work(
-    a: CSRMatrix, b: CSRMatrix, semiring, out_type, allowed_keys, lane=None
+    a: CSRMatrix, b: CSRMatrix, semiring, out_type, allowed_keys
 ) -> KernelWork:
     """Masked hash SpGEMM: probes still expand every partial product, but
     hash-table writes only happen at mask positions, so write traffic (the
     atomic, worst-coalesced part) scales with the mask instead of the
     expansion."""
-    _, lens = take_ranges(b.indptr, a.indices)
+    lens, sched, lane = _spgemm_schedule(a, b)
     expanded = float(lens.sum())
     item = a.type.nbytes
-    row_flops = np.zeros(a.nrows, dtype=np.float64)
-    if a.nvals:
-        np.add.at(row_flops, a.row_ids(), lens.astype(np.float64))
-    sched = _lane_sched(row_flops, lane, "scalar", threads_per_row=64)
     reads, coal_r = combine_coalescing(
         [
             (a.nvals * (_IDX + item), "segmented"),  # A entries
@@ -612,6 +561,7 @@ def _spgemm_masked_work(
         threads=sched.threads,
         divergence=sched.divergence,
         coalescing=coal,
+        lane=lane,
     )
 
 

@@ -73,7 +73,7 @@ from ...exceptions import InvalidValueError
 from ...gpu.device import Device, DeviceProperties, K40
 from ...gpu.kernel import LaunchConfig, charge_transfer, launch
 from ...sanitizer import runtime as _gbsan
-from ..base import Backend
+from ..base import Backend, frontier_assign
 from ..cpu.ewise import ewise_add_vec
 from ..cpu.spmv import choose_direction, mask_pull_rows
 from ..cuda_sim.kernels import (
@@ -95,12 +95,7 @@ from ..cuda_sim.kernels import (
     SPGEMM_HASH_MASKED,
     SPMSV_PUSH,
     SPMV_CSR_VECTOR,
-    _frontier_assign,
-    laned,
     mask_restrict,
-    pull_lane,
-    push_lane,
-    spgemm_lane,
 )
 from .kernels import PARTIAL_MERGE, STREAM_COMPACT_SHARD, TRANSPOSE_SHARD
 
@@ -265,8 +260,7 @@ class MultiSimBackend(Backend):
             # Devices hold disjoint slices: gather the full container
             # everywhere over the peer links.
             del c._aux[_SLICED]
-            dt = self._cluster.comm.allgather(float(c.nbytes))
-            self._cluster.charge_comm("allgather", dt, float(c.nbytes))
+            self._cluster.collective("allgather", float(c.nbytes))
             for ex in self._cluster.executors:
                 ex._resident.mark(c)
             return
@@ -277,8 +271,7 @@ class MultiSimBackend(Backend):
             return
         # Fresh host data: one PCIe upload to device 0, then a peer broadcast.
         ex0._ensure_resident(c)
-        dt = self._cluster.comm.broadcast(float(c.nbytes))
-        self._cluster.charge_comm("broadcast", dt, float(c.nbytes))
+        self._cluster.collective("broadcast", float(c.nbytes))
         for ex in self._cluster.executors[1:]:
             ex._resident.mark(c)
 
@@ -361,23 +354,13 @@ class MultiSimBackend(Backend):
             # The shard materialises on its device as the sort runs; mark
             # residency first so the pricing launch reads a known buffer.
             ex._resident.mark(shard)
-        for p, shard in enumerate(part.shards):
             if shard.nvals:
-                self._launch_uncaptured(
-                    TRANSPOSE_SHARD, LaunchConfig.cover(shard.nvals), shard, p=p
+                ex._launch_uncaptured(
+                    TRANSPOSE_SHARD, LaunchConfig.cover(shard.nvals), shard
                 )
-        dt = self._cluster.comm.all_to_all(float(a.nbytes))
-        self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
+        self._cluster.collective("all_to_all", float(a.nbytes))
         self._tparts[id(a)] = (a, a.version, part)
         return part
-
-    def _launch_uncaptured(self, kernel, cfg, *args, p: int):
-        dev = self._dev(p)
-        saved, dev.active_graph = dev.active_graph, None
-        try:
-            return launch(kernel, cfg, *args, device=dev)
-        finally:
-            dev.active_graph = saved
 
     # ------------------------------------------------------------------
     # The per-device path
@@ -415,8 +398,9 @@ class MultiSimBackend(Backend):
 
     def _allreduce(self, t) -> None:
         """The scalar allreduce that closes every sharded full reduction."""
-        dt = self._cluster.comm.allreduce_scalar(t.nbytes)
-        self._cluster.charge_comm("allreduce", dt, float(2 * (self.nparts - 1) * t.nbytes))
+        self._cluster.collective(
+            "allreduce", float(2 * (self.nparts - 1) * t.nbytes), t.nbytes
+        )
 
     def _exact_add(self, semiring: Semiring, out_t) -> bool:
         if semiring.add.op.name in _EXACT_ADDS:
@@ -463,20 +447,18 @@ class MultiSimBackend(Backend):
             if shard.nvals == 0 or ush.nvals == 0:
                 send.append(0.0)
                 continue
-            # Each shard re-bins its own frontier slice: a degree-balanced
-            # split can still leave one device holding a mega-hub.
+            # Each shard's launch re-bins its own frontier slice: a
+            # degree-balanced split can still leave one device holding a
+            # mega-hub.
             t_p = self._on_shard(
-                p,
-                laned(SPMSV_PUSH, push_lane(shard, ush), "scalar"),
-                ush.nvals,
+                p, SPMSV_PUSH, ush.nvals,
                 shard, ush, semiring, out_t, flip, mask, desc,
                 cfg=LaunchConfig.cover(ush.nvals * 32),
                 derived=((ush, u),),
             )
             partials.append(t_p)
             send.append(float(t_p.nbytes))
-        dt = self._cluster.comm.frontier_exchange(send)
-        self._cluster.charge_comm("frontier_exchange", dt, float(sum(send)))
+        self._cluster.collective("frontier_exchange", float(sum(send)), send)
         if not partials:
             return SparseVector.empty(n_out, out_t)
         out = partials[0]
@@ -515,9 +497,9 @@ class MultiSimBackend(Backend):
             if shard.nvals == 0 or u.nvals == 0 or nloc == 0:
                 shards_out.append(SparseVector.empty(shard.nrows, out_t))
                 continue
-            # Shard-local lane choice from the shard's own degree stats.
+            # The launch picks its lane from the shard's own rows.
             t_p = launch(
-                laned(SPMV_CSR_VECTOR, pull_lane(shard, local_rows), "vector"),
+                SPMV_CSR_VECTOR,
                 LaunchConfig.cover(nloc * 32),
                 shard,
                 u,
@@ -582,18 +564,15 @@ class MultiSimBackend(Backend):
                 blocks.append(CSRMatrix.empty(shard.nrows, b.ncols, out_t))
                 continue
             cfg = LaunchConfig.cover(max(shard.nrows, 1) * 64)
-            lane = spgemm_lane(shard)
             if masked:
                 keys = mask_keys_for(_slice_rows(mask, lo, hi), desc)
                 blk = launch(
-                    laned(SPGEMM_HASH_MASKED, lane, "scalar"),
-                    cfg, shard, b, semiring, out_t, keys,
+                    SPGEMM_HASH_MASKED, cfg, shard, b, semiring, out_t, keys,
                     device=self._dev(p),
                 )
             else:
                 blk = launch(
-                    laned(SPGEMM_HASH, lane, "scalar"),
-                    cfg, shard, b, semiring, out_t, device=self._dev(p),
+                    SPGEMM_HASH, cfg, shard, b, semiring, out_t, device=self._dev(p)
                 )
             blocks.append(blk)
         return concat_row_blocks(blocks, b.ncols, out_t)
@@ -718,7 +697,7 @@ class MultiSimBackend(Backend):
         # Level assign: every device scatters the frontier into its replica
         # of the levels vector (the visited bitmap is replicated; keeping the
         # replicas coherent is what the exchanged frontier pays for).
-        new_levels = _frontier_assign(levels, frontier, value)
+        new_levels = frontier_assign(levels, frontier, value)
         self.charge_assign(frontier.nvals, new_levels)
         for ex in self._cluster.executors:
             ex._resident.mark(new_levels)
@@ -801,8 +780,7 @@ class MultiSimBackend(Backend):
         parts = self._row_parts(a)
         for p, shard in enumerate(parts.shards):
             self._on_shard(p, TRANSPOSE_SHARD, shard.nvals, shard)
-        dt = self._cluster.comm.all_to_all(float(a.nbytes))
-        self._cluster.charge_comm("all_to_all", dt, float(a.nbytes))
+        self._cluster.collective("all_to_all", float(a.nbytes))
         return a.transpose()
 
     # ------------------------------------------------------------------
@@ -892,8 +870,7 @@ class MultiSimBackend(Backend):
             )
         # Inserts can move a row's slice across the ownership split; charge
         # the redistribution like the sharded transpose does.
-        dt = self._cluster.comm.all_to_all(float(overlay.nbytes))
-        self._cluster.charge_comm("all_to_all", dt, float(overlay.nbytes))
+        self._cluster.collective("all_to_all", float(overlay.nbytes))
         base.install_arrays(*arrays)
         self.note_result(base)
 

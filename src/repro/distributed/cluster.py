@@ -26,7 +26,7 @@ meaning exactly what they mean on one device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 from ..gpu.device import Device, DeviceProperties, K40
 from ..gpu.profiler import LaunchRecord
@@ -129,6 +129,17 @@ class SimCluster:
             )
         )
         return t
+
+    def collective(self, primitive: str, nbytes: float, *price_args: Any) -> None:
+        """Price one collective on :attr:`comm` and charge it.
+
+        ``primitive`` names it once: the :class:`CommModel` method that
+        prices it, and the records :meth:`charge_comm` makes.  The model
+        prices ``price_args``, by default the payload ``nbytes``; the charge
+        records ``nbytes`` as the bytes moved.
+        """
+        price = getattr(self.comm, primitive)
+        self.charge_comm(primitive, price(*(price_args or (nbytes,))), nbytes)
 
     def charge_comm(self, primitive: str, duration_us: float, nbytes: float) -> None:
         """Charge one collective: barrier, then ``duration_us`` everywhere.

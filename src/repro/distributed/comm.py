@@ -13,7 +13,7 @@ algebra NCCL's performance model uses):
   is latency per peer plus the *maximum* per-device send serialised over
   its link, reflecting that exchanges are bottlenecked by the busiest
   device, not the sum.
-- ``allreduce_scalar`` — latency-bound ring on one scalar (convergence
+- ``allreduce`` — latency-bound ring on one scalar (convergence
   checks).
 
 Every primitive returns its modeled duration and records wire bytes into a
@@ -167,7 +167,7 @@ class CommModel:
         )
         return self._charge("frontier_exchange", total, dt)
 
-    def allreduce_scalar(self, item_bytes: int = 8) -> float:
+    def allreduce(self, item_bytes: int = 8) -> float:
         """Reduce one scalar to all devices (latency-bound ring)."""
         p = self.nparts
         if p <= 1:

@@ -25,7 +25,7 @@ crossover behaviour, which these three terms reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .device import DeviceProperties
@@ -43,6 +43,10 @@ class KernelWork:
     threads: int = 1
     divergence: float = 1.0  # >= 1; divides compute throughput
     coalescing: float = 1.0  # >= 1; divides memory bandwidth
+    # Load-balancing lane the estimator priced, when it is not the kernel's
+    # native one (see repro.gpu.loadbalance); the launch records the kernel
+    # as "name[lane]".
+    lane: Optional[str] = None
 
     @property
     def bytes_total(self) -> float:

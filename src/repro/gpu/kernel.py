@@ -19,7 +19,7 @@ raw arrays pass ``san_reads``/``san_writes`` to :func:`launch` instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Tuple
 
 from ..exceptions import InvalidLaunchError
@@ -69,27 +69,21 @@ class Kernel:
     ``run`` computes the semantics; ``work`` estimates the hardware work;
     ``accesses`` declares the read/write container sets for the sanitizer.
     All three receive the launch args verbatim.
+
+    A row-scheduled kernel's ``work`` also decides its load-balancing lane
+    (see :mod:`repro.gpu.loadbalance`) and reports a non-native one in
+    :attr:`KernelWork.lane`; the launch labels its record ``name[lane]``.
+    Loop-capture signatures are structural, so a lane flip between
+    iterations re-costs the launch without forcing a recapture.
     """
 
     name: str
     run: Callable[..., Any]
     work: Callable[..., KernelWork]
     accesses: Optional[Callable[..., Access]] = None
-    # Load-balancing lane this variant is pinned to (see
-    # repro.gpu.loadbalance).  Profiler records carry it as a
-    # "name[lane]" label; loop-capture signatures are structural, so a lane
-    # flip between iterations re-costs the launch without forcing a
-    # recapture.
-    lane: Optional[str] = None
-
-    @property
-    def display_name(self) -> str:
-        if self.lane is None:
-            return self.name
-        return f"{self.name}[{self.lane}]"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Kernel({self.display_name})"
+        return f"Kernel({self.name})"
 
 
 def launch(
@@ -116,21 +110,15 @@ def launch(
     config.validate(dev)
     work = kernel.work(*args, **kwargs)
     if work.threads <= 1:
-        work = KernelWork(
-            flops=work.flops,
-            bytes_read=work.bytes_read,
-            bytes_written=work.bytes_written,
-            threads=config.threads,
-            divergence=work.divergence,
-            coalescing=work.coalescing,
-        )
+        work = replace(work, threads=config.threads)
+    name = kernel.name if work.lane is None else f"{kernel.name}[{work.lane}]"
     graph = dev.active_graph if stream is None else None
     # Inside a lazy flush: a capture charges normally; a replay charges the
     # busy time now and defers the record to the aggregate's commit (one
     # launch overhead for the whole loop).  Semantics always execute — the
     # data changes every iteration.  The aggregate decides first, so the
     # sanitizer checks bindings against a replay that really happens.
-    deferred = graph is not None and graph.on_launch(kernel, work, dev)
+    deferred = graph is not None and graph.on_launch(name, work, dev)
     san = _gbsan.ACTIVE
     read_labels: Tuple[str, ...] = ()
     write_labels: Tuple[str, ...] = ()
@@ -154,7 +142,7 @@ def launch(
         dev.advance(dt)
     dev._profiler.record(
         LaunchRecord(
-            name=kernel.display_name,
+            name=name,
             kind="kernel",
             start_us=start,
             duration_us=dt,

@@ -5,11 +5,13 @@ from the degree distribution: short rows run thread-per-row (CSR-scalar),
 medium rows run warp-per-row (CSR-vector), and long/irregular rows run a
 merge-path kernel that splits ``nnz + nrows`` work units into equal-sized
 partitions regardless of row boundaries.  This module is the simulated
-analogue: it bins rows into those three lanes from the degree statistics
-already cached on the containers (``row_degrees`` / ``row_nnz_max`` — no
-new passes over the matrix), and produces per-lane divergence/thread
-schedules the work estimators in ``cuda_sim/kernels.py`` charge through
-the existing cost model.
+analogue: it bins rows into those three lanes by the per-row work a
+kernel's work estimator in ``cuda_sim/kernels.py`` prices (row lengths, or
+per-row FLOPs for SpGEMM; a full-matrix pull passes the cached
+``row_degrees`` / ``row_nnz_max``, no new pass over the matrix), and
+produces the per-lane divergence/thread schedule that estimator charges
+through the existing cost model.  The estimator is the one place a
+launch's lane is decided.
 
 Lane selection is a pure *schedule* decision: the semantic functions are
 untouched, so results are bit-identical to the single-lane kernels on

@@ -42,7 +42,6 @@ from .ir import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu.device import Device
-    from ..gpu.kernel import Kernel
 
 __all__ = ["LoopAgg", "REPLAY_PREFIX", "close", "discard", "enter", "signature"]
 
@@ -58,7 +57,8 @@ class LoopAgg:
     :meth:`on_launch` returns False and launches charge normally; once
     ``replaying``, it charges each launch's busy time to the clock, returns
     True, and :meth:`commit` later emits one aggregated record (plus the
-    single launch overhead) for *all* accumulated iterations.
+    single launch overhead) for *all* accumulated iterations, listing each
+    launch under the label its plain record would carry (``name[lane]``).
 
     A replay is only valid while the device buffers bound at capture are
     still the ones in use: when the device counts a rebind (a re-upload
@@ -77,7 +77,7 @@ class LoopAgg:
         self._start = 0.0
         self._pending: List[Tuple[str, float, KernelWork]] = []
 
-    def on_launch(self, kernel: "Kernel", work: KernelWork, dev: "Device") -> bool:
+    def on_launch(self, name: str, work: KernelWork, dev: "Device") -> bool:
         if self.replaying and dev.rebinds != self.rebinds:
             # Re-instantiate.  The stamp is taken before the capture reads
             # anything, so a rebind later in the capture also re-captures.
@@ -92,7 +92,7 @@ class LoopAgg:
         if not self._pending:
             self._start = dev.clock_us
         dev.advance(busy)
-        self._pending.append((kernel.display_name, busy, work))
+        self._pending.append((name, busy, work))
         return True
 
     def commit(self, dev: "Device") -> None:

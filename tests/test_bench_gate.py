@@ -1,8 +1,8 @@
 """The CI bench gate (benchmarks/check_bench_regressions.py) fails loudly.
 
 A named figure must fail the gate when its baseline tracks no counters,
-when a tracked counter grew past the tolerance, and when the current run
-left no record to compare.
+when a tracked counter grew past the tolerance, when its simulated kernel
+time rose at all, and when the current run left no record to compare.
 """
 
 from __future__ import annotations
@@ -60,3 +60,16 @@ def test_growth_past_tolerance_fails(gate, tmp_path):
 def test_missing_current_record_fails(gate, tmp_path):
     cell = {"kernel_launches": 100, "h2d_bytes": 1000}
     assert _run(gate, tmp_path, _record(a=cell), None) == 1
+
+
+def test_any_kernel_us_rise_fails(gate, tmp_path):
+    # The simulated clock is gated exactly, not at the counters' 10%.
+    cell = {"kernel_launches": 100, "h2d_bytes": 1000, "kernel_us": 250.0}
+    risen = dict(cell, kernel_us=250.001)
+    assert _run(gate, tmp_path, _record(a=cell), _record(a=risen)) == 1
+
+
+def test_kernel_us_fall_passes(gate, tmp_path):
+    cell = {"kernel_launches": 100, "h2d_bytes": 1000, "kernel_us": 250.0}
+    fallen = dict(cell, kernel_us=249.5)
+    assert _run(gate, tmp_path, _record(a=cell), _record(a=fallen)) == 0

@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 import repro as gb
+import repro.backends.cuda_sim.backend as cuda_sim_backend
+import repro.backends.multi_sim.backend as multi_sim_backend
 from repro.backends.cuda_sim.kernels import (
     SPGEMM_HASH,
+    SPGEMM_HASH_MASKED,
     SPMSV_PUSH,
     SPMV_CSR_VECTOR,
+    SPMV_PULL_FUSED,
+    SPMV_PUSH_FUSED,
     TRANSPOSE_COUNTSORT,
     combine_coalescing,
 )
 from repro.containers.csr import CSRMatrix
 from repro.containers.sparsevec import SparseVector
-from repro.core.semiring import PLUS_TIMES
+from repro.core.descriptor import Descriptor
+from repro.core.semiring import LOR_LAND, MIN_PLUS, PLUS_TIMES
 from repro.policy import policy
-from repro.types import FP64
+from repro.testing.executor import backend_session
+from repro.types import BOOL, FP64, INT64
 
 
 def dense_csr(n, density, seed=0):
@@ -165,3 +172,112 @@ class TestEndToEndTiming:
         assert sim_time(skewed, "vector") > sim_time(uniform, "vector")
         # Lane binning claws back most of that skew penalty.
         assert sim_time(skewed) < sim_time(skewed, "vector")
+
+
+# ---------------------------------------------------------------------------
+# A launch is priced and labelled by its own estimator
+# ---------------------------------------------------------------------------
+
+#: The lane-scheduled kernels, by name, with their native lane.
+LANE_KERNELS = {
+    k.name: (k, native)
+    for k, native in (
+        (SPMV_CSR_VECTOR, "vector"),
+        (SPMSV_PUSH, "scalar"),
+        (SPMV_PUSH_FUSED, "scalar"),
+        (SPMV_PULL_FUSED, "vector"),
+        (SPGEMM_HASH, "scalar"),
+        (SPGEMM_HASH_MASKED, "scalar"),
+    )
+}
+
+_UNVISITED = Descriptor(complement_mask=True, structural_mask=True, replace=True)
+
+#: Each lane-scheduled kernel's backend op, as ``(backend, graph) -> result``.
+#: On multi_sim P=2 the frontier steps run the sharded push and pull
+#: products, and push needs an exact add monoid (MIN) to stay push.
+LANE_OPS = {
+    "mxv_pull": lambda be, a: be.mxv(a, _ramp(a.nrows), PLUS_TIMES, direction="pull"),
+    "mxv_pull_masked": lambda be, a: be.mxv(
+        a, _ramp(a.nrows), PLUS_TIMES, mask=_ramp(a.nrows, step=3), direction="pull"
+    ),
+    "vxm_push": lambda be, a: be.vxm(_ramp(a.nrows), a, MIN_PLUS, direction="push"),
+    "mxm": lambda be, a: be.mxm(a, a, PLUS_TIMES),
+    "mxm_masked": lambda be, a: be.mxm(a, a, PLUS_TIMES, mask=a),
+    "frontier_push": lambda be, a: _frontier_step(be, a, "push"),
+    "frontier_pull": lambda be, a: _frontier_step(be, a, "pull"),
+}
+
+GRAPHS = {
+    # A hub and 299 leaves: A's degrees bin apart while A·A's per-row
+    # FLOPs are all equal, so an SpGEMM lane read off A's degrees is
+    # not the lane its FLOPs are priced on.
+    "star_300": lambda: gb.generators.star_graph(300).container,
+    "rmat_directed": lambda: gb.generators.rmat(
+        7, 8, seed=0, weighted=True, directed=True
+    ).container,
+}
+
+
+def _ramp(n, step=2):
+    idx = np.arange(0, n, step)
+    return SparseVector(n, idx, idx.astype(np.float64) + 1.0, FP64)
+
+
+def _frontier_step(be, a, direction):
+    n = a.nrows
+    visited = np.arange(2, n, 5)
+    levels = SparseVector(n, visited, np.ones(visited.size, dtype=np.int64), INT64)
+    frontier = SparseVector(n, np.array([0, 1]), np.ones(2, dtype=bool), BOOL)
+    return be.frontier_step(levels, frontier, a, 2, LOR_LAND, _UNVISITED, direction)
+
+
+@pytest.fixture
+def launches(monkeypatch):
+    """Every lane-scheduled launch of both simulated backends, as
+    ``(record, estimate, native lane, device)``: ``estimate`` is the
+    module-level kernel's ``work`` on the launch's own arguments."""
+    seen = []
+
+    def spy(real):
+        def wrapped(kernel, cfg, *args, device=None, **kw):
+            recs = device._profiler.records
+            n = len(recs)
+            out = real(kernel, cfg, *args, device=device, **kw)
+            if kernel.name in LANE_KERNELS:
+                k, native = LANE_KERNELS[kernel.name]
+                seen.append((recs[n], k.work(*args), native, device))
+            return out
+
+        return wrapped
+
+    for mod in (cuda_sim_backend, multi_sim_backend):
+        monkeypatch.setattr(mod, "launch", spy(mod.launch))
+    return seen
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("mode", ["auto", "scalar", "vector", "merge", "off"])
+@pytest.mark.parametrize("spec", ["cuda_sim", "multi_sim:2:equal_rows"])
+def test_launch_is_priced_and_labelled_by_its_estimator(launches, spec, mode, graph):
+    a = GRAPHS[graph]()
+    with backend_session(f"{spec}:lanes={mode}") as be:
+        for op in LANE_OPS.values():
+            op(be, a)
+        assert launches
+        for rec, work, _, dev in launches:
+            assert rec.duration_us == dev.cost_model.kernel_time_us(work), rec.name
+        for rec, work, native, _ in launches:
+            name = rec.name.split("[")[0]
+            # The bare name exactly when the priced lane is native.
+            assert rec.name == (name if work.lane is None else f"{name}[{work.lane}]")
+            assert work.lane != native
+            if mode == "off":
+                assert work.lane is None
+            elif mode != "auto":
+                assert work.lane == (None if mode == native else mode)
+    kernels = {rec.name.split("[")[0] for rec, *_ in launches}
+    if spec == "cuda_sim":
+        assert kernels == set(LANE_KERNELS)
+    else:  # the sharded frontier step launches the plain products
+        assert kernels == set(LANE_KERNELS) - {SPMV_PUSH_FUSED.name, SPMV_PULL_FUSED.name}

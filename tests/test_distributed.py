@@ -162,7 +162,7 @@ class TestCommModel:
         assert m.broadcast(1e6) == 0.0
         assert m.all_to_all(1e6) == 0.0
         assert m.frontier_exchange([0.0]) == 0.0
-        assert m.allreduce_scalar() == 0.0
+        assert m.allreduce() == 0.0
         assert m.stats.total_count == 0
 
     def test_ring_collectives_scale_with_p(self):
