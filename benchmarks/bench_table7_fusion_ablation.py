@@ -23,7 +23,7 @@ Shape claims:
   counter) cell where ablating it is strictly worse.
 
 Emits ``BENCH_table7.json`` with the deterministic cuda_sim counters that
-``check_bench_regressions.py`` gates.
+``check_bench_regressions.py`` gates, simulated ``kernel_us`` exactly.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ def test_table7_render(benchmark):
                 metrics[f"{workload}.{mode}"] = {
                     "kernel_launches": launches,
                     "h2d_bytes": round(h2d),
+                    "kernel_us": round(us, 3),
                 }
                 rows.append(
                     [workload, mode, round(us, 2), launches, round(h2d)]

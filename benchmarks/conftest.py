@@ -22,7 +22,7 @@ import pytest
 
 from repro.backends.dispatch import get_backend, use_backend
 from repro.bench.harness import simulated_gpu_time, time_operation
-from repro.gpu.device import reset_device
+from repro.gpu.device import get_device, reset_device
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -48,15 +48,17 @@ def measure(backend: str, fn, repeat: int = 3):
 def sim_metrics(fn) -> dict:
     """Deterministic cuda_sim counters for one case.
 
-    Charged kernel launches and H2D traffic come from the cost model, not
-    the host clock, so they are bit-stable across machines — CI diffs them
-    against committed baselines with a hard tolerance (see
+    Charged kernel launches, H2D traffic and simulated kernel time come
+    from the cost model, not the host clock, so they are bit-stable across
+    machines — CI diffs them against committed baselines with a hard
+    tolerance, and ``kernel_us`` with none (see
     ``check_bench_regressions.py``).
     """
     m = simulated_gpu_time(fn)
     out = {
         "kernel_launches": m.kernel_launches,
         "h2d_bytes": round(m.h2d_bytes),
+        "kernel_us": round(get_device().profiler.kernel_time_us, 3),
     }
     # Serving runs return ServiceStats: record the coalescing-depth
     # histogram alongside the device counters so fig9 can attribute

@@ -180,10 +180,12 @@ class CudaSimBackend(Backend):
 
         The result is the container's own memo
         (:meth:`CSRMatrix.cached_transpose`), so host- and device-side
-        consumers share one transpose per version.
+        consumers share one transpose per version.  A known transpose
+        clean on the device (the memo, or the matrix ``a`` is the memo of)
+        is read as is.
         """
-        hit = a._aux.get("tcsr")
-        if hit is not None and hit in self._resident:
+        hit = a.known_transpose()
+        if hit is not None and self._resident.is_clean(hit):
             self._resident.mark(hit)  # LRU touch
             return hit
         # Derive aᵀ on-device — charged as one transpose kernel per matrix

@@ -575,21 +575,8 @@ SPGEMM_HASH_MASKED = Kernel(
 # ---------------------------------------------------------------------------
 
 
-def _ewise_work_v(u: SparseVector, v: SparseVector, op) -> KernelWork:
-    n = float(u.nvals + v.nvals)
-    item = max(u.type.nbytes, v.type.nbytes)
-    reads, coal = combine_coalescing([(n * (item + _IDX), "sequential")])
-    return KernelWork(
-        flops=n,
-        bytes_read=reads,
-        bytes_written=n * (item + _IDX),
-        threads=max(int(n), 1),
-        divergence=1.0,
-        coalescing=coal,
-    )
-
-
-def _ewise_work_m(a: CSRMatrix, b: CSRMatrix, op) -> KernelWork:
+def _ewise_work(a, b, op) -> KernelWork:
+    """Two sparse vectors or two CSR matrices: stream both entry lists."""
     n = float(a.nvals + b.nvals)
     item = max(a.type.nbytes, b.type.nbytes)
     reads, coal = combine_coalescing([(n * (item + _IDX), "sequential")])
@@ -604,19 +591,19 @@ def _ewise_work_m(a: CSRMatrix, b: CSRMatrix, op) -> KernelWork:
 
 
 EWISE_ADD_V = Kernel(
-    "ewise_add_v", lambda u, v, op: ewise_add_vec(u, v, op), _ewise_work_v,
+    "ewise_add_v", lambda u, v, op: ewise_add_vec(u, v, op), _ewise_work,
     accesses=_reads_all,
 )
 EWISE_MULT_V = Kernel(
-    "ewise_mult_v", lambda u, v, op: ewise_mult_vec(u, v, op), _ewise_work_v,
+    "ewise_mult_v", lambda u, v, op: ewise_mult_vec(u, v, op), _ewise_work,
     accesses=_reads_all,
 )
 EWISE_ADD_M = Kernel(
-    "ewise_add_m", lambda a, b, op: ewise_add_mat(a, b, op), _ewise_work_m,
+    "ewise_add_m", lambda a, b, op: ewise_add_mat(a, b, op), _ewise_work,
     accesses=_reads_all,
 )
 EWISE_MULT_M = Kernel(
-    "ewise_mult_m", lambda a, b, op: ewise_mult_mat(a, b, op), _ewise_work_m,
+    "ewise_mult_m", lambda a, b, op: ewise_mult_mat(a, b, op), _ewise_work,
     accesses=_reads_all,
 )
 
@@ -626,18 +613,8 @@ EWISE_MULT_M = Kernel(
 # ---------------------------------------------------------------------------
 
 
-def _apply_work_v(u: SparseVector, op) -> KernelWork:
-    n = float(u.nvals)
-    item = u.type.nbytes
-    return KernelWork(
-        flops=n,
-        bytes_read=n * item,
-        bytes_written=n * item,
-        threads=max(int(n), 1),
-    )
-
-
-def _apply_work_m(a: CSRMatrix, op) -> KernelWork:
+def _apply_work(a, op) -> KernelWork:
+    """A sparse vector or a CSR matrix: map over its stored values."""
     n = float(a.nvals)
     item = a.type.nbytes
     return KernelWork(
@@ -648,8 +625,8 @@ def _apply_work_m(a: CSRMatrix, op) -> KernelWork:
     )
 
 
-APPLY_V = Kernel("apply_v", lambda u, op: apply_vec(u, op), _apply_work_v, accesses=_reads_all)
-APPLY_M = Kernel("apply_m", lambda a, op: apply_mat(a, op), _apply_work_m, accesses=_reads_all)
+APPLY_V = Kernel("apply_v", lambda u, op: apply_vec(u, op), _apply_work, accesses=_reads_all)
+APPLY_M = Kernel("apply_m", lambda a, op: apply_mat(a, op), _apply_work, accesses=_reads_all)
 
 
 def _reduce_tree_run(values: np.ndarray, monoid: Monoid, typ: GrBType):
@@ -731,13 +708,13 @@ def _gather_work(n_lookups: float, item: int) -> KernelWork:
     )
 
 
-def _gather_run(fn, n, item):
+def _thunk_run(fn, n, item):
     # The run arg is a thunk computing the semantics; n/item size the work.
     return fn()
 
 
 GATHER = Kernel(
-    "gather_extract", _gather_run, lambda fn, n, item: _gather_work(n, item),
+    "gather_extract", _thunk_run, lambda fn, n, item: _gather_work(n, item),
     accesses=_no_declared_access,
 )
 
@@ -777,12 +754,8 @@ def _select_work(nvals: float, item: int) -> KernelWork:
     )
 
 
-def _select_run(fn, nvals, item):
-    return fn()
-
-
 SELECT_COMPACT = Kernel(
-    "select_compact", _select_run, lambda fn, nvals, item: _select_work(nvals, item),
+    "select_compact", _thunk_run, lambda fn, nvals, item: _select_work(nvals, item),
     accesses=_no_declared_access,
 )
 

@@ -11,6 +11,7 @@ and the GPU simulator "uploads" them as device buffers without copies.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -53,7 +54,10 @@ class CSRMatrix:
     - all column indices lie in ``[0, ncols)``.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "type", "_version", "_aux")
+    __slots__ = (
+        "nrows", "ncols", "indptr", "indices", "values", "type", "_version", "_aux",
+        "__weakref__",
+    )
 
     #: Process-wide count of counting-sort transpose *builds* (cache misses
     #: included, cache hits not).  Tests pin "at most one build per matrix
@@ -83,8 +87,15 @@ class CSRMatrix:
         return self._version
 
     def bump_version(self) -> int:
-        """Invalidate every cached auxiliary structure after a mutation."""
+        """Invalidate every cached auxiliary structure after a mutation.
+
+        The dropped transpose memo, which callers may still hold, loses its
+        back-link: it is no longer the transpose of this matrix.
+        """
         self._version += 1
+        memo = self._aux.get("tcsr")
+        if memo is not None:
+            memo._aux.pop("tsrc", None)
         self._aux.clear()
         return self._version
 
@@ -295,6 +306,23 @@ class CSRMatrix:
     # Transforms
     # ------------------------------------------------------------------
 
+    def known_transpose(self) -> Optional["CSRMatrix"]:
+        """Aᵀ when it exists without a build, else None.
+
+        That is A itself when :attr:`symmetric`, the memo of
+        :meth:`cached_transpose`, or — when this matrix *is* such a memo —
+        the matrix it was built from, reached through a weak back-link
+        that never keeps the source alive and that the source drops when
+        its version moves.
+        """
+        if self.symmetric:
+            return self
+        hit = self._aux.get("tcsr")
+        if hit is None:
+            src = self._aux.get("tsrc")
+            hit = src() if src is not None else None
+        return hit
+
     def cached_transpose(self) -> "CSRMatrix":
         """Memoised :meth:`transpose`, invalidated by :meth:`bump_version`.
 
@@ -303,11 +331,14 @@ class CSRMatrix:
         *version* instead of one per call, and a mutation (which bumps the
         version) can leave no stale copy behind.  A :attr:`symmetric`
         matrix is its own transpose: row j of A holds exactly row j of Aᵀ,
-        so it is returned as is and nothing is built.
+        so it is returned as is and nothing is built; the transpose of the
+        memo is A again (:meth:`known_transpose`).
         """
-        if self.symmetric:
-            return self
-        return self._cached("tcsr", self.transpose)
+        hit = self.known_transpose()
+        if hit is None:
+            hit = self._aux["tcsr"] = self.transpose()
+            hit._aux["tsrc"] = weakref.ref(self)
+        return hit
 
     def transpose(self) -> "CSRMatrix":
         """CSR of the transpose (a stable counting-sort by column)."""

@@ -26,6 +26,7 @@ from ..containers.csr import CSRMatrix, flat_keys
 from ..containers.sparsevec import SparseVector
 from ..exceptions import DimensionMismatchError, IndexOutOfBoundsError, InvalidValueError
 from ..lazy import schedule as _lz
+from ..lazy.write import check_mask
 from .accumulate import _note_result
 from .descriptor import DEFAULT, Descriptor
 from .mask import matrix_mask_at, vector_mask_at
@@ -40,14 +41,6 @@ __all__ = [
     "assign_col",
     "merge_region_vector",
 ]
-
-
-def _check_mask_v(mask, size: int) -> None:
-    """Eager mask-shape validation (the region merge runs deferred)."""
-    if mask is not None and mask.size != size:
-        raise DimensionMismatchError(
-            "mask shape", expected=(size,), actual=(mask.size,)
-        )
 
 
 def _index_array(idx, dim: int, what: str) -> np.ndarray:
@@ -193,7 +186,7 @@ def assign(
             raise DimensionMismatchError(
                 "assign source size", expected=idx.size, actual=src.size
             )
-        _check_mask_v(mask, out.size)
+        check_mask(mask, out.size)
         be = current_backend()
         region = np.sort(idx)
 
@@ -259,7 +252,7 @@ def assign_scalar(
     """
     if isinstance(out, Vector):
         idx = _index_array(indices, out.size, "target")
-        _check_mask_v(mask, out.size)
+        check_mask(mask, out.size)
         vals = np.full(idx.size, out.type.cast(value), dtype=out.type.dtype)
         be = current_backend()
         region = np.sort(idx)

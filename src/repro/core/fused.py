@@ -16,21 +16,17 @@ from __future__ import annotations
 from typing import Optional
 
 from ..backends.dispatch import current_backend
-from ..exceptions import DimensionMismatchError, InvalidValueError
+from ..exceptions import InvalidValueError
 from ..lazy import schedule as _lz
-from .accumulate import merge_vector
+from ..lazy.write import emit_write
 from .descriptor import DEFAULT, Descriptor
 from .matrix import Matrix
+from .operations import _require
 from .operators import BinaryOp, UnaryOp
 from .semiring import Semiring
 from .vector import Vector
 
 __all__ = ["ewise_apply", "frontier_step"]
-
-
-def _require(cond: bool, what: str, expected, actual) -> None:
-    if not cond:
-        raise DimensionMismatchError(what, expected=expected, actual=actual)
 
 
 def ewise_apply(
@@ -55,35 +51,14 @@ def ewise_apply(
     if isinstance(out, Vector):
         _require(a.size == b.size, "ewise input sizes", a.size, b.size)
         _require(out.size == a.size, "output size", a.size, out.size)
-        if mask is not None:
-            _require(mask.size == out.size, "mask shape", (out.size,), (mask.size,))
-
-        def run(inp, params):
-            x, y = inp["a"], inp["b"]
-            if params.get("sink"):
-                x = be.sink_restrict(x, inp.get("mask"))
-                y = be.sink_restrict(y, inp.get("mask"))
-            t = be.ewise_apply_vector(x, y, binop, unop, union)
-            return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-        return _lz.emit(
+        return emit_write(
             "ewise_apply_v",
-            run,
-            {
-                "a": _lz.arg(a),
-                "b": _lz.arg(b),
-                "mask": _lz.arg_mask(mask),
-                "out": _lz.out_arg(out, mask, accum),
-            },
-            {
-                "binop": binop,
-                "unop": unop,
-                "union": union,
-                "trivial": mask is None and accum is None,
-                "accum": accum,
-                "desc": desc,
-            },
-            (out,),
+            lambda inp, params: be.ewise_apply_vector(
+                inp["a"], inp["b"], binop, unop, union
+            ),
+            {"a": _lz.arg(a), "b": _lz.arg(b)},
+            {"binop": binop, "unop": unop, "union": union, "accum": accum, "desc": desc},
+            out, mask, accum, desc, sinkable=("a", "b"),
         )
     raise InvalidValueError(
         f"ewise_apply writes a Vector output, got {type(out).__name__}"

@@ -17,11 +17,12 @@ Matrix's cached column view, calls the active backend's kernel for the raw
 result ``T``, and finishes with the shared write pipeline
 (:mod:`repro.core.accumulate`).
 
-Vector-valued operations route their backend call + merge through a *run
-closure* handed to :mod:`repro.lazy.schedule`: under lazy evaluation the
-closure is recorded on the tape (validation still happens eagerly, at call
-time), otherwise it executes on the spot — the eager path is the identical
-code minus the tape.  Matrix-valued operations stay eager.
+Vector-valued operations validate, then hand their backend call — the
+*kernel* — to :func:`repro.lazy.write.emit_write`, the one recorder of the
+write pipeline: under lazy evaluation it records the op on the tape
+(validation still happens eagerly, at call time), otherwise it runs the
+kernel and the merge on the spot — the eager path is the identical code
+minus the tape.  Matrix-valued operations stay eager.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from ..backends.dispatch import current_backend
 from ..containers.csr import CSRMatrix
 from ..exceptions import DimensionMismatchError, DomainMismatchError, InvalidValueError
 from ..lazy import schedule as _lz
+from ..lazy.write import emit_write
 from ..types import BOOL, GrBType
-from .accumulate import merge_matrix, merge_vector
+from .accumulate import merge_matrix
 from .descriptor import DEFAULT, Descriptor
 from .matrix import Matrix
 from .monoid import Monoid
@@ -77,19 +79,6 @@ def _mask_cont(mask):
     if mask is None:
         return None
     return mask.container
-
-
-def _check_mask_v(mask, size: int) -> None:
-    """Eager mask-shape validation for deferred vector ops.
-
-    The merge (where :func:`~repro.core.mask.check_mask_shape` runs) is
-    deferred to flush time under the lazy layer; the user-facing dimension
-    error must still fire at the call site.
-    """
-    if mask is not None and mask.size != size:
-        raise DimensionMismatchError(
-            "mask shape", expected=(size,), actual=(mask.size,)
-        )
 
 
 def _require(cond: bool, what: str, expected, actual) -> None:
@@ -165,28 +154,20 @@ def mxv(
     ac = _mat_input(a, desc.transpose_a)
     _require(ac.ncols == u.size, "A.ncols vs u.size", ac.ncols, u.size)
     _require(w.size == ac.nrows, "output size", ac.nrows, w.size)
-    _check_mask_v(mask, w.size)
     be = current_backend()
     cdesc = _clean(desc)
 
-    def run(inp, params):
-        t = be.mxv(
-            inp["a"], inp["u"], semiring, inp.get("mask"), cdesc,
-            params["direction"],
+    def kernel(inp, params):
+        return be.mxv(
+            inp["a"], inp["u"], semiring, inp["mask"], cdesc, params["direction"]
         )
-        return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
 
-    return _lz.emit(
+    return emit_write(
         "mxv",
-        run,
-        {
-            "a": ac,
-            "u": _lz.arg(u),
-            "mask": _lz.arg_mask(mask),
-            "out": _lz.out_arg(w, mask, accum),
-        },
+        kernel,
+        {"a": ac, "u": _lz.arg(u)},
         {"direction": direction, "semiring": semiring, "desc": cdesc},
-        (w,),
+        w, mask, accum, desc,
     )
 
 
@@ -204,28 +185,20 @@ def vxm(
     ac = _mat_input(a, desc.transpose_a)
     _require(ac.nrows == u.size, "u.size vs A.nrows", ac.nrows, u.size)
     _require(w.size == ac.ncols, "output size", ac.ncols, w.size)
-    _check_mask_v(mask, w.size)
     be = current_backend()
     cdesc = _clean(desc)
 
-    def run(inp, params):
-        t = be.vxm(
-            inp["u"], inp["a"], semiring, inp.get("mask"), cdesc,
-            params["direction"],
+    def kernel(inp, params):
+        return be.vxm(
+            inp["u"], inp["a"], semiring, inp["mask"], cdesc, params["direction"]
         )
-        return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
 
-    return _lz.emit(
+    return emit_write(
         "vxm",
-        run,
-        {
-            "a": ac,
-            "u": _lz.arg(u),
-            "mask": _lz.arg_mask(mask),
-            "out": _lz.out_arg(w, mask, accum),
-        },
+        kernel,
+        {"a": ac, "u": _lz.arg(u)},
         {"direction": direction, "semiring": semiring, "desc": cdesc},
-        (w,),
+        w, mask, accum, desc,
     )
 
 
@@ -248,35 +221,17 @@ def _ewise(
     if isinstance(out, Vector):
         _require(a.size == b.size, "operand sizes", a.size, b.size)
         _require(out.size == a.size, "output size", a.size, out.size)
-        _check_mask_v(mask, out.size)
 
-        def run(inp, params):
-            x, y = inp["a"], inp["b"]
-            if params.get("sink"):
-                x = be.sink_restrict(x, inp.get("mask"))
-                y = be.sink_restrict(y, inp.get("mask"))
+        def kernel(inp, params):
             kern = be.ewise_add_vector if union else be.ewise_mult_vector
-            t = kern(x, y, op)
-            return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
+            return kern(inp["a"], inp["b"], op)
 
-        return _lz.emit(
+        return emit_write(
             "ewise_add_v" if union else "ewise_mult_v",
-            run,
-            {
-                "a": _lz.arg(a),
-                "b": _lz.arg(b),
-                "mask": _lz.arg_mask(mask),
-                "out": _lz.out_arg(out, mask, accum),
-            },
-            {
-                "binop": op,
-                "unop": None,
-                "union": union,
-                "trivial": mask is None and accum is None,
-                "accum": accum,
-                "desc": desc,
-            },
-            (out,),
+            kernel,
+            {"a": _lz.arg(a), "b": _lz.arg(b)},
+            {"binop": op, "unop": None, "union": union, "accum": accum, "desc": desc},
+            out, mask, accum, desc, sinkable=("a", "b"),
         )
     _require(a.shape == b.shape, "operand shapes", a.shape, b.shape)
     ac = _mat_input(a, desc.transpose_a)
@@ -364,42 +319,20 @@ def apply(
         _check_domain(op, src.type)
     if isinstance(out, Vector):
         _require(out.size == src.size, "output size", src.size, out.size)
-        _check_mask_v(mask, out.size)
         if isinstance(op, IndexUnaryOp):
-
-            def run_iop(inp, params):
-                t = be.apply_indexop_vector(inp["src"], op, thunk)
-                return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-            return _lz.emit(
+            return emit_write(
                 "apply_iop_v",
-                run_iop,
-                {
-                    "src": _lz.arg(src),
-                    "mask": _lz.arg_mask(mask),
-                    "out": _lz.out_arg(out, mask, accum),
-                },
+                lambda inp, params: be.apply_indexop_vector(inp["src"], op, thunk),
+                {"src": _lz.arg(src)},
                 {"iop": op, "desc": desc},
-                (out,),
+                out, mask, accum, desc,
             )
-
-        def run(inp, params):
-            s = inp["src"]
-            if params.get("sink"):
-                s = be.sink_restrict(s, inp.get("mask"))
-            t = be.apply_vector(s, op)
-            return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-        return _lz.emit(
+        return emit_write(
             "apply_v",
-            run,
-            {
-                "src": _lz.arg(src),
-                "mask": _lz.arg_mask(mask),
-                "out": _lz.out_arg(out, mask, accum),
-            },
+            lambda inp, params: be.apply_vector(inp["src"], op),
+            {"src": _lz.arg(src)},
             {"unop": op, "accum": accum, "desc": desc},
-            (out,),
+            out, mask, accum, desc, sinkable=("src",),
         )
     sc = _mat_input(src, desc.transpose_a)
     _require(out.shape == sc.shape, "output shape", sc.shape, out.shape)
@@ -423,22 +356,12 @@ def select(
     be = current_backend()
     if isinstance(out, Vector):
         _require(out.size == src.size, "output size", src.size, out.size)
-        _check_mask_v(mask, out.size)
-
-        def run(inp, params):
-            t = be.select_vector(inp["src"], op, thunk)
-            return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-        return _lz.emit(
+        return emit_write(
             "select_v",
-            run,
-            {
-                "src": _lz.arg(src),
-                "mask": _lz.arg_mask(mask),
-                "out": _lz.out_arg(out, mask, accum),
-            },
+            lambda inp, params: be.select_vector(inp["src"], op, thunk),
+            {"src": _lz.arg(src)},
             {"iop": op, "desc": desc},
-            (out,),
+            out, mask, accum, desc,
         )
     sc = _mat_input(src, desc.transpose_a)
     _require(out.shape == sc.shape, "output shape", sc.shape, out.shape)
@@ -492,23 +415,13 @@ def reduce_to_vector(
     """``w<mask> accum= row-reduce(A)`` (transpose_a folds columns)."""
     ac = _mat_input(a, desc.transpose_a)
     _require(w.size == ac.nrows, "output size", ac.nrows, w.size)
-    _check_mask_v(mask, w.size)
     be = current_backend()
-
-    def run(inp, params):
-        t = be.reduce_matrix_vector(inp["a"], monoid)
-        return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-    return _lz.emit(
+    return emit_write(
         "reduce_mv",
-        run,
-        {
-            "a": ac,
-            "mask": _lz.arg_mask(mask),
-            "out": _lz.out_arg(w, mask, accum),
-        },
+        lambda inp, params: be.reduce_matrix_vector(inp["a"], monoid),
+        {"a": ac},
         {"monoid": monoid, "desc": desc},
-        (w,),
+        w, mask, accum, desc,
     )
 
 
@@ -528,12 +441,12 @@ def transpose(
     # desc.transpose_a composes: transpose of the transpose is A.
     if desc.transpose_a:
         ac = a.container
-    elif a.container.symmetric or a.container._aux.get("tcsr") is not None:
-        # A itself (symmetric) or an already materialised memo: reuse it,
-        # no backend work.
-        ac = a.container.cached_transpose()
     else:
-        ac = current_backend().transpose(a.container)
+        # Aᵀ already known (A itself when symmetric, the memo, or the
+        # matrix A is the memo of): reuse it, no backend work.
+        ac = a.container.known_transpose()
+        if ac is None:
+            ac = current_backend().transpose(a.container)
     _require(c.shape == ac.shape, "output shape", ac.shape, c.shape)
     # share=False: ``ac`` may be A's own container or its cached transpose;
     # the output must not alias either (a later in-place set_element on C
@@ -589,23 +502,13 @@ def extract(
     """``w<mask> accum= u(indices)`` (GrB_Vector_extract)."""
     idx = _index_array(indices, u.size)
     _require(w.size == idx.size, "output size", idx.size, w.size)
-    _check_mask_v(mask, w.size)
     be = current_backend()
-
-    def run(inp, params):
-        t = be.extract_vector(inp["u"], idx)
-        return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-    return _lz.emit(
+    return emit_write(
         "extract_v",
-        run,
-        {
-            "u": _lz.arg(u),
-            "mask": _lz.arg_mask(mask),
-            "out": _lz.out_arg(w, mask, accum),
-        },
+        lambda inp, params: be.extract_vector(inp["u"], idx),
+        {"u": _lz.arg(u)},
         {"desc": desc},
-        (w,),
+        w, mask, accum, desc,
     )
 
 
@@ -649,23 +552,13 @@ def extract_col(
     col = matrix_row_as_vector(src, j)
     idx = _index_array(rows, col.size)
     _require(w.size == idx.size, "output size", idx.size, w.size)
-    _check_mask_v(mask, w.size)
     be = current_backend()
-
-    def run(inp, params):
-        t = be.extract_vector(inp["u"], idx)
-        return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
-
-    return _lz.emit(
+    return emit_write(
         "extract_v",
-        run,
-        {
-            "u": col,
-            "mask": _lz.arg_mask(mask),
-            "out": _lz.out_arg(w, mask, accum),
-        },
+        lambda inp, params: be.extract_vector(inp["u"], idx),
+        {"u": col},
         {"desc": desc},
-        (w,),
+        w, mask, accum, desc,
     )
 
 

@@ -5,8 +5,9 @@ All passes are linear walks over the program-ordered node list produced by
 
 - :func:`fuse` — peephole fusion of adjacent producer/consumer pairs into
   single fused kernels (ewise→reduce, constant-fill→ewise);
-- :func:`sink` — mask sinking: restrict a masked op's inputs to the mask's
-  stored indices before the kernel instead of filtering after it;
+- :func:`sink` — mask sinking: restrict a masked op's declared sinkable
+  inputs to the mask's stored indices before the kernel instead of
+  filtering after it;
 - :func:`choose_directions` — loop-level push/pull selection for traversal
   products, replacing the per-op ``choose_direction`` heuristic where the
   whole-tape view proves push cannot lose;
@@ -23,19 +24,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from ..core.accumulate import merge_vector
 from .ir import LazyValue, Node
+from .write import Write
 
 __all__ = ["choose_directions", "fuse", "register_iso_hints", "sink"]
 
 _EWISE_OPS = ("ewise_add_v", "ewise_mult_v", "ewise_apply_v")
-_SINK_OPS = (
-    "ewise_add_v",
-    "ewise_mult_v",
-    "ewise_apply_v",
-    "apply_v",
-    "fill_ewise_fused_v",
-)
 # Idempotent/selective add-monoids of traversal semirings: products with
 # these never benefit from pull's dense sweep once the frontier is sparse,
 # and push avoids materialising the transpose entirely.
@@ -75,13 +69,14 @@ def fuse(nodes: List[Node]) -> List[Node]:
 def _fuse_ewise_reduce(p: Node, c: Node) -> bool:
     """ewise(+apply) → scalar reduce: one ``ewise_reduce_fused_v`` launch.
 
-    The elementwise result still materializes (the fused run returns it
-    alongside the scalar), so later consumers and a live owning handle are
-    always satisfied — no extra legality conditions beyond adjacency.
-    Requires a trivial merge on the producer: with a mask or accumulator
-    the reduce would see the merged container, not the raw result.
+    The elementwise result still materializes (the producer's write
+    pipeline merges it and the fused run returns it alongside the scalar),
+    so later consumers and a live owning handle are always satisfied — no
+    extra legality conditions beyond adjacency.  Requires a trivial merge
+    on the producer: with a mask or accumulator the reduce would see the
+    merged container, not the raw result.
     """
-    if p.op not in _EWISE_OPS or not p.params.get("trivial"):
+    if p.op not in _EWISE_OPS or not p.run.trivial:
         return False
     if c.op != "reduce_v" or not c.scalar or not p.outputs:
         return False
@@ -91,19 +86,16 @@ def _fuse_ewise_reduce(p: Node, c: Node) -> bool:
     binop = p.params["binop"]
     unop = p.params.get("unop")
     union = bool(p.params.get("union", True))
-    desc = p.params["desc"]
     monoid = c.params["monoid"]
 
-    def run(inp: Dict[str, Any], params: Dict[str, Any]) -> Any:
-        t, val = be.ewise_reduce_vector(
+    def kernel(inp: Dict[str, Any], params: Dict[str, Any]) -> Any:
+        return be.ewise_reduce_vector(
             inp["a"], inp["b"], binop, unop, union, monoid, inp["out"].type
         )
-        tm = merge_vector(inp["out"], t, None, None, desc)
-        return tm, val
 
     c.op = "ewise_reduce_fused_v"
-    c.run = run
-    c.inputs = {"a": p.inputs["a"], "b": p.inputs["b"], "out": p.inputs["out"]}
+    c.run = p.run.swap(kernel)
+    c.inputs = p.inputs
     c.params = {"binop": binop, "unop": unop, "union": union, "monoid": monoid}
     c.outputs = p.outputs
     return True
@@ -115,7 +107,9 @@ def _fuse_fill_ewise(p: Node, c: Node, rest: List[Node]) -> bool:
     The dense fill is generated in registers inside the consumer's kernel,
     so the producer's scatter-assign launch *and* its container disappear.
     Legal only when the fill is observable nowhere else: its handle has
-    moved on (the ewise overwrote it) and no later node consumes it.
+    moved on (the ewise overwrote it), the ewise does not merge into it (a
+    masked or accumulated write into the fill's own handle), and no later
+    node consumes it.
     """
     if p.op != "assign_scalar_v" or not p.params.get("fill"):
         return False
@@ -127,7 +121,7 @@ def _fuse_fill_ewise(p: Node, c: Node, rest: List[Node]) -> bool:
         return False
     other_key = "b" if fill_first else "a"
     other = c.inputs.get(other_key)
-    if other is lv:
+    if other is lv or c.inputs["out"] is lv:
         return False
     out_in = p.inputs.get("out")
     if isinstance(out_in, LazyValue) or out_in is None:
@@ -144,20 +138,16 @@ def _fuse_fill_ewise(p: Node, c: Node, rest: List[Node]) -> bool:
     size = p.params["n"]
     fill_type = out_in.type
     binop = c.params["binop"]
-    accum = c.params.get("accum")
-    desc = c.params["desc"]
 
-    def run(inp: Dict[str, Any], params: Dict[str, Any]) -> Any:
-        other_c = inp["other"]
-        if params.get("sink"):
-            other_c = be.sink_restrict(other_c, inp.get("mask"))
-        t = be.fill_ewise_vector(value, size, fill_type, other_c, binop, fill_first)
-        return merge_vector(inp["out"], t, inp.get("mask"), accum, desc)
+    def kernel(inp: Dict[str, Any], params: Dict[str, Any]) -> Any:
+        return be.fill_ewise_vector(
+            value, size, fill_type, inp["other"], binop, fill_first
+        )
 
     c.op = "fill_ewise_fused_v"
-    c.run = run
-    c.inputs = {"other": other, "mask": c.inputs.get("mask"), "out": c.inputs["out"]}
-    c.params = {"binop": binop, "accum": accum, "desc": desc}
+    c.run = c.run.swap(kernel, ("other",))
+    c.inputs = {"other": other, "mask": c.inputs["mask"], "out": c.inputs["out"]}
+    c.params = {"binop": binop, "accum": c.params["accum"], "desc": c.params["desc"]}
     return True
 
 
@@ -167,22 +157,21 @@ def _fuse_fill_ewise(p: Node, c: Node, rest: List[Node]) -> bool:
 
 
 def sink(nodes: List[Node]) -> None:
-    """Mark masked elementwise/apply nodes for input pre-restriction.
+    """Mark masked write nodes with sinkable inputs for pre-restriction.
 
     A mask's *stored* index set is a superset of its true positions, and
     the downstream merge re-filters exactly — so restricting the inputs to
     those indices first is value-safe for any non-complemented mask
-    (structural or valued), with any accumulator or replace setting.  The
-    run closures consult ``params["sink"]`` and call the backend's
-    ``sink_restrict``.
+    (structural or valued), with any accumulator or replace setting.  A
+    node's write pipeline (:class:`~repro.lazy.write.Write`) declares
+    which inputs may be restricted; it consults ``params["sink"]`` and
+    calls the backend's ``sink_restrict`` on each of them.
     """
     for n in nodes:
-        if n.op not in _SINK_OPS:
+        w = n.run
+        if not isinstance(w, Write) or not w.sinkable:
             continue
-        if n.inputs.get("mask") is None:
-            continue
-        desc = n.params.get("desc")
-        if desc is None or desc.complement_mask:
+        if n.inputs.get("mask") is None or w.desc.complement_mask:
             continue
         n.params["sink"] = True
 

@@ -1,7 +1,8 @@
 """The lazy tape: recording, forcing, and the optimizing flush.
 
 Vector-valued frontend operations call :func:`emit` with a run closure
-(their original eager body over resolved containers).  When recording is
+over resolved containers; the ops that write through the mask/accumulate
+pipeline build that closure in :mod:`repro.lazy.write`.  When recording is
 active the call appends a :class:`~repro.lazy.ir.Node` to the process-wide
 tape and returns immediately; otherwise the closure executes on the spot —
 eager mode is the same code path minus the tape, which is what makes
@@ -43,7 +44,6 @@ __all__ = [
     "emit",
     "emit_scalar",
     "force",
-    "out_arg",
     "recording",
     "sync",
     "tape_len",
@@ -89,22 +89,6 @@ def arg_mask(mask: Any) -> Any:
     if mask is None:
         return None
     return arg(mask)
-
-
-def out_arg(v: Any, mask: Any, accum: Any) -> Any:
-    """The recorded form of an op's output operand.
-
-    With no mask and no accumulator the merge pipeline's result is
-    independent of the output's prior *values* (a trivial merge replaces
-    them wholesale), so the current concrete container is recorded instead
-    of the pending value — severing the dependence edge on the previous
-    producer is what lets dead-materialization elimination drop overwritten
-    temporaries.  Size and type are the only properties the merge reads,
-    and both are invariant under replacement.
-    """
-    if mask is None and accum is None:
-        return v._container
-    return arg(v)
 
 
 def emit(

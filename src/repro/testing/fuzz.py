@@ -35,13 +35,11 @@ from .programs import (
     generate_mutation_program,
     generate_program,
 )
-from .shrink import shrink, write_repro
+from .shrink import mutation_candidates, program_candidates, shrink, write_repro
 from .streaming import (
     STREAMING_SMOKE_SPECS,
     STREAMING_SPECS,
     run_streaming_differential,
-    shrink_streaming,
-    write_streaming_repro,
 )
 
 __all__ = ["main", "run_fuzz", "run_streaming_fuzz"]
@@ -55,38 +53,22 @@ def _shrink_and_report(
     specs,
     repro_dir: Optional[Path],
     max_probes: int,
+    streaming: bool = False,
 ) -> None:
-    def still_fails(cand: Program) -> bool:
-        d = run_differential(cand, specs)
-        return d is not None
+    """Shrink a failing (mutation) program, print it, write its repro."""
+    run = run_streaming_differential if streaming else run_differential
 
-    small = shrink(program, still_fails, max_probes=max_probes)
-    final = run_differential(small, specs) or divergence
+    def still_fails(cand: Program) -> bool:
+        return run(cand, specs) is not None
+
+    candidates = mutation_candidates if streaming else program_candidates
+    small = shrink(program, still_fails, max_probes, candidates)
+    final = run(small, specs) or divergence
     print(f"  shrunk: {len(program.ops)} ops -> {len(small.ops)} ops")
     print(f"  minimal program: {small.describe()}")
     print(f"  divergence: {final}")
     if repro_dir is not None:
-        path = write_repro(small, final, repro_dir)
-        print(f"  repro written: {path}")
-
-
-def _shrink_and_report_streaming(
-    program: Program,
-    divergence: Divergence,
-    specs,
-    repro_dir: Optional[Path],
-    max_probes: int,
-) -> None:
-    def still_fails(cand: Program) -> bool:
-        return run_streaming_differential(cand, specs) is not None
-
-    small = shrink_streaming(program, still_fails, max_probes=max_probes)
-    final = run_streaming_differential(small, specs) or divergence
-    print(f"  shrunk: {len(program.ops)} ops -> {len(small.ops)} ops")
-    print(f"  minimal program: {small.describe()}")
-    print(f"  divergence: {final}")
-    if repro_dir is not None:
-        path = write_streaming_repro(small, final, repro_dir)
+        path = write_repro(small, final, repro_dir, streaming)
         print(f"  repro written: {path}")
 
 
@@ -129,8 +111,9 @@ def run_streaming_fuzz(
             print(f"[FAIL] streaming seed {s}: {program.describe()}")
             print(f"  {divergence}")
             if do_shrink:
-                _shrink_and_report_streaming(
-                    program, divergence, specs, repro_dir, shrink_probes
+                _shrink_and_report(
+                    program, divergence, specs, repro_dir, shrink_probes,
+                    streaming=True,
                 )
         elif verbose:
             print(f"[ok] streaming seed {s}: {program.describe()}")
@@ -229,8 +212,9 @@ def run_fuzz(
                 print(f"[FAIL] streaming, seed {s}: {sprog.describe()}")
                 print(f"  {d}")
                 if do_shrink:
-                    _shrink_and_report_streaming(
-                        sprog, d, STREAMING_SMOKE_SPECS, repro_dir, shrink_probes
+                    _shrink_and_report(
+                        sprog, d, STREAMING_SMOKE_SPECS, repro_dir,
+                        shrink_probes, streaming=True,
                     )
 
         if failures >= max_failures:

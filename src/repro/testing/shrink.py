@@ -1,27 +1,39 @@
 """Greedy program shrinking and regression-repro emission.
 
-Given a failing program and a ``still_fails`` predicate, the shrinker
-repeatedly tries smaller candidates — dropping ops (with dependency
-cascade), clearing masks/accumulators/descriptors, downgrading semirings,
-shrinking the graph, and unweighting values — keeping any candidate that
-still fails, until a fixpoint or the probe budget is reached.
+Given a failing program and a ``still_fails`` predicate, :func:`shrink`
+repeatedly tries smaller candidates from one mode's generator, keeping any
+candidate that still fails, until a fixpoint or the probe budget is
+reached.  The two modes differ only in their candidates:
+
+- :func:`program_candidates` (differential programs) drops ops (with
+  dependency cascade), shrinks the graph and unweights values, then clears
+  masks/accumulators/descriptors and downgrades semirings;
+- :func:`mutation_candidates` (graph-mutation programs, whose ops carry no
+  slot references) drops ops, shrinks the graph and thins edge batches.
 
 The result is written as a **standalone pytest file** under
 ``tests/regressions/``: the file embeds the shrunk program as JSON and
-replays it through :func:`repro.testing.executor.run_differential`, so the
-repro needs nothing but the repo itself and stays green once the bug is
-fixed.
+replays it through :func:`repro.testing.executor.run_differential` (or
+:func:`repro.testing.streaming.run_streaming_differential` for a mutation
+program), so the repro needs nothing but the repo itself and stays green
+once the bug is fixed.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .programs import Program
 
-__all__ = ["shrink", "write_repro", "result_slots"]
+__all__ = [
+    "mutation_candidates",
+    "program_candidates",
+    "result_slots",
+    "shrink",
+    "write_repro",
+]
 
 
 # Which env pool each op's result lands in ("v" vector, "m" matrix,
@@ -163,7 +175,8 @@ def _simplify_candidates(program: Program, i: int):
         yield with_field(binop="PLUS")
 
 
-def _graph_candidates(program: Program):
+def _graph_candidates(program: Program) -> Iterator[Program]:
+    """The same ops on a smaller graph, then on an unweighted one."""
     size = int(program.graph["size"])
     for smaller in (size // 2, size // 4, 8, 5):
         if 2 <= smaller < size:
@@ -174,57 +187,84 @@ def _graph_candidates(program: Program):
         yield Program(graph=g, seed=program.seed, ops=[dict(o) for o in program.ops])
 
 
+def program_candidates(program: Program) -> Iterator[Program]:
+    """Smaller differential programs, most aggressive first."""
+    # 1. Drop ops, last first (dropping late ops never cascades).
+    for i in reversed(range(len(program.ops))):
+        cand = _drop_op(program, i)
+        if cand is not None and cand.ops:
+            yield cand
+    # 2. Shrink the graph / simplify values.
+    yield from _graph_candidates(program)
+    # 3. Per-op simplification.
+    for i in range(len(program.ops)):
+        yield from _simplify_candidates(program, i)
+
+
+def mutation_candidates(program: Program) -> Iterator[Program]:
+    """Smaller mutation programs, most aggressive first.
+
+    Mutation ops carry no slot references, so any subset of ops is a valid
+    program; candidates drop ops, shrink the graph, and thin batches.
+    """
+    ops = program.ops
+
+    def with_ops(new_ops) -> Program:
+        return Program(
+            graph=dict(program.graph), seed=program.seed,
+            ops=[dict(o) for o in new_ops],
+        )
+
+    # Drop ops, last first (keeps earlier state-building mutations).
+    if len(ops) > 1:
+        for i in reversed(range(len(ops))):
+            yield with_ops(ops[:i] + ops[i + 1:])
+    yield from _graph_candidates(program)
+    # Thin batches: drop deletes first (simpler failure class), then halve
+    # inserts.
+    for i, op in enumerate(ops):
+        if op["op"] != "edge_batch":
+            continue
+        if int(op["deletes"]) > 0:
+            cand = [dict(o) for o in ops]
+            cand[i]["deletes"] = 0
+            yield with_ops(cand)
+        if int(op["inserts"]) > 1:
+            cand = [dict(o) for o in ops]
+            cand[i]["inserts"] = int(op["inserts"]) // 2
+            yield with_ops(cand)
+
+
 def shrink(
     program: Program,
     still_fails: Callable[[Program], bool],
     max_probes: int = 400,
+    candidates: Callable[[Program], Iterator[Program]] = program_candidates,
 ) -> Program:
     """Greedily minimise ``program`` while ``still_fails`` holds.
 
-    ``still_fails`` must return True for the input program; candidates that
-    raise are treated as not reproducing the failure and rejected.
+    Each round probes ``candidates(current)`` in order and restarts from
+    the first one that still fails; shrinking stops at a fixpoint or after
+    ``max_probes`` probes.  ``still_fails`` must return True for the input
+    program; candidates that raise are treated as not reproducing the
+    failure and rejected.
     """
     probes = 0
-
-    def probe(cand: Program) -> bool:
-        nonlocal probes
-        if probes >= max_probes:
-            return False
-        probes += 1
-        try:
-            return bool(still_fails(cand))
-        except Exception:
-            return False
-
     current = program
     changed = True
     while changed and probes < max_probes:
         changed = False
-        # 1. Drop ops, last first (dropping late ops never cascades).
-        for i in reversed(range(len(current.ops))):
-            cand = _drop_op(current, i)
-            if cand is not None and cand.ops and probe(cand):
+        for cand in candidates(current):
+            if probes >= max_probes:
+                break
+            probes += 1
+            try:
+                fails = bool(still_fails(cand))
+            except Exception:
+                fails = False
+            if fails:
                 current = cand
                 changed = True
-                break
-        if changed:
-            continue
-        # 2. Shrink the graph / simplify values.
-        for cand in _graph_candidates(current):
-            if probe(cand):
-                current = cand
-                changed = True
-                break
-        if changed:
-            continue
-        # 3. Per-op simplification.
-        for i in range(len(current.ops)):
-            for cand in _simplify_candidates(current, i):
-                if probe(cand):
-                    current = cand
-                    changed = True
-                    break
-            if changed:
                 break
     return current
 
@@ -235,25 +275,25 @@ def shrink(
 
 _REPRO_TEMPLATE = '''"""Auto-generated regression repro (repro.testing.shrink).
 
-Shrunk failing program: {describe}
+Shrunk failing {kind}: {describe}
 Original divergence: {divergence}
 
 Reproduce / investigate with::
 
-    PYTHONPATH=src python -m repro.testing.fuzz --replay {filename}
+    PYTHONPATH=src python -m repro.testing.fuzz {flags}--replay {filename}
 
 This test stays green once the underlying bug is fixed; keep it as a
 permanent regression guard.
 """
 
-from repro.testing.executor import run_differential
+from repro.testing.{module} import {runner}
 from repro.testing.programs import Program
 
 PROGRAM = {program_dict!r}
 
 
-def test_shrunk_program_{tag}():
-    divergence = run_differential(Program.from_dict(PROGRAM))
+def test_shrunk_{kind_id}_{tag}():
+    divergence = {runner}(Program.from_dict(PROGRAM))
     assert divergence is None, str(divergence)
 '''
 
@@ -262,17 +302,29 @@ def write_repro(
     program: Program,
     divergence,
     directory: Path,
+    streaming: bool = False,
 ) -> Path:
-    """Write a standalone pytest repro; returns the file path."""
+    """Write a standalone pytest repro; returns the file path.
+
+    ``streaming`` marks a mutation program: the file is named
+    ``test_shrunk_stream_<tag>.py`` and replays through
+    :func:`repro.testing.streaming.run_streaming_differential`.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     tag = hashlib.sha1(program.to_json().encode()).hexdigest()[:10]
-    path = directory / f"test_shrunk_{tag}.py"
+    kind = "mutation program" if streaming else "program"
+    path = directory / f"test_shrunk_{'stream_' if streaming else ''}{tag}.py"
     path.write_text(
         _REPRO_TEMPLATE.format(
+            kind=kind,
+            kind_id=kind.replace(" ", "_"),
             describe=program.describe(),
             divergence=str(divergence),
+            flags="--streaming " if streaming else "",
             filename=path.name,
+            module="streaming" if streaming else "executor",
+            runner="run_streaming_differential" if streaming else "run_differential",
             program_dict=program.to_dict(),
             tag=tag,
         )

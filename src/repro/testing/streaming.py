@@ -18,16 +18,15 @@ Two independent oracles check every run:
    compaction nnz, query results, and the final materialised CSR) must
    agree with the reference backend under the shared equivalence policy.
 
-Failures shrink through a mutation-aware greedy shrinker (ops here have no
-slot dependencies, so dropping any op keeps the program valid) and are
-written to ``tests/regressions/`` as standalone pytest repros.
+Failures shrink through :func:`repro.testing.shrink.shrink` with the
+mutation-aware :func:`~repro.testing.shrink.mutation_candidates` (ops here
+have no slot dependencies, so dropping any op keeps the program valid) and
+are written to ``tests/regressions/`` as standalone pytest repros.
 """
 
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..algorithms.bfs import bfs_levels
 from ..algorithms.components import connected_components
@@ -49,8 +48,6 @@ __all__ = [
     "STREAMING_SPECS",
     "execute_streaming",
     "run_streaming_differential",
-    "shrink_streaming",
-    "write_streaming_repro",
 ]
 
 # The replay matrix the ISSUE names: cuda_sim with the lazy tape on and
@@ -212,127 +209,3 @@ def run_streaming_differential(
             if detail is not None:
                 return Divergence(spec, i, op_names[i], detail)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Mutation-aware shrinking
-# ---------------------------------------------------------------------------
-
-
-def _shrink_candidates(program: Program):
-    """Smaller mutation programs, most aggressive first.
-
-    Mutation ops carry no slot references, so any subset of ops is a valid
-    program; candidates drop ops, shrink the graph, and thin batches.
-    """
-    ops = program.ops
-
-    def with_ops(new_ops) -> Program:
-        return Program(
-            graph=dict(program.graph), seed=program.seed,
-            ops=[dict(o) for o in new_ops],
-        )
-
-    # Drop ops, last first (keeps earlier state-building mutations).
-    for i in reversed(range(len(ops))):
-        if len(ops) > 1:
-            yield with_ops(ops[:i] + ops[i + 1:])
-    # Shrink the graph.
-    size = int(program.graph["size"])
-    for smaller in (size // 2, size // 4, 8, 5):
-        if 2 <= smaller < size:
-            yield Program(
-                graph=dict(program.graph, size=smaller), seed=program.seed,
-                ops=[dict(o) for o in ops],
-            )
-    if program.graph["weighted"]:
-        yield Program(
-            graph=dict(program.graph, weighted=False), seed=program.seed,
-            ops=[dict(o) for o in ops],
-        )
-    # Thin batches: drop deletes first (simpler failure class), then halve
-    # inserts.
-    for i, op in enumerate(ops):
-        if op["op"] != "edge_batch":
-            continue
-        if int(op["deletes"]) > 0:
-            cand = [dict(o) for o in ops]
-            cand[i]["deletes"] = 0
-            yield with_ops(cand)
-        if int(op["inserts"]) > 1:
-            cand = [dict(o) for o in ops]
-            cand[i]["inserts"] = int(op["inserts"]) // 2
-            yield with_ops(cand)
-
-
-def shrink_streaming(
-    program: Program,
-    still_fails: Callable[[Program], bool],
-    max_probes: int = 300,
-) -> Program:
-    """Greedily minimise a failing mutation program."""
-    probes = 0
-
-    def probe(cand: Program) -> bool:
-        nonlocal probes
-        if probes >= max_probes:
-            return False
-        probes += 1
-        try:
-            return bool(still_fails(cand))
-        except Exception:
-            return False
-
-    current = program
-    changed = True
-    while changed and probes < max_probes:
-        changed = False
-        for cand in _shrink_candidates(current):
-            if probe(cand):
-                current = cand
-                changed = True
-                break
-    return current
-
-
-_REPRO_TEMPLATE = '''"""Auto-generated streaming regression repro (repro.testing.streaming).
-
-Shrunk failing mutation program: {describe}
-Original divergence: {divergence}
-
-Reproduce / investigate with::
-
-    PYTHONPATH=src python -m repro.testing.fuzz --streaming --replay {filename}
-
-This test stays green once the underlying bug is fixed; keep it as a
-permanent regression guard.
-"""
-
-from repro.testing.programs import Program
-from repro.testing.streaming import run_streaming_differential
-
-PROGRAM = {program_dict!r}
-
-
-def test_shrunk_mutation_program_{tag}():
-    divergence = run_streaming_differential(Program.from_dict(PROGRAM))
-    assert divergence is None, str(divergence)
-'''
-
-
-def write_streaming_repro(program: Program, divergence, directory: Path) -> Path:
-    """Write a standalone pytest repro for a mutation-program failure."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    tag = hashlib.sha1(program.to_json().encode()).hexdigest()[:10]
-    path = directory / f"test_shrunk_stream_{tag}.py"
-    path.write_text(
-        _REPRO_TEMPLATE.format(
-            describe=program.describe(),
-            divergence=str(divergence),
-            filename=path.name,
-            program_dict=program.to_dict(),
-            tag=tag,
-        )
-    )
-    return path

@@ -10,13 +10,17 @@ from repro.testing.programs import (
     QUERY_ALGOS,
     generate_mutation_program,
 )
+from repro.testing.fuzz import main
+from repro.testing.shrink import mutation_candidates, shrink, write_repro
 from repro.testing.streaming import (
     STREAMING_SMOKE_SPECS,
     execute_streaming,
     run_streaming_differential,
-    shrink_streaming,
-    write_streaming_repro,
 )
+
+
+def shrink_mutations(p, still_fails):
+    return shrink(p, still_fails, max_probes=300, candidates=mutation_candidates)
 
 
 class TestMutationPrograms:
@@ -72,7 +76,7 @@ class TestStreamingShrinker:
         def still_fails(cand: Program) -> bool:
             return any(op["op"] == "query" for op in cand.ops)
 
-        small = shrink_streaming(p, still_fails)
+        small = shrink_mutations(p, still_fails)
         assert still_fails(small)
         assert len(small.ops) == 1
         assert small.ops[0]["op"] == "query"
@@ -84,7 +88,7 @@ class TestStreamingShrinker:
         def still_fails(cand: Program) -> bool:
             return True  # everything fails -> shrink as far as candidates go
 
-        small = shrink_streaming(p, still_fails)
+        small = shrink_mutations(p, still_fails)
         assert int(small.graph["size"]) < orig_size
         assert len(small.ops) == 1
 
@@ -94,13 +98,13 @@ class TestStreamingShrinker:
         def exploding(cand: Program) -> bool:
             raise RuntimeError("probe blew up")
 
-        small = shrink_streaming(p, exploding)
+        small = shrink_mutations(p, exploding)
         assert small.to_dict() == p.to_dict()  # nothing shrank, no crash
 
     def test_repro_file_is_replayable(self, tmp_path):
         p = generate_mutation_program(2)
-        path = write_streaming_repro(p, "synthetic divergence", tmp_path)
-        assert path.exists()
+        path = write_repro(p, "synthetic divergence", tmp_path, streaming=True)
+        assert path.exists() and path.name.startswith("test_shrunk_stream_")
         ns: dict = {"__name__": "_r"}
         exec(compile(path.read_text(), str(path), "exec"), ns)
         rt = Program.from_dict(ns["PROGRAM"])
@@ -108,3 +112,4 @@ class TestStreamingShrinker:
         # The generated test function replays clean for a passing program.
         test_fn = next(v for k, v in ns.items() if k.startswith("test_"))
         test_fn()
+        assert main(["--streaming", "--smoke", "--replay", str(path)]) == 0
