@@ -132,11 +132,13 @@ def test_fig8_render(benchmark):
                 "h2d_bytes": p1["h2d_bytes"],
             }},
             # Deterministic counters per (algo, P) cell — diffed by CI's
-            # regression gate exactly like the single-device figures.
+            # regression gate like the single-device figures; the simulated
+            # makespan the speedups come from is gated exactly.
             "cuda_sim_metrics": {
                 f"{algo}_P{p}": {
                     "kernel_launches": cells[algo][p]["kernel_launches"],
                     "h2d_bytes": cells[algo][p]["h2d_bytes"],
+                    "makespan_us": cells[algo][p]["makespan_us"],
                 }
                 for algo in sorted(cells)
                 for p in PARTS

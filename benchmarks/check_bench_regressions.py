@@ -8,8 +8,9 @@ blocks of freshly generated ``BENCH_<fig>.json`` records against the
 committed baselines and fails when a counter grew by more than the
 tolerance (default 10%) — catching regressions like a lost
 transfer-elision path or a kernel sequence that stopped fusing, without any
-wall-clock noise.  Simulated time (``kernel_us``) is a deterministic clock,
-so it has no tolerance: any rise fails until the baseline is regenerated.
+wall-clock noise.  Simulated time (``kernel_us``, and a multi-device
+figure's ``makespan_us``) is a deterministic clock, so it has no
+tolerance: any rise fails until the baseline is regenerated.
 
 Usage::
 
@@ -26,10 +27,10 @@ import json
 import sys
 from pathlib import Path
 
-TRACKED_KEYS = ("kernel_launches", "h2d_bytes", "kernel_us")
+TRACKED_KEYS = ("kernel_launches", "h2d_bytes", "kernel_us", "makespan_us")
 #: Gated with zero tolerance: the simulated clock moves only when the model
 #: or the schedule it prices changes, never with noise.
-EXACT_KEYS = ("kernel_us",)
+EXACT_KEYS = ("kernel_us", "makespan_us")
 
 
 def _flatten(metrics: dict, prefix: str = "") -> dict:

@@ -31,7 +31,7 @@ from .metrics import (
 from .mis import mis, verify_mis
 from .msbfs import bfs_levels_multi
 from .mst import mst_prim
-from .pagerank import pagerank, row_stochastic
+from .pagerank import pagerank
 from .ppr import ppr, ppr_batch, ppr_transition
 from .sssp import sssp, sssp_bellman_ford
 from .triangles import lower_triangle, triangle_count, triangles_per_vertex
@@ -67,7 +67,6 @@ __all__ = [
     "bfs_levels_multi",
     "mst_prim",
     "pagerank",
-    "row_stochastic",
     "ppr",
     "ppr_batch",
     "ppr_transition",

@@ -4,13 +4,13 @@ The power iteration uses the scaled-vector formulation: each pass scales the
 rank vector by the reciprocal out-degrees (one ewise_mult) and propagates it
 along the raw adjacency, which equals r·(D⁻¹A) without materialising the
 row-stochastic matrix.  Dangling vertices (zero out-degree) redistribute
-their mass uniformly — the standard formulation.  :func:`row_stochastic`
-still builds the explicit transition matrix for callers that want it.
+their mass uniformly — the standard formulation.  The explicit transition
+matrix, where a caller wants it, is :func:`repro.algorithms.ppr_transition`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core import operations as ops
 from ..core.assign import assign_scalar
@@ -24,32 +24,7 @@ from ..core.vector import Vector
 from ..exceptions import InvalidValueError
 from ..types import FP64
 
-__all__ = ["pagerank", "row_stochastic"]
-
-
-def row_stochastic(g: Matrix) -> Tuple[Matrix, Vector]:
-    """(M, dangling): M = D⁻¹·g with rows normalised; dangling row-sum=0.
-
-    ``dangling`` is a BOOL-ish vector marking zero-out-degree vertices
-    (value 1.0 at each dangling vertex).
-    """
-    n = g.nrows
-    if n != g.ncols:
-        raise InvalidValueError(f"adjacency must be square, got {g.shape}")
-    gf = g if g.type is FP64 else Matrix(g.container.astype(FP64))
-    outdeg = Vector.sparse(FP64, n)
-    ops.reduce_to_vector(outdeg, gf, PLUS_MONOID)
-    inv = Vector.sparse(FP64, n)
-    ops.apply(inv, outdeg, MINV)
-    dinv = Matrix.from_lists(
-        inv.indices_array(), inv.indices_array(), inv.values_array(), n, n, FP64
-    )
-    m = Matrix.sparse(FP64, n, n)
-    ops.mxm(m, dinv, gf, PLUS_TIMES)
-    dangling = Vector.full(1.0, n, FP64)
-    for i in outdeg.indices_array():
-        dangling.remove_element(int(i))
-    return m, dangling
+__all__ = ["pagerank"]
 
 
 def pagerank(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -264,47 +264,77 @@ class Backend(ABC):
         return monoid.reduce_array(a.values, a.type)
 
     # ------------------------------------------------------------------
-    # Apply with index (select) — container-level defaults
+    # Host-computed ops: select, apply with index, extract
     # ------------------------------------------------------------------
+
+    def host_op(self, kind: str, src: Any, n: float, compute: Callable[[], Any]) -> Any:
+        """Run one host-computed op over ``src``: returns ``compute()``.
+
+        ``kind`` is ``"select"`` (select, apply with an index op) or
+        ``"gather"`` (extract), and ``n`` the op's work count.  Host
+        backends just compute; the simulated backends price the op as
+        device kernels of that kind around the same computation.
+        """
+        return compute()
 
     def select_vector(self, u: SparseVector, op: IndexUnaryOp, thunk: Any) -> SparseVector:
         """Keep entries where ``op(x, i, 0, thunk)`` is truthy."""
-        if u.nvals == 0:
-            return SparseVector.empty(u.size, u.type)
-        keep = np.asarray(op(u.values, u.indices, np.zeros_like(u.indices), thunk), dtype=bool)
-        return SparseVector(u.size, u.indices[keep], u.values[keep], u.type)
+
+        def compute() -> SparseVector:
+            if u.nvals == 0:
+                return SparseVector.empty(u.size, u.type)
+            keep = np.asarray(
+                op(u.values, u.indices, np.zeros_like(u.indices), thunk), dtype=bool
+            )
+            return SparseVector(u.size, u.indices[keep], u.values[keep], u.type)
+
+        return self.host_op("select", u, float(u.nvals), compute)
 
     def select_matrix(self, a: CSRMatrix, op: IndexUnaryOp, thunk: Any) -> CSRMatrix:
         """Keep entries where ``op(x, i, j, thunk)`` is truthy."""
-        if a.nvals == 0:
-            return CSRMatrix.empty(a.nrows, a.ncols, a.type)
-        rows = a.row_ids()
-        keep = np.asarray(op(a.values, rows, a.indices, thunk), dtype=bool)
-        return CSRMatrix.from_rows(
-            a.nrows, a.ncols, rows[keep], a.indices[keep], a.values[keep], a.type
-        )
+
+        def compute() -> CSRMatrix:
+            if a.nvals == 0:
+                return CSRMatrix.empty(a.nrows, a.ncols, a.type)
+            rows = a.row_ids()
+            keep = np.asarray(op(a.values, rows, a.indices, thunk), dtype=bool)
+            return CSRMatrix.from_rows(
+                a.nrows, a.ncols, rows[keep], a.indices[keep], a.values[keep], a.type
+            )
+
+        return self.host_op("select", a, float(a.nvals), compute)
 
     def apply_indexop_vector(
         self, u: SparseVector, op: IndexUnaryOp, thunk: Any
     ) -> SparseVector:
         """Replace each stored value with ``op(x, i, 0, thunk)``."""
-        if u.nvals == 0:
-            return SparseVector.empty(u.size, op.result_type(u.type))
-        out_t = op.result_type(u.type)
-        vals = np.asarray(
-            op(u.values, u.indices, np.zeros_like(u.indices), thunk)
-        ).astype(out_t.dtype, copy=False)
-        return SparseVector(u.size, u.indices.copy(), vals, out_t)
+
+        def compute() -> SparseVector:
+            if u.nvals == 0:
+                return SparseVector.empty(u.size, op.result_type(u.type))
+            out_t = op.result_type(u.type)
+            vals = np.asarray(
+                op(u.values, u.indices, np.zeros_like(u.indices), thunk)
+            ).astype(out_t.dtype, copy=False)
+            return SparseVector(u.size, u.indices.copy(), vals, out_t)
+
+        return self.host_op("select", u, float(u.nvals), compute)
 
     def apply_indexop_matrix(self, a: CSRMatrix, op: IndexUnaryOp, thunk: Any) -> CSRMatrix:
         """Replace each stored value with ``op(x, i, j, thunk)``."""
-        out_t = op.result_type(a.type)
-        if a.nvals == 0:
-            return CSRMatrix.empty(a.nrows, a.ncols, out_t)
-        vals = np.asarray(op(a.values, a.row_ids(), a.indices, thunk)).astype(
-            out_t.dtype, copy=False
-        )
-        return CSRMatrix(a.nrows, a.ncols, a.indptr.copy(), a.indices.copy(), vals, out_t)
+
+        def compute() -> CSRMatrix:
+            out_t = op.result_type(a.type)
+            if a.nvals == 0:
+                return CSRMatrix.empty(a.nrows, a.ncols, out_t)
+            vals = np.asarray(op(a.values, a.row_ids(), a.indices, thunk)).astype(
+                out_t.dtype, copy=False
+            )
+            return CSRMatrix(
+                a.nrows, a.ncols, a.indptr.copy(), a.indices.copy(), vals, out_t
+            )
+
+        return self.host_op("select", a, float(a.nvals), compute)
 
     # ------------------------------------------------------------------
     # Structural kernels — container-level defaults
@@ -351,50 +381,58 @@ class Backend(ABC):
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
         """``t[k] = u[idx[k]]`` keeping only present source entries."""
         idx = np.asarray(idx, dtype=np.int64)
-        present, pos = locate(u.indices, idx, u.size)
-        out_idx = np.flatnonzero(present).astype(np.int64)
-        out_vals = u.values[pos[present]] if present.any() else np.empty(0, dtype=u.type.dtype)
-        return SparseVector(idx.size, out_idx, out_vals, u.type)
+
+        def compute() -> SparseVector:
+            present, pos = locate(u.indices, idx, u.size)
+            out_idx = np.flatnonzero(present).astype(np.int64)
+            out_vals = u.values[pos[present]] if present.any() else np.empty(0, dtype=u.type.dtype)
+            return SparseVector(idx.size, out_idx, out_vals, u.type)
+
+        return self.host_op("gather", u, len(idx), compute)
 
     def extract_matrix(self, a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatrix:
         """``T[p, q] = A[rows[p], cols[q]]`` keeping only present entries."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        # Column gather table: for each source col, list of target positions.
-        col_order = np.argsort(cols, kind="stable")  # gbsan: ok(argsort) -- reference-backend extract, correctness oracle only
-        sorted_cols = cols[col_order]
-        out_rows, out_cols, out_vals = [], [], []
-        for p, src_r in enumerate(rows):
-            cidx, cvals = a.row(int(src_r))
-            if cidx.size == 0:
-                continue
-            # For each selected column q, locate A[src_r, cols[q]].
-            loc = np.searchsorted(cidx, sorted_cols)
-            loc_c = np.minimum(loc, cidx.size - 1)
-            present = (loc < cidx.size) & (cidx[loc_c] == sorted_cols)
-            hits = np.flatnonzero(present)
-            if hits.size == 0:
-                continue
-            out_rows.append(np.full(hits.size, p, dtype=np.int64))
-            out_cols.append(col_order[hits])
-            out_vals.append(cvals[loc[hits]])
-        from ..containers.coo import COO
-        from ..containers.convert import coo_to_csr
 
-        if not out_rows:
-            return CSRMatrix.empty(rows.size, cols.size, a.type)
-        coo = COO(
-            rows.size,
-            cols.size,
-            np.concatenate(out_rows),
-            np.concatenate(out_cols),
-            np.concatenate(out_vals),
-            a.type,
-        )
-        # cols (and hence out_cols) may repeat when the extraction index
-        # repeats a column; the spec keeps each as its own entry, and
-        # distinct target positions never collide, so no dup op is needed.
-        return coo_to_csr(coo, dup=None)
+        def compute() -> CSRMatrix:
+            # Column gather table: for each source col, list of target positions.
+            col_order = np.argsort(cols, kind="stable")  # gbsan: ok(argsort) -- reference-backend extract, correctness oracle only
+            sorted_cols = cols[col_order]
+            out_rows, out_cols, out_vals = [], [], []
+            for p, src_r in enumerate(rows):
+                cidx, cvals = a.row(int(src_r))
+                if cidx.size == 0:
+                    continue
+                # For each selected column q, locate A[src_r, cols[q]].
+                loc = np.searchsorted(cidx, sorted_cols)
+                loc_c = np.minimum(loc, cidx.size - 1)
+                present = (loc < cidx.size) & (cidx[loc_c] == sorted_cols)
+                hits = np.flatnonzero(present)
+                if hits.size == 0:
+                    continue
+                out_rows.append(np.full(hits.size, p, dtype=np.int64))
+                out_cols.append(col_order[hits])
+                out_vals.append(cvals[loc[hits]])
+            from ..containers.coo import COO
+            from ..containers.convert import coo_to_csr
+
+            if not out_rows:
+                return CSRMatrix.empty(rows.size, cols.size, a.type)
+            coo = COO(
+                rows.size,
+                cols.size,
+                np.concatenate(out_rows),
+                np.concatenate(out_cols),
+                np.concatenate(out_vals),
+                a.type,
+            )
+            # cols (and hence out_cols) may repeat when the extraction index
+            # repeats a column; the spec keeps each as its own entry, and
+            # distinct target positions never collide, so no dup op is needed.
+            return coo_to_csr(coo, dup=None)
+
+        return self.host_op("gather", a, float(len(rows)) * max(len(cols), 1), compute)
 
     def kronecker(self, a: CSRMatrix, b: CSRMatrix, op: BinaryOp) -> CSRMatrix:
         """Kronecker product with ``op`` combining value pairs."""

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from ...containers.csr import CSRMatrix
 from ...containers.sparsevec import SparseVector
 from ...core.descriptor import DEFAULT, Descriptor
@@ -428,60 +426,19 @@ class CudaSimBackend(Backend):
         return self._launch(TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a)
 
     # ------------------------------------------------------------------
-    # Select / indexed apply accounting
+    # Host-computed ops (select, apply with index, extract) and assign
     # ------------------------------------------------------------------
 
-    def _select_launch(self, src, thunk_fn):
+    def host_op(self, kind, src, n, compute):
         self._ensure_resident(src)
+        if kind == "select":
+            return self._launch(
+                SELECT_COMPACT, LaunchConfig.cover(n), compute, n, src.type.nbytes,
+                san_reads=(src,),
+            )
         return self._launch(
-            SELECT_COMPACT,
-            LaunchConfig.cover(src.nvals),
-            thunk_fn,
-            float(src.nvals),
-            src.type.nbytes,
+            GATHER, LaunchConfig.cover(n), compute, n, src.type.nbytes,
             san_reads=(src,),
-        )
-
-    def select_vector(self, u, op, thunk):
-        return self._select_launch(u, lambda: super(CudaSimBackend, self).select_vector(u, op, thunk))
-
-    def select_matrix(self, a, op, thunk):
-        return self._select_launch(a, lambda: super(CudaSimBackend, self).select_matrix(a, op, thunk))
-
-    def apply_indexop_vector(self, u, op, thunk):
-        return self._select_launch(
-            u, lambda: super(CudaSimBackend, self).apply_indexop_vector(u, op, thunk)
-        )
-
-    def apply_indexop_matrix(self, a, op, thunk):
-        return self._select_launch(
-            a, lambda: super(CudaSimBackend, self).apply_indexop_matrix(a, op, thunk)
-        )
-
-    # ------------------------------------------------------------------
-    # Extract / assign accounting
-    # ------------------------------------------------------------------
-
-    def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
-        self._ensure_resident(u)
-        return self._launch(
-            GATHER,
-            LaunchConfig.cover(len(idx)),
-            lambda: super(CudaSimBackend, self).extract_vector(u, idx),
-            len(idx),
-            u.type.nbytes,
-            san_reads=(u,),
-        )
-
-    def extract_matrix(self, a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatrix:
-        self._ensure_resident(a)
-        return self._launch(
-            GATHER,
-            LaunchConfig.cover(len(rows) * max(len(cols), 1)),
-            lambda: super(CudaSimBackend, self).extract_matrix(a, rows, cols),
-            float(len(rows)) * max(len(cols), 1),
-            a.type.nbytes,
-            san_reads=(a,),
         )
 
     def charge_assign(self, nvals: int, out) -> None:

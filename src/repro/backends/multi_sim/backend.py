@@ -784,59 +784,22 @@ class MultiSimBackend(Backend):
         return a.transpose()
 
     # ------------------------------------------------------------------
-    # Select / indexed apply / extract: host-computed, priced per device
+    # Host-computed ops (select, apply with index, extract): priced per device
     # ------------------------------------------------------------------
 
-    def _host_op(self, kernel, src, n_items: float, compute):
-        """Price a host-computed op as 1/P of ``n_items`` per device, then
+    @_sharded
+    def host_op(self, kind, src, n, compute):
+        """Price a host-computed op as 1/P of ``n`` per device, then
         return ``compute()`` (sliced by :func:`_sharded`)."""
+        kernel = SELECT_COMPACT if kind == "select" else GATHER
         self._ensure_available(src)
-        per = max(float(n_items) / self.nparts, 1.0)
+        per = max(float(n) / self.nparts, 1.0)
         for p in range(self.nparts):
             launch(
                 kernel, LaunchConfig.cover(int(per)), _noop, per, src.type.nbytes,
                 device=self._dev(p), san_reads=(src,),
             )
         return compute()
-
-    @_sharded
-    def select_vector(self, u, op, thunk):
-        return self._host_op(
-            SELECT_COMPACT, u, u.nvals, lambda: Backend.select_vector(self, u, op, thunk)
-        )
-
-    @_sharded
-    def select_matrix(self, a, op, thunk):
-        return self._host_op(
-            SELECT_COMPACT, a, a.nvals, lambda: Backend.select_matrix(self, a, op, thunk)
-        )
-
-    @_sharded
-    def apply_indexop_vector(self, u, op, thunk):
-        return self._host_op(
-            SELECT_COMPACT, u, u.nvals,
-            lambda: Backend.apply_indexop_vector(self, u, op, thunk),
-        )
-
-    @_sharded
-    def apply_indexop_matrix(self, a, op, thunk):
-        return self._host_op(
-            SELECT_COMPACT, a, a.nvals,
-            lambda: Backend.apply_indexop_matrix(self, a, op, thunk),
-        )
-
-    @_sharded
-    def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
-        return self._host_op(
-            GATHER, u, len(idx), lambda: Backend.extract_vector(self, u, idx)
-        )
-
-    @_sharded
-    def extract_matrix(self, a: CSRMatrix, rows: np.ndarray, cols: np.ndarray) -> CSRMatrix:
-        return self._host_op(
-            GATHER, a, float(len(rows)) * max(len(cols), 1),
-            lambda: Backend.extract_matrix(self, a, rows, cols),
-        )
 
     @_sharded
     def charge_assign(self, nvals: int, out) -> None:

@@ -46,9 +46,9 @@ _PUSH_MONOIDS = frozenset(
 def fuse(nodes: List[Node]) -> List[Node]:
     """Fuse adjacent producer/consumer pairs; returns the new node list.
 
-    The consumer node is mutated *in place* (``emit_scalar`` holds a
-    reference to the recorded reduce node and reads its ``value`` after the
-    flush); the producer is dropped from the list and never executes.
+    The consumer node is rewritten in place, taking over the producer's
+    outputs where the fused kernel still produces them; the producer is
+    dropped from the list and never executes.
     """
     out: List[Node] = []
     i = 0
@@ -74,11 +74,10 @@ def _fuse_ewise_reduce(p: Node, c: Node) -> bool:
     so later consumers and a live owning handle are always satisfied — no
     extra legality conditions beyond adjacency.  Requires a trivial merge
     on the producer: with a mask or accumulator the reduce would see the
-    merged container, not the raw result.
+    merged container, not the raw result.  The fused node's outputs are the
+    producer's, then the reduce's scalar.
     """
-    if p.op not in _EWISE_OPS or not p.run.trivial:
-        return False
-    if c.op != "reduce_v" or not c.scalar or not p.outputs:
+    if p.op not in _EWISE_OPS or not p.run.trivial or c.op != "reduce_v":
         return False
     if c.inputs.get("src") is not p.outputs[0]:
         return False
@@ -97,7 +96,7 @@ def _fuse_ewise_reduce(p: Node, c: Node) -> bool:
     c.run = p.run.swap(kernel)
     c.inputs = p.inputs
     c.params = {"binop": binop, "unop": unop, "union": union, "monoid": monoid}
-    c.outputs = p.outputs
+    c.outputs = p.outputs + c.outputs
     return True
 
 
@@ -113,7 +112,7 @@ def _fuse_fill_ewise(p: Node, c: Node, rest: List[Node]) -> bool:
     """
     if p.op != "assign_scalar_v" or not p.params.get("fill"):
         return False
-    if c.op != "ewise_add_v" or not p.outputs:
+    if c.op != "ewise_add_v":
         return False
     lv = p.outputs[0]
     fill_first = c.inputs.get("a") is lv
@@ -126,8 +125,7 @@ def _fuse_fill_ewise(p: Node, c: Node, rest: List[Node]) -> bool:
     out_in = p.inputs.get("out")
     if isinstance(out_in, LazyValue) or out_in is None:
         return False
-    owner = lv.owner() if lv.owner is not None else None
-    if owner is not None and getattr(owner, "_lazy", None) is lv:
+    if lv.handle() is not None:
         return False
     for n in rest:
         for v in n.inputs.values():

@@ -105,18 +105,13 @@ def emit(
     """
     if recording():
         node = Node(op, run, inputs, params, current_backend())
-        lvs = []
-        for o in outs:
-            lv = LazyValue(node, weakref.ref(o))
+        node.outputs = tuple(LazyValue(weakref.ref(o)) for o in outs)
+        for o, lv in zip(outs, node.outputs):
             o._lazy = lv
-            lvs.append(lv)
-        node.outputs = tuple(lvs)
         _TAPE.append(node)
         return outs[0]
     resolved = {k: _concrete(v) for k, v in inputs.items()}
-    r = run(resolved, params)
-    results = r if len(outs) > 1 else (r,)
-    for o, c in zip(outs, results):
+    for o, c in zip(outs, _results(run(resolved, params), len(outs))):
         o._lazy = None
         o._replace(c)
     return outs[0]
@@ -129,15 +124,22 @@ def emit_scalar(
 
     A reduction's value feeds Python control flow, so it is an observation
     point — but recording it first lets the fusion pass see the reduce
-    adjacent to its producer before the flush executes either.
+    adjacent to its producer before the flush executes either.  The scalar
+    is the node's one output, owned by no handle; forcing it makes it the
+    flush's root.
     """
     if recording():
-        node = Node(op, run, inputs, params, current_backend(), scalar=True)
+        node = Node(op, run, inputs, params, current_backend())
+        node.outputs = (LazyValue(),)
         _TAPE.append(node)
-        sync()
-        return node.value
+        return force(node.outputs[0])
     resolved = {k: _concrete(v) for k, v in inputs.items()}
     return run(resolved, params)
+
+
+def _results(r: Any, n: int) -> Tuple[Any, ...]:
+    """A run's results in output order (a lone result is not a tuple)."""
+    return tuple(r) if n > 1 else (r,)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +158,7 @@ def force(lv: LazyValue) -> Any:
     if lv.container is None:
         sync(root=lv)
         if lv.container is None:  # pragma: no cover - scheduling invariant
-            raise RuntimeError(
-                f"lazy value for {lv.node.op} not materialised by flush"
-            )
+            raise RuntimeError("lazy value not materialised by flush")
     return lv.container
 
 
@@ -193,35 +193,23 @@ def wait() -> None:
 def _live_nodes(tape: List[Node], root: Optional[LazyValue]) -> List[Node]:
     """Program-ordered live subset of the tape (dead-materialization cut).
 
-    Roots: scalar nodes (their value is being waited on), outputs that are
-    still the current value of a live handle, and the explicit force
-    target.  Everything reachable backwards through pending inputs is live;
-    the rest produced values nobody can ever observe.
+    Roots: the values that live handles still own, and the explicit force
+    target (a scalar reduction's value, or the value a read is waiting
+    on).  Every node reachable from them backwards through pending inputs
+    is live, a pending input's producer being found through a map of this
+    tape's outputs; the rest produced values nobody can ever observe.
     """
-    live: set = set()
-
-    def mark(node: Node) -> None:
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if id(n) in live or n.done:
-                continue
-            live.add(id(n))
-            for v in n.inputs.values():
-                if isinstance(v, LazyValue) and v.container is None:
-                    stack.append(v.node)
-
-    for node in tape:
-        if node.scalar:
-            mark(node)
+    producer = {lv: n for n in tape for lv in n.outputs}
+    stack = [n for lv, n in producer.items() if lv is root or lv.handle() is not None]
+    live: set[int] = set()
+    while stack:
+        n = stack.pop()
+        if id(n) in live:
             continue
-        for lv in node.outputs:
-            owner = lv.owner() if lv.owner is not None else None
-            if owner is not None and getattr(owner, "_lazy", None) is lv:
-                mark(node)
-                break
-    if root is not None and root.container is None:
-        mark(root.node)
+        live.add(id(n))
+        for v in n.inputs.values():
+            if isinstance(v, LazyValue) and v in producer:
+                stack.append(producer[v])
     return [n for n in tape if id(n) in live]
 
 
@@ -266,9 +254,7 @@ def _flush(tape: List[Node], root: Optional[LazyValue]) -> None:
 def _resolve(v: Any) -> Any:
     if isinstance(v, LazyValue):
         if v.container is None:  # pragma: no cover - scheduling invariant
-            raise RuntimeError(
-                f"input from {v.node.op} consumed before its producer ran"
-            )
+            raise RuntimeError("lazy input consumed before its producer ran")
         return v.container
     return v
 
@@ -276,25 +262,12 @@ def _resolve(v: Any) -> Any:
 def _execute(node: Node) -> None:
     inp = {k: _resolve(v) for k, v in node.inputs.items()}
     r = node.run(inp, node.params)
-    outs = node.outputs
-    if node.scalar:
-        if outs:
-            containers = list(r[:-1])
-            node.value = r[-1]
-        else:
-            node.value = r
-            containers = []
-    elif len(outs) > 1:
-        containers = list(r)
-    else:
-        containers = [r]
-    for lv, c in zip(outs, containers):
+    for lv, c in zip(node.outputs, _results(r, len(node.outputs))):
         lv.container = c
-        owner = lv.owner() if lv.owner is not None else None
-        if owner is not None and getattr(owner, "_lazy", None) is lv:
-            owner._replace(c)
-            owner._lazy = None
-    node.done = True
+        handle = lv.handle()
+        if handle is not None:
+            handle._replace(c)
+            handle._lazy = None
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .conservation import (
     check_transfer_conservation,
     run_conservation_suite,
 )
-from .shrink import shrink, write_repro
+from .shrink import write_repro
 
 __all__ = [
     "EXACT_FOLD_OPS",
@@ -97,6 +97,5 @@ __all__ = [
     "check_replay_conservation",
     "check_transfer_conservation",
     "run_conservation_suite",
-    "shrink",
     "write_repro",
 ]

@@ -9,7 +9,6 @@ from repro.algorithms import (
     component_count,
     connected_components,
     pagerank,
-    row_stochastic,
     triangle_count,
     triangles_per_vertex,
 )
@@ -66,17 +65,6 @@ class TestPageRank:
 
     def test_empty_graph(self, backend):
         assert pagerank(gb.Matrix.sparse(gb.FP64, 0, 0)).size == 0
-
-    def test_row_stochastic_rows_sum_to_one(self, backend):
-        g = gb.generators.erdos_renyi_gnp(20, 0.2, seed=3)
-        m, dangling = row_stochastic(g)
-        sums = m.to_dense().sum(axis=1)
-        deg = g.row_degrees()
-        for i in range(20):
-            if deg[i]:
-                assert sums[i] == pytest.approx(1.0)
-            else:
-                assert dangling.get(i) == 1.0
 
 
 class TestTriangles:

@@ -56,6 +56,17 @@ class TestPprBatch:
         b = ppr_batch(g, [2, 7], iters=5)
         assert a == b
 
+    def test_transition_rows_sum_to_one(self, backend):
+        g = gb.generators.erdos_renyi_gnp(20, 0.2, seed=3)
+        m, d = ppr_transition(g)
+        sums = m.to_dense().sum(axis=1)
+        deg = g.row_degrees()
+        for i in range(20):
+            if deg[i]:
+                assert sums[i] == pytest.approx(1.0)
+            else:
+                assert d.get(i, 0) == 1.0
+
     def test_empty_sources(self, backend):
         g = gb.generators.path_graph(4)
         r = ppr_batch(g, [])

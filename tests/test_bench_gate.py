@@ -2,7 +2,8 @@
 
 A named figure must fail the gate when its baseline tracks no counters,
 when a tracked counter grew past the tolerance, when its simulated kernel
-time rose at all, and when the current run left no record to compare.
+time or makespan rose at all, and when the current run left no record to
+compare.
 """
 
 from __future__ import annotations
@@ -73,3 +74,17 @@ def test_kernel_us_fall_passes(gate, tmp_path):
     cell = {"kernel_launches": 100, "h2d_bytes": 1000, "kernel_us": 250.0}
     fallen = dict(cell, kernel_us=249.5)
     assert _run(gate, tmp_path, _record(a=cell), _record(a=fallen)) == 0
+
+
+def test_any_makespan_rise_fails(gate, tmp_path):
+    # fig8's per-(algo, P) makespan is the simulated clock its speedups
+    # come from; like kernel_us it is gated exactly.
+    cell = {"kernel_launches": 25, "h2d_bytes": 1000, "makespan_us": 238.888}
+    risen = dict(cell, makespan_us=238.889)
+    assert _run(gate, tmp_path, _record(bfs_P8=cell), _record(bfs_P8=risen)) == 1
+
+
+def test_makespan_fall_passes(gate, tmp_path):
+    cell = {"kernel_launches": 25, "h2d_bytes": 1000, "makespan_us": 238.888}
+    fallen = dict(cell, makespan_us=231.5)
+    assert _run(gate, tmp_path, _record(bfs_P8=cell), _record(bfs_P8=fallen)) == 0

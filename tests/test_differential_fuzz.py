@@ -23,12 +23,11 @@ from repro.testing import (
     run_conservation_suite,
     run_differential,
     run_metamorphic_suite,
-    shrink,
     write_repro,
 )
 from repro.testing.executor import Divergence, execute
 from repro.testing.fuzz import _load_program
-from repro.testing.shrink import _drop_op, result_slots
+from repro.testing.shrink import _drop_op, result_slots, shrink
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +210,13 @@ class TestShrinker:
 
         small = shrink(p, still_fails, max_probes=50)
         assert small.to_json()  # never adopted a crashing candidate
+
+    def test_shrink_submodule_is_not_shadowed(self):
+        # The package must not bind the function under its submodule's name.
+        import repro.testing.shrink as m
+
+        assert m.__name__ == "repro.testing.shrink"
+        assert m.shrink is shrink and callable(m.program_candidates)
 
     def test_write_repro_round_trip(self, tmp_path):
         p = generate_program(11)
