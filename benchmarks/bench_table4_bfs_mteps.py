@@ -19,7 +19,7 @@ from repro.bench.tables import format_table
 from repro.backends.dispatch import get_backend, use_backend
 from repro.gpu.device import get_device, reset_device
 
-from conftest import bench_backend, save_json, save_table
+from conftest import bench_backend, save_json, save_table, sim_metrics
 
 # Kernel launches per scale-12 BFS at the seed commit (assign + masked vxm
 # pipeline, two launches per hop); the fused frontier_step must beat this.
@@ -124,6 +124,12 @@ def test_table4_render(benchmark):
             "mteps": series,
             "bfs_kernel_launches": launches,
             "seed_bfs_kernel_launches_scale12": SEED_BFS_LAUNCHES_SCALE12,
+            # Deterministic simulator counters per scale, gated by CI
+            # against the committed baseline (check_bench_regressions.py).
+            "cuda_sim_metrics": {
+                str(s): sim_metrics(lambda s=s: gb.algorithms.bfs_levels(_GRAPHS[s], 0))
+                for s in SCALES
+            },
         }
         save_json("table4", record)
         assert launches["12"] < SEED_BFS_LAUNCHES_SCALE12, (

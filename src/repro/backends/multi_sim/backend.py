@@ -339,18 +339,24 @@ class MultiSimBackend(Backend):
         the single-device aux builds, the charges land outside any capturing
         graph so iteration signatures stay stable.  A symmetric ``a`` is its
         own transpose: its row shards serve, with no sort and no shuffle.
+        The shards are reused only while every device still holds its own
+        (as cuda_sim's ``_device_transpose`` reads a clean memo); after an
+        eviction or a reset the build is charged again.
         """
         if a.symmetric:
             return self._row_parts(a)
+        executors = self._cluster.executors
         hit = self._tparts.get(id(a))
         if hit is not None and hit[0] is a and hit[1] == a.version:
             part = hit[2]
-            for ex, shard in zip(self._cluster.executors, part.shards):
-                ex._resident.mark(shard)
+        else:
+            part = PartitionedCSR(a.cached_transpose(), self.nparts, self.splitter)
+            self._tparts[id(a)] = (a, a.version, part)
+        if all(ex._resident.is_clean(s) for ex, s in zip(executors, part.shards)):
+            for ex, shard in zip(executors, part.shards):
+                ex._resident.mark(shard)  # LRU touch
             return part
-        ta = a.cached_transpose()
-        part = PartitionedCSR(ta, self.nparts, self.splitter)
-        for ex, shard in zip(self._cluster.executors, part.shards):
+        for ex, shard in zip(executors, part.shards):
             # The shard materialises on its device as the sort runs; mark
             # residency first so the pricing launch reads a known buffer.
             ex._resident.mark(shard)
@@ -359,7 +365,6 @@ class MultiSimBackend(Backend):
                     TRANSPOSE_SHARD, LaunchConfig.cover(shard.nvals), shard
                 )
         self._cluster.collective("all_to_all", float(a.nbytes))
-        self._tparts[id(a)] = (a, a.version, part)
         return part
 
     # ------------------------------------------------------------------

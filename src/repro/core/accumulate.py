@@ -32,7 +32,6 @@ import numpy as np
 from ..containers.bitmap import union_merge
 from ..containers.csr import CSRMatrix
 from ..containers.sparsevec import SparseVector
-from ..policy import current
 from ..types import GrBType
 from .descriptor import DEFAULT, Descriptor
 from .mask import check_mask_shape, matrix_mask_at, vector_mask_at
@@ -45,30 +44,26 @@ def _note_result(container):
     """Tell the active backend a merged output exists device-side.
 
     Backend kernels compute results *on the device*; the frontend merge is
-    part of the same write pipeline, so its output should not be treated as
-    host-only data that must be re-uploaded on next use.  Real backends
-    ignore the hint; the simulated GPU marks the container resident without
-    charging PCIe traffic (transfer elision).
+    part of the same write pipeline, so its output is device-born like any
+    backend result, not host data to re-upload on next use.  Host backends
+    ignore the hint; the simulated GPUs mark the container resident without
+    charging PCIe traffic.
     """
     from ..backends.dispatch import current_backend
 
-    if current().elision:
-        current_backend().note_result(container)
+    current_backend().note_result(container)
     return container
 
 
-def _trivial_merge(mask, accum, desc: Descriptor) -> bool:
+def _trivial_merge(mask, accum) -> bool:
     """True when the pipeline reduces to "output := T cast to C's domain".
 
     With no mask every position is writable (complementing a missing mask
-    is all-true here, see :func:`~repro.core.mask.vector_mask_at`) and with
-    no accumulator old entries never survive, so the merged result *is* T.
-    Returning T itself preserves container identity — and therefore device
-    residency — across the write pipeline, which is what lets iterative
-    algorithms skip per-iteration H2D re-uploads.
+    is all-true here, see :func:`~repro.core.mask.vector_mask_at`, and the
+    replace flag is moot) and with no accumulator old entries never survive,
+    so the merged result *is* T, returned as itself.
     """
-    del desc  # replace flag is irrelevant once the mask admits everything
-    return mask is None and accum is None and current().elision
+    return mask is None and accum is None
 
 
 def _accumulate(
@@ -153,20 +148,22 @@ def merge_vector(
 
         raise DimensionMismatchError("result size", expected=c.size, actual=t.size)
     out_type = _output_type(c.type, t.type, accum)
-    if share and _trivial_merge(mask, accum, desc):
-        return _note_result(t.astype(out_type))
-    idx, vals = _merge_indexed(
-        c.indices,
-        c.values,
-        t.indices,
-        t.values.astype(out_type.dtype, copy=False),
-        lambda pos: vector_mask_at(mask, desc, pos),
-        accum,
-        desc.replace,
-        out_type.dtype,
-        c.size,
-    )
-    return _note_result(SparseVector(c.size, idx, vals, out_type))
+    if share and _trivial_merge(mask, accum):
+        out = t.astype(out_type)
+    else:
+        idx, vals = _merge_indexed(
+            c.indices,
+            c.values,
+            t.indices,
+            t.values.astype(out_type.dtype, copy=False),
+            lambda pos: vector_mask_at(mask, desc, pos),
+            accum,
+            desc.replace,
+            out_type.dtype,
+            c.size,
+        )
+        out = SparseVector(c.size, idx, vals, out_type)
+    return _note_result(out)
 
 
 def merge_matrix(
@@ -187,17 +184,19 @@ def merge_matrix(
 
         raise DimensionMismatchError("result shape", expected=c.shape, actual=t.shape)
     out_type = _output_type(c.type, t.type, accum)
-    if share and _trivial_merge(mask, accum, desc):
-        return _note_result(t.astype(out_type))
-    keys, vals = _merge_indexed(
-        c.flat_keys(),
-        c.values,
-        t.flat_keys(),
-        t.values.astype(out_type.dtype, copy=False),
-        lambda pos: matrix_mask_at(mask, desc, pos),
-        accum,
-        desc.replace,
-        out_type.dtype,
-        c.nrows * c.ncols,
-    )
-    return _note_result(CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, out_type))
+    if share and _trivial_merge(mask, accum):
+        out = t.astype(out_type)
+    else:
+        keys, vals = _merge_indexed(
+            c.flat_keys(),
+            c.values,
+            t.flat_keys(),
+            t.values.astype(out_type.dtype, copy=False),
+            lambda pos: matrix_mask_at(mask, desc, pos),
+            accum,
+            desc.replace,
+            out_type.dtype,
+            c.nrows * c.ncols,
+        )
+        out = CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, out_type)
+    return _note_result(out)

@@ -144,7 +144,8 @@ def _merge_region_matrix(
     desc: Descriptor,
 ) -> CSRMatrix:
     """:func:`merge_region_vector` over C's row-major keys; the region is
-    the product of the sorted ``rows`` and ``cols``."""
+    the product of the sorted ``rows`` and ``cols``.  The result is the
+    device-born output of the write pipeline."""
     c_rows = c.row_ids()
     keys, vals = _merge_region(
         flat_keys(c_rows, c.indices, c.ncols),
@@ -158,7 +159,7 @@ def _merge_region_matrix(
         c.type.dtype,
         c.nrows * c.ncols,
     )
-    return CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, c.type)
+    return _note_result(CSRMatrix.from_flat_keys(c.nrows, c.ncols, keys, vals, c.type))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def assign(
     sc = src.container
     current_backend().charge_assign(sc.nvals, out)
     return out._replace(
-        _note_result(_merge_region_matrix(
+        _merge_region_matrix(
             out.container,
             r[sc.row_ids()],
             s[sc.indices],
@@ -233,7 +234,7 @@ def assign(
             mask.container if mask is not None else None,
             accum,
             desc,
-        ))
+        )
     )
 
 
@@ -291,7 +292,7 @@ def assign_scalar(
     vals = np.full(rr.size, out.type.cast(value), dtype=out.type.dtype)
     current_backend().charge_assign(rr.size, out)
     return out._replace(
-        _note_result(_merge_region_matrix(
+        _merge_region_matrix(
             out.container,
             rr,
             cc,
@@ -301,7 +302,7 @@ def assign_scalar(
             mask.container if mask is not None else None,
             accum,
             desc,
-        ))
+        )
     )
 
 
@@ -326,7 +327,7 @@ def assign_row(
     uc = u.container
     current_backend().charge_assign(uc.nvals, c)
     return c._replace(
-        _note_result(_merge_region_matrix(
+        _merge_region_matrix(
             c.container,
             np.full(uc.nvals, i, dtype=np.int64),
             s[uc.indices],
@@ -336,7 +337,7 @@ def assign_row(
             mat_mask,
             accum,
             desc,
-        ))
+        )
     )
 
 
@@ -357,7 +358,7 @@ def assign_col(
     uc = u.container
     current_backend().charge_assign(uc.nvals, c)
     return c._replace(
-        _note_result(_merge_region_matrix(
+        _merge_region_matrix(
             c.container,
             r[uc.indices],
             np.full(uc.nvals, j, dtype=np.int64),
@@ -367,7 +368,7 @@ def assign_col(
             mat_mask,
             accum,
             desc,
-        ))
+        )
     )
 
 

@@ -20,21 +20,8 @@ from .device import (
 )
 from .kernel import Kernel, LaunchConfig, charge_transfer, launch
 from .memory import DeviceAllocator, DeviceBuffer, MemoryStats
-from .occupancy import (
-    K40_LIMITS,
-    KernelResources,
-    OccupancyResult,
-    SMLimits,
-    occupancy,
-)
 from .profiler import LaunchRecord, Profiler
-from .simt import (
-    COALESCING,
-    blocks_for,
-    divergence_thread_per_row,
-    divergence_warp_per_row,
-    warps_for,
-)
+from .simt import COALESCING, divergence_thread_per_row, divergence_warp_per_row
 from .stream import Event, Stream
 
 __all__ = [
@@ -55,18 +42,11 @@ __all__ = [
     "DeviceAllocator",
     "DeviceBuffer",
     "MemoryStats",
-    "K40_LIMITS",
-    "KernelResources",
-    "OccupancyResult",
-    "SMLimits",
-    "occupancy",
     "LaunchRecord",
     "Profiler",
     "COALESCING",
-    "blocks_for",
     "divergence_thread_per_row",
     "divergence_warp_per_row",
-    "warps_for",
     "Event",
     "Stream",
 ]

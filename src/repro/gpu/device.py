@@ -125,15 +125,10 @@ class Device:
         # captured loop replays only while this is unchanged: its launches
         # would otherwise dereference the old buffers.
         self.rebinds = 0
-        # Process-unique identity for stamps that outlive this device's
-        # session (see ResidentSet.mark); unlike id(self), never reused by a
-        # later device, and renewed by reset().
+        # Process-unique identity for the stamps containers carry about it
+        # (ResidentSet.mark's bound stamp, iso upload hints); unlike
+        # id(self), never reused by a later device, and renewed by reset().
         self.serial = next(_SERIALS)
-        # H2D payload discounts registered by the lazy optimizer's
-        # dead-materialization pass: (id(container), version) -> bytes the
-        # upload may skip (iso-valued payloads filled on-device instead of
-        # copied).  Consulted by ResidentSet.ensure; cleared on reset.
-        self.h2d_hints = {}
 
     @property
     def profiler(self):
@@ -172,7 +167,6 @@ class Device:
         self._profiler.reset()
         self.clock_us = 0.0
         self.active_graph = None
-        self.h2d_hints.clear()
         # A reset device holds no buffers, so a container bound in the
         # previous session is bound here afresh, not rebound.  Without a new
         # serial its first upload would count a rebind and make the loop

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from ..policy import current
 from ..sanitizer import runtime as _gbsan
 from .device import Device, get_device
 from .kernel import charge_transfer
@@ -74,8 +73,7 @@ class ResidentSet:
         if entry is not None:
             if entry[2] == version:
                 self._entries.move_to_end(key)
-                if current().elision:
-                    dev.allocator.record_h2d_elided(container.nbytes)
+                dev.allocator.record_h2d_elided(container.nbytes)
                 if san is not None:
                     # Self-heal a sanitizer enabled mid-session: the shadow
                     # learns about clean entries it never saw marked.
@@ -90,17 +88,14 @@ class ResidentSet:
                 san.on_resident_evict(dev, container)
         nbytes = container.nbytes
         # Lazy-optimizer payload demotion (see repro.lazy.passes): an
-        # iso-valued payload registered in the device's hint table is filled
-        # on-device rather than copied, so the upload moves structure only.
-        # The skipped bytes are *accounted* as elided — transfer conservation
-        # (repro.testing.conservation) requires every saved byte to appear in
-        # the elided counter, and the elision flag to gate the whole
-        # mechanism.
-        if dev.h2d_hints and current().elision:
-            skip = dev.h2d_hints.get((key, version), 0.0)
-            if skip:
-                nbytes = max(nbytes - skip, 0.0)
-                dev.allocator.record_h2d_elided(skip)
+        # iso-valued payload is filled on-device rather than copied, so the
+        # upload moves structure only and the skipped bytes count as elided.
+        # The hint lives in the container's version-stamped _aux under this
+        # device's serial, so it dies with the data it describes.
+        skip = getattr(container, "_aux", {}).get(("h2d_skip", dev.serial), 0.0)
+        if skip:
+            nbytes = max(nbytes - skip, 0.0)
+            dev.allocator.record_h2d_elided(skip)
         charge_transfer(nbytes, "h2d", device=dev, container=container)
         self.mark(container)
 

@@ -30,8 +30,6 @@ __all__ = [
     "divergence_thread_per_row",
     "divergence_warp_per_row",
     "COALESCING",
-    "warps_for",
-    "blocks_for",
 ]
 
 # Effective-bandwidth divisors per access class (32 = one transaction per
@@ -43,16 +41,6 @@ COALESCING: Dict[str, float] = {
     "scatter": 16.0,  # data-dependent writes
     "atomic": 32.0,  # contended atomic read-modify-write
 }
-
-
-def warps_for(threads: int, warp_size: int = 32) -> int:
-    """Number of warps covering ``threads`` lanes."""
-    return max(1, -(-int(threads) // warp_size))
-
-
-def blocks_for(threads: int, block_size: int = 256) -> int:
-    """Number of thread blocks covering ``threads`` lanes."""
-    return max(1, -(-int(threads) // block_size))
 
 
 def divergence_thread_per_row(row_lengths: np.ndarray, warp_size: int = 32) -> float:

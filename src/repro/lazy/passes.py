@@ -12,8 +12,8 @@ All passes are linear walks over the program-ordered node list produced by
   products, replacing the per-op ``choose_direction`` heuristic where the
   whole-tape view proves push cannot lose;
 - :func:`register_iso_hints` — detect iso-valued (constant) matrix operands
-  once per version and register transfer-demotion hints with the device, so
-  the upload charges indices only.
+  once per version and stamp a transfer-demotion hint on the container for
+  each device, so the upload charges structure only.
 
 Every pass is a pure schedule decision: the values produced are bitwise
 those of the eager pipeline (``policy(lazy="off")``), only launches, transfers,
@@ -225,26 +225,26 @@ def choose_directions(nodes: List[Node]) -> None:
 
 
 def register_iso_hints(nodes: List[Node], devices: Sequence[Any]) -> None:
-    """Register upload-demotion hints for iso-valued matrix operands.
+    """Stamp upload-demotion hints on iso-valued matrix operands.
 
     An unweighted graph stored with constant weights (BFS adjacency, a
     uniformly weighted benchmark matrix) need not ship its value array
     host→device — a real backend materialises the constant on-device.  The
-    scan runs once per ``(id, version)`` (negative results cache as 0.0)
-    and the hint lands on every device of the flushing backend;
+    scan runs once per matrix version (negative results stamp 0.0) and the
+    hint is stamped for every device of the flushing backend in the
+    container's version-stamped ``_aux`` under ``("h2d_skip", serial)``;
     :meth:`repro.gpu.residency.ResidentSet.ensure` subtracts it when
     charging the upload.
     """
-    tables = [dev.h2d_hints for dev in devices]
+    keys = [("h2d_skip", dev.serial) for dev in devices]
     for n in nodes:
         for v in n.inputs.values():
             if v is None or isinstance(v, LazyValue) or not hasattr(v, "indptr"):
                 continue
-            key = (id(v), getattr(v, "version", 0))
-            missing = [t for t in tables if key not in t]
+            missing = [k for k in keys if k not in v._aux]
             if not missing:
                 continue
             vals = v.values
             iso = bool(vals.size) and bool((vals == vals.flat[0]).all())
-            for t in missing:
-                t[key] = float(vals.nbytes) if iso else 0.0
+            for k in missing:
+                v._aux[k] = float(vals.nbytes) if iso else 0.0

@@ -44,12 +44,11 @@ class Policy:
       optimizer's passes (:mod:`repro.lazy.passes`, :mod:`repro.lazy.capture`);
     - ``lanes`` — ``auto`` bins rows per launch, a lane name forces that
       lane, ``off`` keeps each kernel's native lane
-      (:mod:`repro.gpu.loadbalance`);
-    - ``elision`` — identity-preserving trivial merges, device-resident
-      write-pipeline outputs (``note_result``) and iso-value upload hints,
-      so clean containers skip repeated H2D uploads.  Backend results are
-      born on the device whatever it says (``CudaSimBackend._launch``,
-      multi_sim's ``_sharded``).
+      (:mod:`repro.gpu.loadbalance`).
+
+    Device residency is not a switch: backend results and write-pipeline
+    outputs are born on the device, and a clean operand never uploads
+    again.
     """
 
     lazy: str = "auto"
@@ -59,7 +58,6 @@ class Policy:
     direction: bool = True
     capture: bool = True
     lanes: str = "auto"
-    elision: bool = True
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -121,9 +119,10 @@ def policy(**overrides: Any) -> Iterator[Policy]:
             _CURRENT = prev
 
 
-#: The ``noreuse`` spec suffix: transfer elision and loop capture off.  The
-#: containers' version-stamped memos (Aᵀ, degrees) have no switch.
-_NOREUSE = {"elision": False, "capture": False}
+#: The ``noreuse`` spec suffix: loop capture off, so every op launches on
+#: its own.  Residency and the containers' version-stamped memos (Aᵀ,
+#: degrees) have no switch.
+_NOREUSE = {"capture": False}
 
 
 def parse_suffixes(suffixes: Iterable[str]) -> Dict[str, Any]:

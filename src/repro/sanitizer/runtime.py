@@ -42,8 +42,7 @@ launches read; a replayed flush whose reads resolve to a *different* device
 buffer is a ``stale-replay`` — a real CUDA graph would still dereference
 the captured pointer.  Rebinds the device counts re-instantiate the loop
 (see ``LoopAgg``), so a finding means a residency path moved a buffer
-without counting it.  The binding check requires transfer elision (stable
-buffers) and is skipped when elision is off.
+without counting it.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..exceptions import SanitizerError
-from ..policy import current
 from .access import Access, is_tracked, label
 from .hb import Epoch, Timeline, join, merge_frontier
 
@@ -579,12 +577,7 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def _check_binding(self, loop: Any, obj: Any, buf: Optional[Any]) -> None:
-        """A capture flush binds its reads; a replayed flush must match them.
-
-        Binding identity is only stable when transfer elision keeps clean
-        containers on their original device buffers, so the check is skipped
-        when elision is disabled.
-        """
+        """A capture flush binds its reads; a replayed flush must match them."""
         entry = self._bindings.get(id(loop))
         if entry is None or entry[0] != loop.rebinds:
             # A new capture (the first, or a re-instantiation) binds afresh.
@@ -595,7 +588,7 @@ class Sanitizer:
             bindings[id(obj)] = (obj, buf)
             return
         cap = bindings.get(id(obj))
-        if cap is None or cap[0] is not obj or not current().elision:
+        if cap is None or cap[0] is not obj:
             return
         if cap[1] is not None and buf is not None and cap[1] is not buf:
             self._emit(

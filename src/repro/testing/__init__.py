@@ -14,8 +14,8 @@ Layers (each usable on its own):
 - :mod:`repro.testing.metamorphic` — implementation-independent invariants
   (permutation equivariance, semiring isomorphism, mask partition,
   duplicate-edge idempotence) that can catch the reference itself lying.
-- :mod:`repro.testing.conservation` — transfer/flop/replay counter
-  conservation laws on the simulator profiles.
+- :mod:`repro.testing.conservation` — flop and replay (launch and
+  transfer) counter conservation laws on the simulator profiles.
 - :mod:`repro.testing.shrink` — greedy failing-program minimisation and
   standalone pytest repro emission into ``tests/regressions/``.
 - :mod:`repro.testing.fuzz` — the CLI tying it together
@@ -60,7 +60,6 @@ from .metamorphic import (
 from .conservation import (
     check_flop_conservation,
     check_replay_conservation,
-    check_transfer_conservation,
     run_conservation_suite,
 )
 from .shrink import write_repro
@@ -95,7 +94,6 @@ __all__ = [
     "run_metamorphic_suite",
     "check_flop_conservation",
     "check_replay_conservation",
-    "check_transfer_conservation",
     "run_conservation_suite",
     "write_repro",
 ]

@@ -1,20 +1,18 @@
 """Counter-conservation invariants on cuda_sim / multi_sim profiles.
 
-The simulator's performance layers (transfer elision, loop capture,
-P-way sharding) must change *when* work is charged, never *how much* total
-logical work exists.  Three conservation laws capture that:
+The simulator's performance layers (loop capture, P-way sharding) must
+change *when* work is charged, never *how much* total logical work exists.
+Two conservation laws capture that:
 
-- **transfer conservation** — bytes actually copied H2D (the profiler's
-  ``h2d`` records) plus bytes elided is constant whether elision is on or
-  off: elision may only move traffic between the two counters, never
-  create or destroy it;
 - **flop conservation** — the sum of kernel flops across all P devices of
   a sharded pull product equals the single-device flop count: block-row
   sharding repartitions rows, it does not change per-row work;
 - **replay conservation** — expanding ``graph_replay[...]`` records back
   to their member kernels reproduces, device by device, the per-kernel
-  launch counts of a capture-off run, and the expanded view's total time
-  still equals ``kernel_time_us`` (attribution is lossless).
+  launch counts of a capture-off run, the expanded view's total time
+  still equals ``kernel_time_us`` (attribution is lossless), and every
+  device uploads and elides exactly what the capture-off run does (a
+  replay never moves a transfer).
 
 Each check returns ``None`` on success or a failure description.
 """
@@ -33,11 +31,9 @@ from ..core.vector import Vector
 from ..gpu.device import get_device, reset_device
 from ..policy import policy
 from ..types import FP64
-from .executor import execute
 from .programs import Program, build_env
 
 __all__ = [
-    "check_transfer_conservation",
     "check_flop_conservation",
     "check_replay_conservation",
     "run_conservation_suite",
@@ -49,44 +45,6 @@ def _fresh_cuda_sim():
     be.evict_all()
     reset_device()
     return be
-
-
-def check_transfer_conservation(program: Program) -> Optional[str]:
-    """Every byte elision saves must be accounted for, and none invented.
-
-    Three laws tie the two transfer counters across elision modes:
-
-    - with elision off, the elided counter must stay exactly zero;
-    - elision may only *remove* uploads: ``h2d(on) <= h2d(off)``;
-    - every removed byte is recorded: ``h2d(off) - h2d(on) <=
-      h2d_elided(on)``.  (The elided counter charges per consumption of a
-      device-resident container, so it upper-bounds the savings — equality
-      holds exactly when each elided container is consumed once.)
-    """
-    totals = []
-    for elide in (True, False):
-        be = _fresh_cuda_sim()
-        with policy(elision=elide):
-            execute(program, "cuda_sim")
-        dev = get_device()
-        copied = dev.profiler.h2d_bytes  # observe first: forces pending work
-        totals.append((float(copied), float(dev.allocator.stats.h2d_elided_bytes)))
-        be.evict_all()
-    (on_h2d, on_elided), (off_h2d, off_elided) = totals
-    if off_elided != 0.0:
-        return f"elision disabled but {off_elided:g} bytes recorded as elided"
-    saved = off_h2d - on_h2d
-    if saved < 0:
-        return (
-            f"elision *added* transfer traffic: {on_h2d:g} B uploaded with "
-            f"elision on vs {off_h2d:g} B with it off"
-        )
-    if saved > on_elided:
-        return (
-            f"unaccounted transfer savings: {saved:g} B disappeared but only "
-            f"{on_elided:g} B recorded as elided"
-        )
-    return None
 
 
 def _kernel_flops(profiler) -> float:
@@ -145,9 +103,10 @@ def _counts_by_kernel(profiler, expand: bool) -> Dict[str, int]:
 
 def _bfs_profile(
     graph, source: int, nparts: Optional[int]
-) -> List[Tuple[Dict[str, int], Dict[str, int], float, float]]:
+) -> List[Tuple[Dict[str, int], Dict[str, int], float, float, Tuple[float, ...]]]:
     """Per device of one BFS run on cuda_sim (``nparts`` None) or multi_sim:
-    (replay-expanded counts, plain counts, expanded time, kernel time)."""
+    (replay-expanded counts, plain counts, expanded time, kernel time,
+    transfers: H2D bytes, elided bytes, elided count)."""
     if nparts is None:
         be = _fresh_cuda_sim()
     else:
@@ -158,12 +117,14 @@ def _bfs_profile(
     out = []
     for dev in be.devices():
         prof = dev.profiler
+        stats = dev.allocator.stats
         expanded = prof.by_kernel(expand_replays=True)
         out.append((
             _counts_by_kernel(prof, expand=True),
             _counts_by_kernel(prof, expand=False),
             sum(r["time_us"] for r in expanded.values()),
             prof.kernel_time_us,
+            (prof.h2d_bytes, stats.h2d_elided_bytes, stats.h2d_elided_count),
         ))
     if nparts is None:
         be.evict_all()
@@ -171,7 +132,7 @@ def _bfs_profile(
 
 
 def check_replay_conservation(program: Program, source: int = 0) -> Optional[str]:
-    """Replay-expanded launch counts match a capture-off run of BFS.
+    """Replay-expanded launch counts and transfers match a capture-off BFS.
 
     Checked per device on cuda_sim and on multi_sim at P ∈ {2, 4}, where
     every shard device captures and replays independently.  Also checks
@@ -184,9 +145,9 @@ def check_replay_conservation(program: Program, source: int = 0) -> Optional[str
         on = _bfs_profile(graph, source, nparts)
         with policy(capture=False):
             off = _bfs_profile(graph, source, nparts)
-        for p, ((expanded, _, exp_time, kernel_us), (_, plain, _, _)) in enumerate(
-            zip(on, off)
-        ):
+        for p, (dev_on, dev_off) in enumerate(zip(on, off)):
+            expanded, _, exp_time, kernel_us, moved = dev_on
+            _, plain, _, _, moved_off = dev_off
             if not np.isclose(exp_time, kernel_us, rtol=1e-9):
                 return (
                     f"{where} device {p}: replay expansion lost time: expanded "
@@ -202,15 +163,17 @@ def check_replay_conservation(program: Program, source: int = 0) -> Optional[str
                     f"{where} device {p}: replay-expanded launch counts "
                     f"disagree with the capture-off run: {diff}"
                 )
+            if moved != moved_off:
+                return (
+                    f"{where} device {p}: (H2D bytes, elided bytes, elided "
+                    f"count) {moved} with capture on vs {moved_off} off"
+                )
     return None
 
 
 def run_conservation_suite(program: Program) -> List[str]:
-    """All three conservation laws for one program; returns failures."""
+    """Both conservation laws for one program; returns failures."""
     failures: List[str] = []
-    msg = check_transfer_conservation(program)
-    if msg:
-        failures.append(f"[transfer] {program.describe()}: {msg}")
     for nparts in (2, 4):
         for splitter in ("equal_rows", "degree_balanced"):
             msg = check_flop_conservation(program, nparts, splitter)

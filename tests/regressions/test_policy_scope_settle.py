@@ -3,15 +3,11 @@
 #
 # Before the switches were one ``policy(...)`` scope, only the lazy-mode
 # scopes forced pending work on a transition.  An op recorded inside a lane
-# or reuse scope and observed after it closed ran under the *outer*
-# policy:
+# scope and observed after it closed ran under the *outer* policy: a pull
+# mxv recorded under a forced scalar lane launched
+# ``spmv_csr_vector[binned]`` (eager: ``[scalar]``).
 #
-# 1. a pull mxv recorded under a forced scalar lane launched
-#    ``spmv_csr_vector[binned]`` (eager: ``[scalar]``);
-# 2. two chained mxvs recorded with the reuse layer off counted their
-#    uploads as elided (eager: zero elided bytes).
-#
-# Each lazy run must match its eager run, result and counter alike.
+# The lazy run must match its eager run, result and counter alike.
 
 from __future__ import annotations
 
@@ -44,27 +40,8 @@ def _lane_run(lazy):
         return w.to_lists(), sorted(get_device().profiler.by_kernel())
 
 
-def _reuse_run(lazy):
-    g, u = _graph()
-    _fresh()
-    with policy(lazy=lazy), use_backend("cuda_sim"):
-        w1 = gb.Vector.sparse(gb.FP64, g.nrows)
-        w2 = gb.Vector.sparse(gb.FP64, g.nrows)
-        with policy(elision=False):
-            ops.mxv(w1, g, u, PLUS_TIMES, direction="pull")
-            ops.mxv(w2, g, w1, PLUS_TIMES, direction="pull")
-        return w2.to_lists(), get_device().allocator.stats.h2d_elided_bytes
-
-
 def test_lane_scope_settles_recorded_mxv():
     eager = _lane_run("off")
     lazy = _lane_run("auto")
     assert eager[1] == ["spmv_csr_vector[scalar]"]
-    assert lazy == eager
-
-
-def test_reuse_scope_settles_recorded_mxvs():
-    eager = _reuse_run("off")
-    lazy = _reuse_run("auto")
-    assert eager[1] == 0
     assert lazy == eager

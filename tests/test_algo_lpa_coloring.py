@@ -121,42 +121,6 @@ class TestGreedyColoring:
         assert not verify_coloring(g, partial)
 
 
-class TestOccupancyCalculator:
-    def test_full_occupancy(self):
-        from repro.gpu.occupancy import KernelResources, occupancy
-
-        r = occupancy(KernelResources(256, registers_per_thread=32))
-        assert r.occupancy == 1.0 and r.limiter == "warp slots"
-
-    def test_register_limited(self):
-        from repro.gpu.occupancy import KernelResources, occupancy
-
-        r = occupancy(KernelResources(256, registers_per_thread=255))
-        assert r.limiter == "registers" and r.occupancy < 0.25
-
-    def test_shared_memory_limited(self):
-        from repro.gpu.occupancy import KernelResources, occupancy
-
-        r = occupancy(KernelResources(64, shared_mem_per_block=24 * 1024))
-        assert r.limiter == "shared memory" and r.blocks_per_sm == 2
-
-    def test_block_slot_limited(self):
-        from repro.gpu.occupancy import KernelResources, occupancy
-
-        r = occupancy(KernelResources(32, registers_per_thread=8))
-        assert r.limiter == "block slots" and r.blocks_per_sm == 16
-
-    def test_invalid_configs(self):
-        from repro.gpu.occupancy import KernelResources, occupancy
-
-        with pytest.raises(gb.InvalidLaunchError):
-            occupancy(KernelResources(0))
-        with pytest.raises(gb.InvalidLaunchError):
-            occupancy(KernelResources(4096))
-        with pytest.raises(gb.InvalidLaunchError):
-            occupancy(KernelResources(64, shared_mem_per_block=10**6))
-
-
 class TestBinaryIO:
     def test_matrix_roundtrip(self, tmp_path):
         g = gb.generators.rmat(scale=6, edge_factor=4, seed=1, weighted=True)

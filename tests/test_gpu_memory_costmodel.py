@@ -7,13 +7,7 @@ from repro.exceptions import DeviceOutOfMemoryError, InvalidValueError
 from repro.gpu.costmodel import CostModel, KernelWork
 from repro.gpu.device import Device, DeviceProperties, K40
 from repro.gpu.memory import DeviceAllocator
-from repro.gpu.simt import (
-    COALESCING,
-    blocks_for,
-    divergence_thread_per_row,
-    divergence_warp_per_row,
-    warps_for,
-)
+from repro.gpu.simt import COALESCING, divergence_thread_per_row, divergence_warp_per_row
 
 
 class TestAllocator:
@@ -130,11 +124,6 @@ class TestCostModel:
 
 
 class TestSimtEstimators:
-    def test_warps_blocks(self):
-        assert warps_for(1) == 1
-        assert warps_for(33) == 2
-        assert blocks_for(257, 256) == 2
-
     def test_uniform_rows_no_divergence(self):
         lens = np.full(64, 8)
         assert divergence_thread_per_row(lens) == 1.0

@@ -25,7 +25,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 class TestValues:
     @pytest.mark.parametrize(
-        "bad", [{"lazy": "maybe"}, {"lanes": "binned"}, {"fuse": 1}, {"elision": "no"}]
+        "bad", [{"lazy": "maybe"}, {"lanes": "binned"}, {"fuse": 1}, {"capture": "no"}]
     )
     def test_bad_value_rejected_and_policy_kept(self, bad):
         before = current()
@@ -113,13 +113,10 @@ class TestSpecs:
     def test_suffix_order_does_not_matter(self):
         a = parse_suffixes(["noreuse", "lazy=off", "lanes=merge"])
         b = parse_suffixes(["lanes=merge", "lazy=off", "noreuse"])
-        assert a == b == {
-            "elision": False, "capture": False,
-            "lazy": "off", "lanes": "merge",
-        }
+        assert a == b == {"capture": False, "lazy": "off", "lanes": "merge"}
         for spec in ("cuda_sim:noreuse:lazy=off", "cuda_sim:lazy=off:noreuse"):
             with backend_session(spec):
-                assert (current().lazy, current().elision) == ("off", False)
+                assert (current().lazy, current().capture) == ("off", False)
 
 
 def _import_with_env(value):

@@ -82,7 +82,6 @@ class TestExports:
             "repro.core.union_op",
             "repro.backends.cpu.backend",
             "repro.backends.cuda_sim.kernels",
-            "repro.gpu.occupancy",
             "repro.bench.harness",
         ):
             importlib.import_module(mod)

@@ -22,7 +22,6 @@ from repro.core.monoid import PLUS_MONOID
 from repro.core.operators import AINV, COLINDEX, PLUS, ROWINDEX, TRIL, VALUEGT
 from repro.core.semiring import LOR_LAND, PLUS_TIMES
 from repro.core.vector import Vector
-from repro.policy import policy
 from repro.testing.executor import backend_session
 from repro.types import BOOL, INT64
 
@@ -144,12 +143,3 @@ def test_sharded_frontier_step_levels_stay_replicated(direction):
         assert all(ex._resident.is_clean(levels) for ex in be.cluster.executors)
         assert be._is_sliced(frontier)
 
-
-@pytest.mark.parametrize("direction", ["push", "pull"])
-def test_sharded_frontier_is_sliced_without_elision(direction):
-    # The write pipeline's note_result hook is off without elision; the
-    # frontier is a backend result all the same.
-    with backend_session("multi_sim:2:equal_rows") as be, policy(elision=False):
-        levels, frontier = _frontier_step(direction)(be, Operands())
-        assert be._is_sliced(frontier)
-        assert not be._is_sliced(levels)

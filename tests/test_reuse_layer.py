@@ -1,6 +1,6 @@
 """Iteration-aware reuse layer: aux caches, pooling, elision, loop capture.
 
-Covers the PR's tentpole pieces end to end:
+Covers the reuse layer end to end:
 
 - version-stamped auxiliary-structure caches on the containers (cached
   transpose, degree vectors, row-nnz maxima) and their invalidation through
@@ -8,10 +8,10 @@ Covers the PR's tentpole pieces end to end:
 - the pooled device allocator and its hit accounting;
 - host→device transfer elision via per-container residency dirty bits;
 - lazy loop capture/replay and its launch-overhead amortisation;
-- the acceptance comparison: PageRank with the reuse layer vs the same code
-  with transfer elision and loop capture off (the ``noreuse`` policy; the
-  version-stamped memos have no switch), bit-identical results with far
-  fewer charged launches and uploaded bytes.
+- the acceptance comparison: PageRank with loop capture vs without it (the
+  ``noreuse`` policy; residency and the version-stamped memos have no
+  switch), bit-identical results with far fewer charged launches, and the
+  graph's structure uploaded once.
 """
 
 import numpy as np
@@ -261,18 +261,6 @@ class TestTransferElision:
         # Chained iterations stay on-device: no upload after the first op.
         assert get_device().profiler.h2d_bytes == h2d_after_first
 
-    def test_disabled_elision_restores_seed_traffic(self):
-        a, u = _inputs()
-        with policy(elision=False):
-            with use_backend("cuda_sim"):
-                w = gb.Vector.sparse(gb.FP64, 64)
-                ops.mxv(w, a, u, PLUS_TIMES)
-                w2 = gb.Vector.sparse(gb.FP64, 64)
-                ops.mxv(w2, a, w, PLUS_TIMES)
-            stats = get_device().allocator.stats
-            # Merged outputs are fresh containers: the second op uploads.
-            assert stats.h2d_elided_count == 0
-
 
 # ---------------------------------------------------------------------------
 # Lazy loop capture/replay
@@ -384,7 +372,7 @@ class TestBackendIdentity:
             get_backend("cuda_sim").evict_all()
             reset_device()
             if label == "off":
-                with policy(elision=False):
+                with policy(capture=False):
                     with use_backend("cuda_sim"):
                         results[label] = gb.algorithms.bfs_levels(g, 0).to_lists()
             else:
@@ -420,15 +408,19 @@ class TestPageRankAcceptance:
             reset_device()
             with use_backend("cuda_sim"):
                 r = gb.algorithms.pagerank(g, tol=0.0, max_iter=20)
-            dev = get_device()
-            return r, dev.profiler.launch_count, dev.profiler.h2d_bytes
+            prof = get_device().profiler
+            h2d = [rec.bytes for rec in prof.records if rec.kind == "h2d"]
+            return r, prof.launch_count, h2d
 
         r_new, launches_new, h2d_new = run()
-        with policy(elision=False, capture=False):
-            r_old, launches_old, h2d_old = run()
+        with policy(capture=False):
+            r_old, launches_old, _ = run()
         assert r_new.to_lists() == r_old.to_lists()  # bit-identical
         assert launches_old >= 5 * launches_new, (launches_old, launches_new)
-        assert h2d_old >= 10 * h2d_new, (h2d_old, h2d_new)
+        # The one upload is the graph's structure: its iso values are
+        # filled on the device, and every vector is device-born.
+        gc = g.container
+        assert h2d_new == [gc.indptr.nbytes + gc.indices.nbytes]
 
     def test_bfs_replay_reduces_launch_overhead(self):
         g = gb.generators.rmat(scale=10, edge_factor=8, seed=21, weighted=False)
@@ -441,7 +433,7 @@ class TestPageRankAcceptance:
             return levels, get_device().profiler.replay_count
 
         levels_new, replays = run()
-        with policy(elision=False, capture=False):
+        with policy(capture=False):
             levels_old, replays_off = run()
         assert levels_new.to_lists() == levels_old.to_lists()
         assert replays > 0 and replays_off == 0

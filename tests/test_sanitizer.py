@@ -364,7 +364,7 @@ class TestZeroFalsePositives:
 
     def test_cuda_sim_clean_without_reuse(self):
         with use_backend("cuda_sim"):
-            with policy(elision=False):
+            with policy(capture=False):
                 with sz.sanitized() as san:
                     _workload()
                     assert san.findings == [], san.report()

@@ -24,8 +24,8 @@ Four suites run on the simulated specs:
   write that leaves queued pools stale.
 
 The fuzz, mutation and algorithm suites also run ``cuda_sim:noreuse`` and
-``multi_sim:2:equal_rows:noreuse`` (transfer elision and loop capture
-off), where residency that ``policy(elision=...)`` gates can differ.
+``multi_sim:2:equal_rows:noreuse`` (loop capture off), where every op
+launches and charges on its own.
 
 After each program the tool records, per device: every profiler record
 (name, kind, start, duration, flops, bytes, threads, replay members),
@@ -55,8 +55,8 @@ from typing import Any, Callable, Dict, Iterator, List
 
 _REPO = Path(__file__).resolve().parent.parent
 
-#: Transfer elision and loop capture off: where residency bookkeeping that
-#: ``policy(elision=...)`` gates differs from what the backends mark alone.
+#: Loop capture off: every launch is charged on its own, not folded into a
+#: replay record.
 _NOREUSE_SPECS = ("cuda_sim:noreuse", "multi_sim:2:equal_rows:noreuse")
 
 FUZZ_SPECS = (
