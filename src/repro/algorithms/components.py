@@ -38,7 +38,7 @@ def connected_components(g: Matrix, max_iter: int = 0) -> Vector:
         # Min neighbour label: t[i] = min_j A[i,j]·labels[j] under (MIN, SECOND).
         t = Vector.sparse(INT64, n)
         ops.mxv(t, g, labels, MIN_SECOND)
-        new_labels = labels.dup()
+        new_labels = Vector.sparse(INT64, n)
         ops.ewise_add(new_labels, labels, t, MIN)
         if new_labels == labels:
             break

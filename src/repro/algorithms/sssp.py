@@ -51,7 +51,7 @@ def sssp_bellman_ford(g: Matrix, source: int) -> Vector:
     for _ in range(max(n - 1, 1)):
         t = Vector.sparse(FP64, n)
         ops.vxm(t, d, g, MIN_PLUS)
-        new_d = d.dup()
+        new_d = Vector.sparse(FP64, n)
         ops.ewise_add(new_d, d, t, MIN)
         if new_d == d:
             return d
@@ -59,7 +59,7 @@ def sssp_bellman_ford(g: Matrix, source: int) -> Vector:
     # One more round: any further improvement implies a negative cycle.
     t = Vector.sparse(FP64, n)
     ops.vxm(t, d, g, MIN_PLUS)
-    probe = d.dup()
+    probe = Vector.sparse(FP64, n)
     ops.ewise_add(probe, d, t, MIN)
     if probe == d:
         return d

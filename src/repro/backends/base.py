@@ -9,10 +9,14 @@ algorithms written against the frontend run unchanged on a sequential CPU
 backend or a CUDA backend, and here likewise on :mod:`reference`, :mod:`cpu`,
 and :mod:`cuda_sim` backends.
 
-Backends may *prune* work using the optional ``mask``/``desc`` hints passed
-to the product kernels (pre-filtering T by the effective mask commutes with
-the write pipeline), and may use ``direction`` ("push"/"pull"/"auto") to
-choose SpMSpV strategy — the Fig. 5 ablation knob.
+``mxv`` and ``vxm`` are one product: both call :meth:`Backend._product`
+with ``flip`` telling the column picture (``u ⊗ A``) from the row picture
+(``A ⊗ u``), and each backend implements that router once.  It resolves
+``direction`` ("push"/"pull"/"auto", the Fig. 5 ablation knob) and reads
+Aᵀ on exactly one side: a push ``mxv`` and a pull ``vxm`` read the
+container memo ``a.cached_transpose()``, the other two read ``a``.  The
+optional ``mask``/``desc`` hints may prune work (pre-filtering T by the
+effective mask commutes with the write pipeline).
 
 Cold-path kernels (extract, transpose, kronecker) have container-level
 default implementations so a backend only must provide the hot kernels.
@@ -35,7 +39,7 @@ from ..core.operators import BinaryOp, IndexUnaryOp, UnaryOp
 from ..core.semiring import Semiring
 from ..types import promote
 
-__all__ = ["Backend", "frontier_assign"]
+__all__ = ["Backend", "frontier_assign", "product_type"]
 
 
 def frontier_assign(levels: SparseVector, frontier: SparseVector, value: Any) -> SparseVector:
@@ -52,6 +56,13 @@ def frontier_assign(levels: SparseVector, frontier: SparseVector, value: Any) ->
     return merge_region_vector(levels, idx.copy(), vals, idx, None, None, DEFAULT)
 
 
+def product_type(semiring: Semiring, a: CSRMatrix, u: SparseVector, flip: bool):
+    """Output domain of ``A ⊗ u`` (``flip=False``) or ``u ⊗ A`` (``flip=True``)."""
+    if flip:
+        return semiring.result_type(u.type, a.type)
+    return semiring.result_type(a.type, u.type)
+
+
 class Backend(ABC):
     """Abstract compute backend. Subclasses set :attr:`name`."""
 
@@ -61,7 +72,6 @@ class Backend(ABC):
     # Matrix-vector and matrix-matrix products (hot path, abstract)
     # ------------------------------------------------------------------
 
-    @abstractmethod
     def mxv(
         self,
         a: CSRMatrix,
@@ -71,14 +81,9 @@ class Backend(ABC):
         desc: Descriptor = DEFAULT,
         direction: str = "auto",
     ) -> SparseVector:
-        """``t = A ⊗ u`` (row picture).
+        """``t = A ⊗ u`` (row picture); the multiply is ``mult(A_ij, u_j)``."""
+        return self._product(a, u, semiring, False, mask, desc, direction)
 
-        ``mask``/``desc`` are pruning hints.  A backend that needs Aᵀ (push
-        direction) reads ``a.cached_transpose()``, the one memo per matrix
-        version.
-        """
-
-    @abstractmethod
     def vxm(
         self,
         u: SparseVector,
@@ -89,6 +94,26 @@ class Backend(ABC):
         direction: str = "auto",
     ) -> SparseVector:
         """``t = u ⊗ A`` (column picture); the multiply is ``mult(u_k, A_kj)``."""
+        return self._product(a, u, semiring, True, mask, desc, direction)
+
+    @abstractmethod
+    def _product(
+        self,
+        a: CSRMatrix,
+        u: SparseVector,
+        semiring: Semiring,
+        flip: bool,
+        mask: Optional[SparseVector],
+        desc: Descriptor,
+        direction: str,
+    ) -> SparseVector:
+        """The push/pull router behind :meth:`mxv` (``flip=False``) and
+        :meth:`vxm` (``flip=True``).
+
+        ``mask``/``desc`` are pruning hints.  The side that needs Aᵀ (push
+        mxv, pull vxm) reads ``a.cached_transpose()``, the one memo per
+        matrix version.
+        """
 
     @abstractmethod
     def mxm(

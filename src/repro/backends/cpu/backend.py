@@ -5,10 +5,10 @@ containers and produces bit-identical results to the reference backend (the
 test suite enforces this), but each kernel is a handful of whole-array NumPy
 passes instead of Python loops.
 
-``mxv``/``vxm`` run the push/pull direction optimization: the side that
-needs Aᵀ (push mxv, pull vxm) reads the container's memo
-(``a.cached_transpose()``), and ``auto`` compares the frontier's exact
-degree sum against nnz(A) (see
+``mxv``/``vxm`` run the push/pull direction optimization through one
+router, :meth:`CpuBackend._product`: the side that needs Aᵀ (push mxv, pull
+vxm) reads the container's memo (``a.cached_transpose()``), and ``auto``
+compares the frontier's exact degree sum against nnz(A) (see
 :func:`~repro.backends.cpu.spmv.choose_direction`).
 """
 
@@ -22,7 +22,7 @@ from ...core.descriptor import DEFAULT, Descriptor
 from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
-from ..base import Backend
+from ..base import Backend, product_type
 from .ewise import ewise_add_mat, ewise_add_vec, ewise_mult_mat, ewise_mult_vec
 from .reduce_apply import (
     apply_mat,
@@ -51,43 +51,16 @@ class CpuBackend(Backend):
     # Products
     # ------------------------------------------------------------------
 
-    def mxv(
-        self,
-        a: CSRMatrix,
-        u: SparseVector,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        out_t = semiring.result_type(a.type, u.type)
-        if choose_direction(a, u, mask, desc, direction, False) == "push":
+    def _product(self, a, u, semiring, flip, mask, desc, direction) -> SparseVector:
+        out_t = product_type(semiring, a, u, flip)
+        push = choose_direction(a, u, mask, desc, direction, flip) == "push"
+        csr = a if push == flip else a.cached_transpose()
+        if push:
             return scatter_product(
-                a.cached_transpose(), u, semiring, out_t, flip=False, mask=mask,
-                desc=desc,
+                csr, u, semiring, out_t, flip=flip, mask=mask, desc=desc
             )
-        rows = mask_pull_rows(mask, desc, a.nrows)
-        return row_gather_product(a, u, semiring, out_t, flip=False, rows=rows)
-
-    def vxm(
-        self,
-        u: SparseVector,
-        a: CSRMatrix,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        out_t = semiring.result_type(u.type, a.type)
-        if choose_direction(a, u, mask, desc, direction, True) == "push":
-            # Push never needs the transpose for vxm: u selects rows of A.
-            return scatter_product(
-                a, u, semiring, out_t, flip=True, mask=mask, desc=desc
-            )
-        rows = mask_pull_rows(mask, desc, a.ncols)
-        return row_gather_product(
-            a.cached_transpose(), u, semiring, out_t, flip=True, rows=rows
-        )
+        rows = mask_pull_rows(mask, desc, csr.nrows)
+        return row_gather_product(csr, u, semiring, out_t, flip=flip, rows=rows)
 
     def mxm(
         self,

@@ -32,10 +32,10 @@ from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
 from ...gpu.device import Device, get_device
-from ...gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
+from ...gpu.kernel import LaunchConfig, charge_transfer, launch
 from ...gpu.residency import RESIDENT_CAP, ResidentSet
 from .. import dispatch
-from ..base import Backend
+from ..base import Backend, product_type
 from ..cpu.spmv import choose_direction, mask_pull_rows
 from . import kernels
 from .kernels import (
@@ -66,17 +66,6 @@ from .kernels import (
 __all__ = ["CudaSimBackend"]
 
 _RESIDENT_CAP = RESIDENT_CAP
-
-# Same launch charge as TRANSPOSE_COUNTSORT, but the semantic function is
-# the per-version memoised transpose: host-side readers of
-# ``cached_transpose()`` and a device-side derivation share one counting
-# sort per matrix version.
-_TRANSPOSE_MEMOISED = Kernel(
-    TRANSPOSE_COUNTSORT.name,
-    lambda a: a.cached_transpose(),
-    TRANSPOSE_COUNTSORT.work,
-    accesses=TRANSPOSE_COUNTSORT.accesses,
-)
 
 
 class CudaSimBackend(Backend):
@@ -174,93 +163,50 @@ class CudaSimBackend(Backend):
     # ------------------------------------------------------------------
 
     def _device_transpose(self, a: CSRMatrix) -> CSRMatrix:
-        """Launch TRANSPOSE_COUNTSORT at most once per matrix version.
+        """Device-resident aᵀ, derived at most once per matrix version.
 
-        The result is the container's own memo
+        A symmetric ``a`` is its own transpose and is returned at once:
+        the kernels read the resident CSR and nothing is launched.  A known
+        transpose clean on the device (the memo, or the matrix ``a`` is the
+        memo of) is read as is.  Otherwise one TRANSPOSE_COUNTSORT launch
+        derives it; its result is the container's own memo
         (:meth:`CSRMatrix.cached_transpose`), so host- and device-side
-        consumers share one transpose per version.  A known transpose
-        clean on the device (the memo, or the matrix ``a`` is the memo of)
-        is read as is.
+        consumers share one counting sort per matrix version.
         """
+        if a.symmetric:
+            return a
         hit = a.known_transpose()
         if hit is not None and self._resident.is_clean(hit):
             self._resident.mark(hit)  # LRU touch
             return hit
-        # Derive aᵀ on-device — charged as one transpose kernel per matrix
-        # version.  The semantic function is the memoised cached_transpose,
-        # so if a host reader already built the structure this launch
-        # charges the derivation without rebuilding it: at most one
-        # counting sort per matrix version, host and device combined.
         return self._launch_uncaptured(
-            _TRANSPOSE_MEMOISED, LaunchConfig.cover(a.nvals), a
+            TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a
         )
-
-    def _transposed_operand(self, a: CSRMatrix) -> CSRMatrix:
-        """Device-resident aᵀ for push-mxv / pull-vxm / pull-frontier kernels.
-
-        A symmetric ``a`` is its own transpose: the kernels read the
-        resident CSR and nothing is launched.  Otherwise the transpose is
-        derived on-device at most once per matrix version.
-        """
-        return a if a.symmetric else self._device_transpose(a)
 
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
 
-    def mxv(
-        self,
-        a: CSRMatrix,
-        u: SparseVector,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
+    def _product(self, a, u, semiring, flip, mask, desc, direction) -> SparseVector:
         self._ensure_resident(a)
         self._ensure_resident(u)
-        out_t = semiring.result_type(a.type, u.type)
-        if choose_direction(a, u, mask, desc, direction, False) == "push":
-            if mask is not None:
-                # The push kernel probes the mask bitmap in-kernel; it must
-                # be on the device (gbsan residency gap: the upload was
-                # never charged before).
-                self._ensure_resident(mask)
-            tcsr = self._transposed_operand(a)
+        out_t = product_type(semiring, a, u, flip)
+        push = choose_direction(a, u, mask, desc, direction, flip) == "push"
+        if push and mask is not None:
+            # The push kernel probes the mask bitmap in-kernel; it must be
+            # on the device (gbsan residency gap: the upload was never
+            # charged before).
+            self._ensure_resident(mask)
+        csr = a if push == flip else self._device_transpose(a)
+        if push:
             cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
             return self._launch(
-                SPMSV_PUSH, cfg, tcsr, u, semiring, out_t, False, mask, desc
+                SPMSV_PUSH, cfg, csr, u, semiring, out_t, flip, mask, desc
             )
-        rows = mask_pull_rows(mask, desc, a.nrows)
-        nrows = a.nrows if rows is None else len(rows)
+        rows = mask_pull_rows(mask, desc, csr.nrows)
+        nrows = csr.nrows if rows is None else len(rows)
         cfg = LaunchConfig.cover(max(nrows, 1) * 32)
-        return self._launch(SPMV_CSR_VECTOR, cfg, a, u, semiring, out_t, False, rows)
-
-    def vxm(
-        self,
-        u: SparseVector,
-        a: CSRMatrix,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        self._ensure_resident(a)
-        self._ensure_resident(u)
-        out_t = semiring.result_type(u.type, a.type)
-        if choose_direction(a, u, mask, desc, direction, True) == "push":
-            if mask is not None:
-                # Same in-kernel mask probe as mxv's push path.
-                self._ensure_resident(mask)
-            cfg = LaunchConfig.cover(max(u.nvals, 1) * 32)
-            return self._launch(
-                SPMSV_PUSH, cfg, a, u, semiring, out_t, True, mask, desc
-            )
-        tcsr = self._transposed_operand(a)
-        rows = mask_pull_rows(mask, desc, a.ncols)
-        nrows = tcsr.nrows if rows is None else len(rows)
-        cfg = LaunchConfig.cover(max(nrows, 1) * 32)
-        return self._launch(SPMV_CSR_VECTOR, cfg, tcsr, u, semiring, out_t, True, rows)
+        return self._launch(SPMV_CSR_VECTOR, cfg, csr, u, semiring, out_t, flip, rows)
 
     def mxm(
         self,
@@ -379,7 +325,7 @@ class CudaSimBackend(Backend):
             return self._launch(
                 SPMV_PUSH_FUSED, cfg, levels, frontier, a, value, semiring, desc
             )
-        tcsr = self._transposed_operand(a)
+        tcsr = self._device_transpose(a)
         cfg = LaunchConfig.cover(max(tcsr.nrows, 1) * 32)
         return self._launch(
             SPMV_PULL_FUSED, cfg, levels, frontier, tcsr, value, semiring, desc
@@ -423,7 +369,7 @@ class CudaSimBackend(Backend):
 
     def transpose(self, a: CSRMatrix) -> CSRMatrix:
         self._ensure_resident(a)
-        return self._launch(TRANSPOSE_COUNTSORT, LaunchConfig.cover(a.nvals), a)
+        return self._device_transpose(a)
 
     # ------------------------------------------------------------------
     # Host-computed ops (select, apply with index, extract) and assign

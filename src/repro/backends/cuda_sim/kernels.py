@@ -687,8 +687,14 @@ def _transpose_work(a: CSRMatrix) -> KernelWork:
     )
 
 
+# The semantic function is the container memo: host readers of
+# ``cached_transpose()`` and the device derivation share one counting sort
+# per matrix version.
 TRANSPOSE_COUNTSORT = Kernel(
-    "transpose_countsort", lambda a: a.transpose(), _transpose_work, accesses=_reads_all
+    "transpose_countsort",
+    lambda a: a.cached_transpose(),
+    _transpose_work,
+    accesses=_reads_all,
 )
 
 

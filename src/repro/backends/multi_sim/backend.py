@@ -73,7 +73,7 @@ from ...exceptions import InvalidValueError
 from ...gpu.device import Device, DeviceProperties, K40
 from ...gpu.kernel import LaunchConfig, charge_transfer, launch
 from ...sanitizer import runtime as _gbsan
-from ..base import Backend, frontier_assign
+from ..base import Backend, frontier_assign, product_type
 from ..cpu.ewise import ewise_add_vec
 from ..cpu.spmv import choose_direction, mask_pull_rows
 from ..cuda_sim.kernels import (
@@ -160,9 +160,6 @@ class MultiSimBackend(Backend):
         topology: Topology = DGX_NVLINK,
         props: DeviceProperties = K40,
     ) -> None:
-        # Partition memos, keyed by id(matrix): (ref, version, PartitionedCSR).
-        self._parts: dict = {}
-        self._tparts: dict = {}
         self.configure(nparts, splitter, topology, props)
 
     # ------------------------------------------------------------------
@@ -196,8 +193,6 @@ class MultiSimBackend(Backend):
         if props is not None:
             self.props = props
         self._cluster = SimCluster(self.nparts, self.props, self.topology)
-        self._parts.clear()
-        self._tparts.clear()
         # Sliced-residency epoch: a container whose _aux stamp is this token
         # is held as owned slices.  Replacing the token forgets every stamp.
         self._epoch = object()
@@ -310,32 +305,37 @@ class MultiSimBackend(Backend):
         return container
 
     # ------------------------------------------------------------------
-    # Partition caches
+    # Partitions (memoised on the containers themselves)
     # ------------------------------------------------------------------
 
     def _row_parts(self, a: CSRMatrix) -> PartitionedCSR:
-        """Row-sharded view of ``a``, with each shard resident on its device."""
-        hit = self._parts.get(id(a))
-        if hit is not None and hit[0] is a and hit[1] == a.version:
-            part = hit[2]
-        else:
-            part = PartitionedCSR(a, self.nparts, self.splitter)
-            self._parts[id(a)] = (a, a.version, part)
+        """Row-sharded view of ``a``, with each shard resident on its device.
+
+        A shard uploads as its matrix would: where ``a`` carries an iso
+        upload hint for the shard's device, the shard's own value array is
+        filled on the device instead of copied.
+        """
+        part = PartitionedCSR.of(a, self.nparts, self.splitter)
         sliced = self._is_sliced(a)
         for ex, shard in zip(self._cluster.executors, part.shards):
             if sliced:
                 ex._resident.mark(shard)  # produced on-device; no upload
-            else:
-                ex._ensure_resident(shard)  # 1/P of the matrix per device
+                continue
+            hint = ("h2d_skip", ex._dev().serial)
+            if a._aux.get(hint):
+                shard._aux[hint] = float(shard.values.nbytes)
+            ex._ensure_resident(shard)  # 1/P of the matrix per device
         return part
 
     def _col_parts(self, a: CSRMatrix) -> PartitionedCSR:
-        """Row-sharded Aᵀ for push-mxv / pull-vxm, built at most once per version.
+        """Row-sharded Aᵀ for push mxv, pull vxm and the transpose op,
+        built at most once per version.
 
-        The transpose itself is the host-memoised ``cached_transpose`` (one
-        counting sort per matrix version, shared with every other consumer);
-        the *distributed* cost charged here is each device sorting its edge
-        block plus one all-to-all shuffling edges to their new owners.  Like
+        The shards are the memoised partition of the container memo
+        ``a.cached_transpose()`` (one host counting sort per matrix version,
+        shared with every other consumer); the *distributed* cost charged
+        here is A's row shards made resident, each device sorting its edge
+        block, and one all-to-all shuffling edges to their new owners.  Like
         the single-device aux builds, the charges land outside any capturing
         graph so iteration signatures stay stable.  A symmetric ``a`` is its
         own transpose: its row shards serve, with no sort and no shuffle.
@@ -346,16 +346,12 @@ class MultiSimBackend(Backend):
         if a.symmetric:
             return self._row_parts(a)
         executors = self._cluster.executors
-        hit = self._tparts.get(id(a))
-        if hit is not None and hit[0] is a and hit[1] == a.version:
-            part = hit[2]
-        else:
-            part = PartitionedCSR(a.cached_transpose(), self.nparts, self.splitter)
-            self._tparts[id(a)] = (a, a.version, part)
+        part = PartitionedCSR.of(a.cached_transpose(), self.nparts, self.splitter)
         if all(ex._resident.is_clean(s) for ex, s in zip(executors, part.shards)):
             for ex, shard in zip(executors, part.shards):
                 ex._resident.mark(shard)  # LRU touch
             return part
+        self._row_parts(a)  # each device sorts its own block of A's edges
         for ex, shard in zip(executors, part.shards):
             # The shard materialises on its device as the sort runs; mark
             # residency first so the pricing launch reads a known buffer.
@@ -412,28 +408,23 @@ class MultiSimBackend(Backend):
             return True
         return not out_t.is_floating
 
-    def _product(
-        self, a, u, semiring, flip, mask, desc, direction, probe
-    ) -> SparseVector:
+    @_sharded
+    def _product(self, a, u, semiring, flip, mask, desc, direction) -> SparseVector:
         """The push/pull router behind mxv, vxm and frontier_step.
 
         ``flip=False`` computes ``A ⊗ u`` (mxv), ``flip=True`` ``u ⊗ A``.
-        The direction is chosen on the FULL operands with ``probe`` as the
-        mask — identical inputs, hence an identical choice, to the
-        single-device backend.  vxm pushes over A's row shards and pulls
-        over Aᵀ's; mxv the reverse.
+        The direction is chosen on the FULL operands — identical inputs,
+        hence an identical choice, to the single-device backend — and an
+        inexact add demotes push to pull.  vxm pushes over A's row shards
+        and pulls over Aᵀ's; mxv the reverse.
         """
-        if flip:
-            out_t = semiring.result_type(u.type, a.type)
-        else:
-            out_t = semiring.result_type(a.type, u.type)
-        d = choose_direction(a, u, probe, desc, direction, flip)
-        if d == "push" and not self._exact_add(semiring, out_t):
-            d = "pull"
+        out_t = product_type(semiring, a, u, flip)
+        push = choose_direction(a, u, mask, desc, direction, flip) == "push"
+        push = push and self._exact_add(semiring, out_t)
         if mask is not None:
             self._ensure_replicated(mask)
-        parts = self._row_parts(a) if (d == "push") == flip else self._col_parts(a)
-        if d == "push":
+        parts = self._row_parts(a) if push == flip else self._col_parts(a)
+        if push:
             self._ensure_available(u)
             return self._push_product(parts, u, semiring, out_t, flip, mask, desc)
         self._ensure_replicated(u)
@@ -520,30 +511,6 @@ class MultiSimBackend(Backend):
     # ------------------------------------------------------------------
     # Products
     # ------------------------------------------------------------------
-
-    @_sharded
-    def mxv(
-        self,
-        a: CSRMatrix,
-        u: SparseVector,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        return self._product(a, u, semiring, False, mask, desc, direction, mask)
-
-    @_sharded
-    def vxm(
-        self,
-        u: SparseVector,
-        a: CSRMatrix,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        return self._product(a, u, semiring, True, mask, desc, direction, mask)
 
     @_sharded
     def mxm(
@@ -709,9 +676,8 @@ class MultiSimBackend(Backend):
         # The router's mask replication only touches these replicas.  The
         # direction is chosen against the pre-step visited set, exactly as
         # the single-device fused kernel chooses it.
-        t = self._product(
-            a, frontier, semiring, True, new_levels, desc, direction, levels
-        )
+        d = choose_direction(a, frontier, levels, desc, direction, True)
+        t = self._product(a, frontier, semiring, True, new_levels, desc, d)
         new_frontier = merge_vector(frontier, t, new_levels, None, desc)
         return new_levels, new_frontier
 
@@ -782,11 +748,9 @@ class MultiSimBackend(Backend):
 
     @_sharded
     def transpose(self, a: CSRMatrix) -> CSRMatrix:
-        parts = self._row_parts(a)
-        for p, shard in enumerate(parts.shards):
-            self._on_shard(p, TRANSPOSE_SHARD, shard.nvals, shard)
-        self._cluster.collective("all_to_all", float(a.nbytes))
-        return a.transpose()
+        """Priced as the distributed build the products use; returns the memo."""
+        self._col_parts(a)
+        return a.cached_transpose()
 
     # ------------------------------------------------------------------
     # Host-computed ops (select, apply with index, extract): priced per device

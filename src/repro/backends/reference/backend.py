@@ -17,7 +17,7 @@ from ...core.monoid import Monoid
 from ...core.operators import BinaryOp, UnaryOp
 from ...core.semiring import Semiring
 from ...types import promote
-from ..base import Backend
+from ..base import Backend, product_type
 from .kernels import (
     dict_to_mat,
     dict_to_vec,
@@ -41,32 +41,15 @@ class ReferenceBackend(Backend):
     # Products
     # ------------------------------------------------------------------
 
-    def mxv(
-        self,
-        a: CSRMatrix,
-        u: SparseVector,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        out_t = semiring.result_type(a.type, u.type)
-        t = spmv_dict(mat_to_dict(a), vec_to_dict(u), semiring, out_t)
-        return dict_to_vec(t, a.nrows, out_t)
-
-    def vxm(
-        self,
-        u: SparseVector,
-        a: CSRMatrix,
-        semiring: Semiring,
-        mask: Optional[SparseVector] = None,
-        desc: Descriptor = DEFAULT,
-        direction: str = "auto",
-    ) -> SparseVector:
-        # Column picture without materialising Aᵀ: scatter u[k]·A[k, :].
-        out_t = semiring.result_type(u.type, a.type)
-        acc: dict = {}
+    def _product(self, a, u, semiring, flip, mask, desc, direction) -> SparseVector:
+        # The oracle takes no hints and builds no Aᵀ: the row picture
+        # gathers A's rows, the column picture scatters u[k]·A[k, :].
+        out_t = product_type(semiring, a, u, flip)
         u_d = vec_to_dict(u)
+        if not flip:
+            t = spmv_dict(mat_to_dict(a), u_d, semiring, out_t)
+            return dict_to_vec(t, a.nrows, out_t)
+        acc: dict = {}
         for k, uv in u_d.items():
             cidx, cvals = a.row(k)
             for j, av in zip(cidx, cvals):

@@ -12,7 +12,7 @@ and the GPU simulator "uploads" them as device buffers without copies.
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, Optional, Tuple
+from typing import Hashable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class CSRMatrix:
         self._aux["symmetric"] = True
         return self
 
-    def _cached(self, key: str, build):
+    def _cached(self, key: Hashable, build):
         hit = self._aux.get(key)
         if hit is None:
             hit = build()
@@ -128,9 +128,10 @@ class CSRMatrix:
         """Replace the stored arrays **in place** and bump the version.
 
         The container object survives (same ``id()``), so every consumer
-        keyed on identity — device residency entries, multi_sim partition
-        caches, serving-layer handles — sees the mutation through the
-        version stamp rather than through a dangling reference.  This is
+        keyed on identity — device residency entries, serving-layer
+        handles — sees the mutation through the version stamp rather than
+        through a dangling reference, and the memos in ``_aux`` (Aᵀ,
+        multi_sim's row shards) are dropped with the old arrays.  This is
         the install path for streaming compaction (:mod:`repro.streaming`),
         where a delta overlay is merged into the base CSR without
         reregistering the graph anywhere.

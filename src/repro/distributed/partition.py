@@ -130,15 +130,15 @@ class PartitionedCSR:
 
     Each shard keeps the full column dimension, so shard-local SpMV over a
     replicated input produces exactly the owner's slice of the global
-    output — the bit-exact 1-D decomposition.
+    output — the bit-exact 1-D decomposition.  :meth:`of` is the memoised
+    constructor; the partition holds its shards, not the matrix.
     """
 
-    __slots__ = ("source", "splitters", "shards", "splitter_policy", "source_version")
+    __slots__ = ("nrows", "ncols", "splitters", "shards")
 
     def __init__(self, matrix: CSRMatrix, nparts: int, splitter: str = "equal_rows"):
-        self.source = matrix
-        self.source_version = matrix.version
-        self.splitter_policy = splitter
+        self.nrows = matrix.nrows
+        self.ncols = matrix.ncols
         self.splitters = make_splitters(matrix, nparts, splitter)
         if nparts == 1:
             # The degenerate partition IS the matrix: preserving container
@@ -151,17 +151,24 @@ class PartitionedCSR:
                 for lo, hi in zip(self.splitters[:-1], self.splitters[1:])
             ]
 
+    @classmethod
+    def of(cls, matrix: CSRMatrix, nparts: int, splitter: str = "equal_rows"):
+        """The partition of ``matrix``, memoised in its version-stamped ``_aux``.
+
+        A mutation drops it with every other cached structure, and it dies
+        with the matrix.  Shards are views over the matrix's arrays, not
+        references to the matrix, so the memo forms no reference cycle; the
+        P = 1 partition, which is the matrix itself, is not memoised.
+        """
+        if nparts == 1:
+            return cls(matrix, 1, splitter)
+        return matrix._cached(
+            ("parts", nparts, splitter), lambda: cls(matrix, nparts, splitter)
+        )
+
     @property
     def nparts(self) -> int:
         return len(self.shards)
-
-    @property
-    def nrows(self) -> int:
-        return self.source.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.source.ncols
 
     def owner_of(self, row: int) -> int:
         """Index of the shard owning ``row``."""
@@ -172,13 +179,10 @@ class PartitionedCSR:
 
     def reassemble(self) -> CSRMatrix:
         """Concatenate the shards back into one global CSR (for testing)."""
-        return concat_row_blocks(self.shards, self.ncols, self.source.type)
+        return concat_row_blocks(self.shards, self.ncols, self.shards[0].type)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PartitionedCSR({self.nrows}x{self.ncols}, P={self.nparts}, "
-            f"{self.splitter_policy})"
-        )
+        return f"PartitionedCSR({self.nrows}x{self.ncols}, P={self.nparts})"
 
 
 class PartitionedVector:
@@ -189,11 +193,10 @@ class PartitionedVector:
     holds after an allgather.  Shards are computed lazily and cached.
     """
 
-    __slots__ = ("source", "splitters", "_shards", "source_version")
+    __slots__ = ("source", "splitters", "_shards")
 
     def __init__(self, vector: SparseVector, splitters: np.ndarray):
         self.source = vector
-        self.source_version = vector.version
         self.splitters = np.asarray(splitters, dtype=np.int64)
         if self.splitters[-1] != vector.size:
             raise InvalidValueError(

@@ -8,9 +8,9 @@ the fly, so applying a batch is O(batch) and never rewrites the CSR.
 
 **Compaction** folds the overlay into the base CSR in place
 (:meth:`~repro.containers.csr.CSRMatrix.install_arrays` preserves the
-container's identity and bumps its version, so aux caches, residency
-entries, partition caches, and lazy-tape fingerprints all invalidate
-through the version stamp).  The active backend performs and charges the
+container's identity and bumps its version, so aux caches (Aᵀ and
+multi_sim's partitions among them), residency entries and lazy-tape
+fingerprints all invalidate through the version stamp).  The active backend performs and charges the
 merge through its :meth:`~repro.backends.base.Backend.compact` hook: host
 backends install for free, the simulated devices charge a delta upload
 plus merge kernels.  Compaction runs
