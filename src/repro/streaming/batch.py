@@ -8,8 +8,10 @@ fuzzer can embed them in replayable programs.
 
 Within one batch the *last* operation on an ``(i, j)`` pair wins, matching
 the semantics of applying the ops one at a time; :meth:`normalized` folds a
-batch to that canonical deduplicated form (sorted by ``(row, col)``), which
-is what the delta overlay stores.
+batch to that canonical deduplicated form (sorted by ``(row, col)``).  A
+graph's pending delta is itself a normalized batch: :meth:`then` folds a
+later batch in, :meth:`lookup` is its point read and :attr:`nbytes` what
+uploading it moves.
 """
 
 from __future__ import annotations
@@ -94,6 +96,24 @@ class EdgeBatch:
     def delete_count(self) -> int:
         return len(self) - self.insert_count
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the four arrays (what a device upload of the batch moves)."""
+        return int(
+            self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+            + self.is_insert.nbytes
+        )
+
+    def lookup(self, i: int, j: int) -> Optional[Tuple[bool, float]]:
+        """The op on ``(i, j)`` of a normalized batch: ``(is_insert, value)``
+        or None."""
+        lo = int(np.searchsorted(self.rows, i, side="left"))
+        hi = int(np.searchsorted(self.rows, i, side="right"))
+        k = lo + int(np.searchsorted(self.cols[lo:hi], j))
+        if k < hi and self.cols[k] == j:
+            return bool(self.is_insert[k]), float(self.vals[k])
+        return None
+
     def validate(self, nrows: int, ncols: int) -> None:
         if len(self) == 0:
             return
@@ -125,6 +145,18 @@ class EdgeBatch:
         return EdgeBatch(
             self.rows[sel], self.cols[sel], self.vals[sel], self.is_insert[sel]
         )
+
+    def then(self, later: "EdgeBatch") -> "EdgeBatch":
+        """This batch's ops followed by ``later``'s, normalized: later ops win.
+
+        The result owns fresh arrays, so neither input aliases it.
+        """
+        return EdgeBatch(
+            np.concatenate([self.rows, later.rows]),
+            np.concatenate([self.cols, later.cols]),
+            np.concatenate([self.vals, later.vals]),
+            np.concatenate([self.is_insert, later.is_insert]),
+        ).normalized()
 
     # ------------------------------------------------------------------
     # Serialisation (for mutation programs / repros)

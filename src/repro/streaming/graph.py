@@ -2,20 +2,22 @@
 
 :class:`DynamicGraph` wraps a frontend :class:`~repro.core.matrix.Matrix`
 and accepts :class:`~repro.streaming.batch.EdgeBatch` mutations.  Pending
-ops live in a :class:`~repro.streaming.overlay.DeltaOverlay` — point reads
-(:meth:`DynamicGraph.has_edge` / :meth:`edge_value`) merge base + delta on
-the fly, so applying a batch is O(batch) and never rewrites the CSR.
+ops live in one normalized ``EdgeBatch`` (last op per edge wins, sorted):
+point reads (:meth:`DynamicGraph.has_edge` / :meth:`edge_value`) look the
+edge up there before the base CSR, so applying a batch is O(batch) and
+never rewrites the CSR.
 
-**Compaction** folds the overlay into the base CSR in place
+**Compaction** folds the pending delta into the base CSR in place
 (:meth:`~repro.containers.csr.CSRMatrix.install_arrays` preserves the
 container's identity and bumps its version, so aux caches (Aᵀ and
 multi_sim's partitions among them), residency entries and lazy-tape
-fingerprints all invalidate through the version stamp).  The active backend performs and charges the
-merge through its :meth:`~repro.backends.base.Backend.compact` hook: host
-backends install for free, the simulated devices charge a delta upload
-plus merge kernels.  Compaction runs
-eagerly when the pending delta crosses the :class:`CompactionPolicy`
-threshold, and implicitly whenever :attr:`DynamicGraph.matrix` is read —
+fingerprints all invalidate through the version stamp).  The active
+backend performs and charges the merge through its
+:meth:`~repro.backends.base.Backend.compact` hook: host backends install
+for free, the simulated devices charge a delta upload plus merge kernels.
+Compaction runs eagerly once the pending delta holds at least
+``COMPACT_MIN_OPS`` ops and more than ``COMPACT_FRACTION`` of the base
+entries, and implicitly whenever :attr:`DynamicGraph.matrix` is read —
 GraphBLAS kernels always see a fully materialised CSR.
 
 **Views** (the incremental algorithms in :mod:`repro.streaming.incremental`)
@@ -26,7 +28,7 @@ and decide between frontier seeding and full recompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,32 +38,15 @@ from ..containers.csr import CSRMatrix
 from ..core.matrix import Matrix
 from ..exceptions import InvalidValueError
 from .batch import EdgeBatch
-from .overlay import DeltaOverlay, merge_overlay
+from .overlay import merge_overlay
 
-__all__ = ["CompactionPolicy", "StreamStats", "DynamicGraph"]
+__all__ = ["COMPACT_FRACTION", "COMPACT_MIN_OPS", "StreamStats", "DynamicGraph"]
 
-
-@dataclass(frozen=True)
-class CompactionPolicy:
-    """When does the pending delta get folded into the base CSR?
-
-    Auto-compaction triggers when the overlay holds more than
-    ``max_delta_fraction`` of the base nnz **and** at least
-    ``min_delta_ops`` pending ops (the floor keeps tiny graphs from
-    compacting on every batch).  ``never`` disables auto-compaction —
-    reads through :attr:`DynamicGraph.matrix` still compact on demand.
-    """
-
-    max_delta_fraction: float = 0.25
-    min_delta_ops: int = 64
-    never: bool = False
-
-    def should_compact(self, pending_ops: int, base_nvals: int) -> bool:
-        if self.never or pending_ops == 0:
-            return False
-        if pending_ops < self.min_delta_ops:
-            return False
-        return pending_ops > self.max_delta_fraction * max(base_nvals, 1)
+# Auto-compaction folds the pending delta in once it holds at least
+# COMPACT_MIN_OPS ops and more than COMPACT_FRACTION of the base entries;
+# the floor keeps tiny graphs from compacting on every batch.
+COMPACT_FRACTION = 0.25
+COMPACT_MIN_OPS = 64
 
 
 @dataclass
@@ -75,28 +60,19 @@ class StreamStats:
     auto_compactions: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "batches": self.batches,
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "compactions": self.compactions,
-            "auto_compactions": self.auto_compactions,
-        }
+        return asdict(self)
 
 
 class DynamicGraph:
     """A square adjacency matrix under batched edge churn."""
 
-    def __init__(
-        self, matrix: Matrix, policy: Optional[CompactionPolicy] = None
-    ) -> None:
+    def __init__(self, matrix: Matrix) -> None:
         if matrix.nrows != matrix.ncols:
             raise InvalidValueError(
                 f"dynamic graph must be square, got {matrix.shape}"
             )
         self._matrix = matrix
-        self.policy = policy if policy is not None else CompactionPolicy()
-        self._overlay = DeltaOverlay()
+        self._delta = EdgeBatch()  # normalized pending ops
         self._views: List[Any] = []
         #: Monotonic mutation sequence number; bumped once per applied batch
         #: (compaction does NOT bump it — the logical graph is unchanged).
@@ -122,7 +98,7 @@ class DynamicGraph:
     @property
     def pending_ops(self) -> int:
         """Number of normalized pending delta ops (0 when compacted)."""
-        return len(self._overlay)
+        return len(self._delta)
 
     @property
     def base_nvals(self) -> int:
@@ -130,22 +106,22 @@ class DynamicGraph:
 
     def nvals(self) -> int:
         """Edge count of the *logical* graph (base ⊕ delta)."""
-        if len(self._overlay) == 0:
+        if len(self._delta) == 0:
             return self.base_nvals
         rows, _cols = self.edges()
         return int(rows.size)
 
     def has_edge(self, i: int, j: int) -> bool:
-        pend = self._overlay.get(i, j)
+        pend = self._delta.lookup(i, j)
         if pend is not None:
             return pend[0]
         return self._matrix.container.get(i, j) is not None
 
     def edge_value(self, i: int, j: int) -> Optional[float]:
         """Logical stored value at ``(i, j)``, or None if absent."""
-        pend = self._overlay.get(i, j)
+        pend = self._delta.lookup(i, j)
         if pend is not None:
-            return float(pend[1]) if pend[0] else None
+            return pend[1] if pend[0] else None
         v = self._matrix.container.get(i, j)
         return None if v is None else float(v)
 
@@ -155,7 +131,7 @@ class DynamicGraph:
         The mutation fuzzer samples delete targets from this; it is a host
         merge, so it neither charges device work nor bumps the version.
         """
-        m = self._merged() if len(self._overlay) else self._matrix.container
+        m = self._merged() if len(self._delta) else self._matrix.container
         return m.row_ids(), m.indices.copy()
 
     # ------------------------------------------------------------------
@@ -179,8 +155,8 @@ class DynamicGraph:
     def apply(self, batch: EdgeBatch) -> "DynamicGraph":
         """Apply one edge batch atomically.
 
-        Views are notified with the normalized batch *before* the overlay
-        absorbs it, so they can probe pre-batch state through
+        Views are notified with the normalized batch *before* it joins the
+        pending delta, so they can probe pre-batch state through
         :meth:`has_edge` / :meth:`edge_value`.
         """
         batch.validate(self.nrows, self.ncols)
@@ -189,12 +165,13 @@ class DynamicGraph:
             return self
         for view in self._views:
             view.on_batch(self, nb)
-        self._overlay.absorb(nb)
+        self._delta = self._delta.then(nb)
         self.seq += 1
         self.stats.batches += 1
         self.stats.inserts += nb.insert_count
         self.stats.deletes += nb.delete_count
-        if self.policy.should_compact(len(self._overlay), self.base_nvals):
+        pending = len(self._delta)
+        if pending >= COMPACT_MIN_OPS and pending > COMPACT_FRACTION * self.base_nvals:
             self.stats.auto_compactions += 1
             self.compact()
         return self
@@ -216,12 +193,12 @@ class DynamicGraph:
         docstring); the container keeps its identity and gets a new
         version, which is what invalidates every downstream cache.
         """
-        if len(self._overlay) == 0:
+        if len(self._delta) == 0:
             return False
         m = self._matrix
         m._settle()  # recorded lazy ops may still read the old arrays
-        current_backend().compact(m.container, self._overlay)
-        self._overlay.clear()
+        current_backend().compact(m.container, self._delta)
+        self._delta = EdgeBatch()
         self.stats.compactions += 1
         return True
 
@@ -244,10 +221,10 @@ class DynamicGraph:
         return Matrix(self._merged())
 
     def _merged(self) -> CSRMatrix:
-        """``base ⊕ overlay`` merged on the host into a fresh container."""
+        """``base ⊕ delta`` merged on the host into a fresh container."""
         base = self._matrix.container
         return CSRMatrix(
-            base.nrows, base.ncols, *merge_overlay(base, self._overlay), base.type
+            base.nrows, base.ncols, *merge_overlay(base, self._delta), base.type
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,15 +1,17 @@
 """Incrementally-maintained analytics over a :class:`DynamicGraph`.
 
 Each view caches its last result keyed on the graph's mutation sequence
-number and, when a batch arrives, chooses the cheapest sound update:
+number, and every query runs one refresh rule (``_View._refresh``):
 
 - **cached** — graph unchanged since the last query: zero launches;
-- **incremental** — inserts only: seed a frontier at the affected vertices
+- **full recompute** — no state yet, or the view is dirty: an *effective*
+  delete could invalidate the cached state (a potential BFS tree edge, any
+  present edge for CC), the pending delta outgrew
+  ``max(FALLBACK_MIN_OPS, FALLBACK_FRACTION × edges)``, or the caller
+  called :meth:`~_View.invalidate`;
+- **incremental** — otherwise: seed a frontier at the affected vertices
   and re-run the propagation loop from there (BFS/CC), or warm-restart the
-  power iteration from the previous ranks (PageRank);
-- **full recompute** — an *effective* delete that can invalidate the
-  cached state (a potential BFS tree edge, any present edge for CC), or a
-  delta too large for incremental to win (:class:`RecomputePolicy`).
+  power iteration from the previous ranks (PageRank).
 
 Soundness of the incremental paths (inserts only):
 
@@ -31,7 +33,7 @@ Soundness of the incremental paths (inserts only):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,31 +50,19 @@ from .batch import EdgeBatch
 from .graph import DynamicGraph
 
 __all__ = [
-    "RecomputePolicy",
+    "FALLBACK_FRACTION",
+    "FALLBACK_MIN_OPS",
     "ViewStats",
     "IncrementalBFS",
     "IncrementalCC",
     "IncrementalPageRank",
 ]
 
-
-@dataclass(frozen=True)
-class RecomputePolicy:
-    """When is an accumulated delta too large for incremental to win?
-
-    Fallback triggers once the pending edge ops exceed
-    ``max_delta_fraction`` of the graph's edge count *and* the
-    ``min_delta_ops`` floor (the floor keeps small fuzz graphs on the
-    incremental path, which is the code we want exercised).
-    """
-
-    max_delta_fraction: float = 0.05
-    min_delta_ops: int = 32
-
-    def should_fallback(self, pending_ops: int, nvals: int) -> bool:
-        return pending_ops > max(
-            self.min_delta_ops, self.max_delta_fraction * max(nvals, 1)
-        )
+# A view recomputes cold once the delta pending since its last query holds
+# more than max(FALLBACK_MIN_OPS, FALLBACK_FRACTION × edges) ops; the floor
+# keeps small fuzz graphs on the incremental path, the code to exercise.
+FALLBACK_FRACTION = 0.05
+FALLBACK_MIN_OPS = 32
 
 
 @dataclass
@@ -86,57 +76,68 @@ class ViewStats:
     size_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "full_recomputes": self.full_recomputes,
-            "incremental_updates": self.incremental_updates,
-            "cached_hits": self.cached_hits,
-            "delete_fallbacks": self.delete_fallbacks,
-            "size_fallbacks": self.size_fallbacks,
-        }
+        return asdict(self)
+
+
+def _dense(v: Vector, n: int) -> np.ndarray:
+    """``v`` as a dense INT64 array, -1 where absent."""
+    out = np.full(n, -1, dtype=np.int64)
+    out[v.indices_array()] = v.values_array()
+    return out
 
 
 class _View:
-    """Shared observer plumbing: pending-edge tracking + dirty flag."""
+    """Observer plumbing and the one refresh rule every view's query runs.
 
-    def __init__(self, graph: DynamicGraph, policy: Optional[RecomputePolicy]) -> None:
+    A subclass supplies ``_full()`` (recompute its state cold) and
+    ``_incremental()`` (fold the inserted edges in ``_pending`` into it),
+    and says which effective deletes its state cannot survive.  A view
+    starts dirty: with no state, its first query is a full recompute.
+    """
+
+    def __init__(self, graph: DynamicGraph) -> None:
         self.graph = graph
-        self.policy = policy if policy is not None else RecomputePolicy()
         self.stats = ViewStats()
         self._pending: List[Tuple[int, int]] = []  # inserted edges to seed
         self._pending_ops = 0  # all delta ops (size heuristic input)
-        self._dirty_full = True
+        self._dirty = True
         self._seq = -1
         graph.attach(self)
 
     def invalidate(self) -> None:
         """Force the next query to recompute from scratch."""
-        self._dirty_full = True
+        self._dirty = True
         self._pending.clear()
         self._pending_ops = 0
 
-    def _is_cached(self) -> bool:
-        return (
-            self._seq == self.graph.seq
-            and not self._dirty_full
-            and not self._pending
-        )
+    def _refresh(self) -> None:
+        if not self._dirty and self._seq == self.graph.seq:
+            self.stats.cached_hits += 1
+            return
+        if self._dirty:
+            self._full()
+            self.stats.full_recomputes += 1
+        else:
+            self._incremental()
+            self.stats.incremental_updates += 1
+        self._pending.clear()
+        self._pending_ops = 0
+        self._dirty = False
+        self._seq = self.graph.seq
 
-    def _note_size(self) -> None:
-        if not self._dirty_full and self.policy.should_fallback(
-            self._pending_ops, self.graph.base_nvals + self.graph.pending_ops
-        ):
-            self._dirty_full = True
-            self.stats.size_fallbacks += 1
-            self._pending.clear()
-            self._pending_ops = 0
+    def _full(self) -> None:
+        raise NotImplementedError
 
-    # Subclasses override: is this *effective* delete survivable?
-    def _delete_invalidates(self, g: DynamicGraph, u: int, v: int) -> bool:
+    def _incremental(self) -> None:
+        raise NotImplementedError
+
+    def _delete_invalidates(self, u: int, v: int) -> bool:
+        """Can deleting the present edge ``(u, v)`` invalidate the state?"""
         raise NotImplementedError
 
     def on_batch(self, g: DynamicGraph, batch: EdgeBatch) -> None:
-        """Observer hook — runs *before* the overlay absorbs the batch."""
-        if self._dirty_full:
+        """Observer hook — runs *before* the batch joins the pending delta."""
+        if self._dirty:
             return
         self._pending_ops += len(batch)
         rows, cols, ins = batch.rows, batch.cols, batch.is_insert
@@ -144,33 +145,27 @@ class _View:
             u, v = int(rows[k]), int(cols[k])
             if ins[k]:
                 self._pending.append((u, v))
-            elif g.has_edge(u, v) and self._delete_invalidates(g, u, v):
-                self._dirty_full = True
+            elif g.has_edge(u, v) and self._delete_invalidates(u, v):
+                self.invalidate()
                 self.stats.delete_fallbacks += 1
-                self._pending.clear()
-                self._pending_ops = 0
                 return
-        self._note_size()
+        edges = g.base_nvals + g.pending_ops
+        if self._pending_ops > max(FALLBACK_MIN_OPS, FALLBACK_FRACTION * edges):
+            self.invalidate()
+            self.stats.size_fallbacks += 1
 
 
 class IncrementalBFS(_View):
     """BFS levels from a fixed source, maintained under edge batches."""
 
-    def __init__(
-        self,
-        graph: DynamicGraph,
-        source: int,
-        direction: str = "auto",
-        policy: Optional[RecomputePolicy] = None,
-    ) -> None:
+    def __init__(self, graph: DynamicGraph, source: int) -> None:
         if not 0 <= source < graph.n:
             raise IndexOutOfBoundsError(f"source {source} outside [0, {graph.n})")
         self.source = source
-        self.direction = direction
         self._lv: Optional[np.ndarray] = None  # dense; -1 = unreachable
-        super().__init__(graph, policy)
+        super().__init__(graph)
 
-    def _delete_invalidates(self, g: DynamicGraph, u: int, v: int) -> bool:
+    def _delete_invalidates(self, u: int, v: int) -> bool:
         # Deleting (u, v) can only raise a level if it lay on some shortest
         # path, i.e. lv[v] == lv[u] + 1.  Everything else is irrelevant.
         lv = self._lv
@@ -179,25 +174,16 @@ class IncrementalBFS(_View):
 
     def query(self) -> Vector:
         """Current BFS levels (sparse INT64; unreachable = absent)."""
-        g = self.graph
-        if self._lv is not None and self._is_cached():
-            self.stats.cached_hits += 1
-            return self._as_vector()
-        if self._dirty_full or self._lv is None:
-            levels = bfs_levels(g.matrix, self.source, self.direction)
-            self._lv = np.full(g.n, -1, dtype=np.int64)
-            self._lv[levels.indices_array()] = levels.values_array()
-            self.stats.full_recomputes += 1
-        else:
-            self._relax_inserts()
-            self.stats.incremental_updates += 1
-        self._pending.clear()
-        self._pending_ops = 0
-        self._dirty_full = False
-        self._seq = g.seq
-        return self._as_vector()
+        self._refresh()
+        lv = self._lv
+        assert lv is not None
+        idx = np.nonzero(lv >= 0)[0].astype(np.int64)
+        return Vector.from_lists(idx, lv[idx], self.graph.n, INT64)
 
-    def _relax_inserts(self) -> None:
+    def _full(self) -> None:
+        self._lv = _dense(bfs_levels(self.graph.matrix, self.source), self.graph.n)
+
+    def _incremental(self) -> None:
         g = self.graph
         m = g.matrix  # compacts: propagation runs on the materialised CSR
         lv = self._lv
@@ -213,7 +199,7 @@ class IncrementalBFS(_View):
             # Wave: candidate levels for out-neighbours of changed vertices.
             f = Vector.from_lists(frontier, lv[frontier] + 1, n, INT64)
             t = Vector.sparse(INT64, n)
-            ops.vxm(t, f, m, MIN_FIRST, direction=self.direction)
+            ops.vxm(t, f, m, MIN_FIRST)
             ti, tv = t.indices_array(), t.values_array()
             if ti.size == 0:
                 break
@@ -221,49 +207,31 @@ class IncrementalBFS(_View):
             frontier = ti[better]
             lv[frontier] = tv[better]
 
-    def _as_vector(self) -> Vector:
-        lv = self._lv
-        assert lv is not None
-        idx = np.nonzero(lv >= 0)[0].astype(np.int64)
-        return Vector.from_lists(idx, lv[idx], self.graph.n, INT64)
-
 
 class IncrementalCC(_View):
     """Min-label connected components maintained under edge batches."""
 
-    def __init__(
-        self, graph: DynamicGraph, policy: Optional[RecomputePolicy] = None
-    ) -> None:
+    def __init__(self, graph: DynamicGraph) -> None:
         self._labels: Optional[np.ndarray] = None  # dense min-labels
-        super().__init__(graph, policy)
+        super().__init__(graph)
 
-    def _delete_invalidates(self, g: DynamicGraph, u: int, v: int) -> bool:
+    def _delete_invalidates(self, u: int, v: int) -> bool:
         # Any effective delete can split a component (labels only rise);
         # min-propagation cannot undo a too-small label, so recompute.
         return True
 
     def query(self) -> Vector:
         """Current component labels (dense INT64 fixpoint)."""
-        g = self.graph
-        if self._labels is not None and self._is_cached():
-            self.stats.cached_hits += 1
-            return self._as_vector()
-        if self._dirty_full or self._labels is None:
-            labels = connected_components(g.matrix)
-            dense = np.full(g.n, -1, dtype=np.int64)
-            dense[labels.indices_array()] = labels.values_array()
-            self._labels = dense
-            self.stats.full_recomputes += 1
-        else:
-            self._relax_inserts()
-            self.stats.incremental_updates += 1
-        self._pending.clear()
-        self._pending_ops = 0
-        self._dirty_full = False
-        self._seq = g.seq
-        return self._as_vector()
+        self._refresh()
+        lb = self._labels
+        assert lb is not None
+        idx = np.arange(self.graph.n, dtype=np.int64)
+        return Vector.from_lists(idx, lb.copy(), self.graph.n, INT64)
 
-    def _relax_inserts(self) -> None:
+    def _full(self) -> None:
+        self._labels = _dense(connected_components(self.graph.matrix), self.graph.n)
+
+    def _incremental(self) -> None:
         g = self.graph
         m = g.matrix
         lb = self._labels
@@ -288,12 +256,6 @@ class IncrementalCC(_View):
             frontier = ti[better]
             lb[frontier] = tv[better]
 
-    def _as_vector(self) -> Vector:
-        lb = self._labels
-        assert lb is not None
-        idx = np.arange(self.graph.n, dtype=np.int64)
-        return Vector.from_lists(idx, lb.copy(), self.graph.n, INT64)
-
 
 class IncrementalPageRank(_View):
     """PageRank maintained by warm-restarting the power iteration.
@@ -310,34 +272,27 @@ class IncrementalPageRank(_View):
         damping: float = 0.85,
         tol: float = 1e-8,
         max_iter: int = 100,
-        policy: Optional[RecomputePolicy] = None,
     ) -> None:
         self.damping = damping
         self.tol = tol
         self.max_iter = max_iter
         self._r: Optional[Vector] = None
-        super().__init__(graph, policy)
+        super().__init__(graph)
 
-    def _delete_invalidates(self, g: DynamicGraph, u: int, v: int) -> bool:
+    def _delete_invalidates(self, u: int, v: int) -> bool:
         return False  # warm restart absorbs deletes
 
     def query(self) -> Vector:
         """Current ranks (dense FP64; treat as read-only)."""
-        g = self.graph
-        if self._r is not None and self._is_cached():
-            self.stats.cached_hits += 1
-            return self._r
-        m = g.matrix
-        if self._dirty_full or self._r is None:
-            self._r = pagerank(m, self.damping, self.tol, self.max_iter)
-            self.stats.full_recomputes += 1
-        else:
-            self._r = pagerank(
-                m, self.damping, self.tol, self.max_iter, warm_start=self._r
-            )
-            self.stats.incremental_updates += 1
-        self._pending.clear()
-        self._pending_ops = 0
-        self._dirty_full = False
-        self._seq = g.seq
+        self._refresh()
+        assert self._r is not None
         return self._r
+
+    def _full(self) -> None:
+        self._r = pagerank(self.graph.matrix, self.damping, self.tol, self.max_iter)
+
+    def _incremental(self) -> None:
+        self._r = pagerank(
+            self.graph.matrix, self.damping, self.tol, self.max_iter,
+            warm_start=self._r,
+        )

@@ -1,11 +1,11 @@
-"""Delta-COO overlay over a base CSR.
+"""Fold a pending delta into a base CSR.
 
-The overlay accumulates pending edge operations (normalized, last-wins
-across batches) without touching the base CSR.  Point reads consult the
-overlay first, then the base; :func:`merge_overlay` materialises the final
-``(indptr, indices, values)`` arrays with one vectorised three-way merge —
-the host semantics of the device-side compaction kernel the cost model
-charges (see :mod:`repro.streaming.graph`).
+A :class:`~repro.streaming.graph.DynamicGraph`'s pending delta is a
+normalized :class:`~repro.streaming.batch.EdgeBatch` (last op per
+``(i, j)`` wins, sorted).  :func:`merge_overlay` materialises
+``base ⊕ delta`` as ``(indptr, indices, values)`` arrays with one
+vectorised three-way merge — the host semantics of the device-side
+compaction kernel the cost model charges (see :mod:`repro.streaming.graph`).
 
 Merge semantics per ``(i, j)``:
 
@@ -16,71 +16,18 @@ Merge semantics per ``(i, j)``:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..containers.csr import CSRMatrix, flat_keys
 from .batch import EdgeBatch
 
-__all__ = ["DeltaOverlay", "merge_overlay"]
-
-
-class DeltaOverlay:
-    """Pending normalized delta ops, last-wins across absorbed batches."""
-
-    __slots__ = ("rows", "cols", "vals", "is_insert")
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.rows = np.empty(0, dtype=np.int64)
-        self.cols = np.empty(0, dtype=np.int64)
-        self.vals = np.empty(0, dtype=np.float64)
-        self.is_insert = np.empty(0, dtype=bool)
-
-    def __len__(self) -> int:
-        return int(self.rows.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Footprint of the pending delta (what a device upload would move)."""
-        return int(
-            self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
-            + self.is_insert.nbytes
-        )
-
-    def absorb(self, batch: EdgeBatch) -> None:
-        """Fold one batch in; later ops override earlier pending ops."""
-        nb = batch.normalized()
-        if len(nb) == 0:
-            return
-        if len(self) == 0:
-            self.rows, self.cols = nb.rows.copy(), nb.cols.copy()
-            self.vals, self.is_insert = nb.vals.copy(), nb.is_insert.copy()
-            return
-        combined = EdgeBatch(
-            np.concatenate([self.rows, nb.rows]),
-            np.concatenate([self.cols, nb.cols]),
-            np.concatenate([self.vals, nb.vals]),
-            np.concatenate([self.is_insert, nb.is_insert]),
-        ).normalized()
-        self.rows, self.cols = combined.rows, combined.cols
-        self.vals, self.is_insert = combined.vals, combined.is_insert
-
-    def get(self, i: int, j: int) -> Optional[Tuple[bool, float]]:
-        """The pending op for ``(i, j)``: ``(is_insert, value)`` or None."""
-        lo = int(np.searchsorted(self.rows, i, side="left"))
-        hi = int(np.searchsorted(self.rows, i, side="right"))
-        k = lo + int(np.searchsorted(self.cols[lo:hi], j))
-        if k < hi and self.cols[k] == j:
-            return bool(self.is_insert[k]), float(self.vals[k])
-        return None
+__all__ = ["merge_overlay"]
 
 
 def merge_overlay(
-    base: CSRMatrix, overlay: DeltaOverlay
+    base: CSRMatrix, overlay: EdgeBatch
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Materialise ``base ⊕ overlay`` as new CSR arrays.
 

@@ -24,7 +24,6 @@ Layers (each usable on its own):
 
 from .equivalence import (
     EXACT_FOLD_OPS,
-    INEXACT,
     assert_same,
     describe_mismatch,
     product_exact,
@@ -66,7 +65,6 @@ from .shrink import write_repro
 
 __all__ = [
     "EXACT_FOLD_OPS",
-    "INEXACT",
     "assert_same",
     "describe_mismatch",
     "product_exact",

@@ -20,7 +20,6 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "INEXACT",
     "EXACT_FOLD_OPS",
     "product_exact",
     "reduce_exact",
@@ -28,11 +27,6 @@ __all__ = [
     "same",
     "describe_mismatch",
 ]
-
-# Semiring names whose cross-backend comparison needs a float tolerance
-# (kept for the oracle's original spelling of the policy; prefer
-# :func:`product_exact` which derives the answer from the semiring itself).
-INEXACT = {"PLUS_TIMES", "PLUS_MIN", "PLUS_FIRST", "PLUS_SECOND"}
 
 # Additive folds that are pure selections: associative, idempotent-or-exact,
 # and insensitive to association order even in floating point.

@@ -28,7 +28,7 @@ from repro.algorithms.bfs import bfs_levels
 from repro.analysis import analyze_sources
 from repro.core.matrix import Matrix
 from repro.gpu.device import Device
-from repro.streaming import DeltaOverlay, EdgeBatch, merge_overlay
+from repro.streaming import EdgeBatch, merge_overlay
 from repro.testing.executor import backend_session
 from repro.types import FP64
 
@@ -140,9 +140,8 @@ class TestForcingPlant:
                 base = m.container
                 bfs_levels(m, 0)
                 san.drain()
-                overlay = DeltaOverlay()
-                overlay.absorb(EdgeBatch.inserts([0, 3, 5], [4, 7, 2], [1.0] * 3))
-                planted_forcing.swap_unforced(base, merge_overlay(base, overlay))
+                delta = EdgeBatch.inserts([0, 3, 5], [4, 7, 2], [1.0] * 3).normalized()
+                planted_forcing.swap_unforced(base, merge_overlay(base, delta))
                 be._device_transpose(base)
             kinds = {f.kind for f in san.drain()}
         assert "stale-read" in kinds

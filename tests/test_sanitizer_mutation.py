@@ -19,7 +19,7 @@ import repro.sanitizer as gbsan
 from repro.algorithms.bfs import bfs_levels
 from repro.backends.dispatch import get_backend
 from repro.core.matrix import Matrix
-from repro.streaming import DeltaOverlay, DynamicGraph, EdgeBatch, merge_overlay
+from repro.streaming import DynamicGraph, EdgeBatch, merge_overlay
 from repro.testing.executor import backend_session
 from repro.types import FP64
 
@@ -48,9 +48,7 @@ def test_planted_stale_transpose_read_is_caught():
             # Buggy streaming path: fold the batch into the host arrays
             # directly (version bumps, aux caches clear) but never refresh
             # or rebuild the device copy.
-            overlay = DeltaOverlay()
-            overlay.absorb(_batch())
-            base.install_arrays(*merge_overlay(base, overlay))
+            base.install_arrays(*merge_overlay(base, _batch().normalized()))
 
             # The pull kernel's transpose build now consumes the stale
             # device-resident adjacency.

@@ -1,4 +1,4 @@
-"""DynamicGraph unit tests: overlay lifecycle, compaction, policy, charging."""
+"""DynamicGraph unit tests: pending-delta lifecycle, compaction, charging."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ import repro as gb
 from repro.algorithms.bfs import bfs_levels
 from repro.core.matrix import Matrix
 from repro.exceptions import IndexOutOfBoundsError, InvalidValueError
-from repro.streaming import CompactionPolicy, DynamicGraph, EdgeBatch
+from repro.streaming import DynamicGraph, EdgeBatch
+from repro.streaming.graph import COMPACT_FRACTION, COMPACT_MIN_OPS
 from repro.types import FP64
 
 
@@ -58,7 +59,7 @@ class TestEdgeBatch:
 
 
 # ---------------------------------------------------------------------------
-# Overlay lifecycle (host backend)
+# Pending-delta lifecycle (host backend)
 # ---------------------------------------------------------------------------
 
 
@@ -89,7 +90,7 @@ class TestDynamicGraphHost:
         c = g._matrix.container
         v0 = c.version
         g.insert_edges([0, 2], [2, 0], [1.0, 1.0])
-        assert c.version == v0  # overlay writes don't touch the container
+        assert c.version == v0  # pending ops don't touch the container
         assert g.compact()
         assert c.version > v0
         assert g.pending_ops == 0 and g.base_nvals == 6
@@ -134,21 +135,25 @@ class TestDynamicGraphHost:
         assert s["compactions"] == 1 and s["auto_compactions"] == 0
 
     def test_auto_compaction_policy(self):
-        g = DynamicGraph(
-            _chain(5), policy=CompactionPolicy(max_delta_fraction=0.0, min_delta_ops=2)
-        )
-        g.insert_edges([0], [2], [1.0])
-        assert g.pending_ops == 1  # below the op floor
-        g.insert_edges([0], [3], [1.0])
-        assert g.pending_ops == 0  # floor crossed -> auto-compacted
+        # Below the op floor nothing compacts, however large the share.
+        n = COMPACT_MIN_OPS + 2
+        g = DynamicGraph(_chain(n))
+        rows = np.arange(COMPACT_MIN_OPS - 1)
+        g.insert_edges(rows, rows + 2, np.ones(rows.size))
+        assert g.pending_ops == COMPACT_MIN_OPS - 1
+        g.insert_edges([0], [n - 1], [1.0])
+        assert g.pending_ops == 0  # floor reached -> auto-compacted
         assert g.stats.auto_compactions == 1
 
-    def test_never_policy_disables_auto(self):
-        g = DynamicGraph(_chain(5), policy=CompactionPolicy(never=True))
-        for j in range(1, 5):
-            g.insert_edges([4], [j - 1], [1.0])
-        assert g.pending_ops > 0
-        assert g.stats.auto_compactions == 0
+        # Past the floor, the delta must also exceed the base-entry share.
+        base = int(COMPACT_MIN_OPS / COMPACT_FRACTION)
+        g = DynamicGraph(_chain(base + 1))
+        rows = np.arange(COMPACT_MIN_OPS)
+        g.insert_edges(rows, rows + 2, np.ones(rows.size))
+        assert g.pending_ops == COMPACT_MIN_OPS  # not above the share
+        g.insert_edges([0], [base], [1.0])
+        assert g.pending_ops == 0
+        assert g.stats.auto_compactions == 1
 
 
 # ---------------------------------------------------------------------------

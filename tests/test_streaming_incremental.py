@@ -8,16 +8,18 @@ from repro.algorithms.components import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.core.matrix import Matrix
 from repro.exceptions import IndexOutOfBoundsError, InvalidValueError
+from repro.gpu.device import get_device
 from repro.streaming import (
     DynamicGraph,
     EdgeBatch,
     IncrementalBFS,
     IncrementalCC,
     IncrementalPageRank,
-    RecomputePolicy,
     random_edge_batch,
 )
+from repro.streaming.incremental import FALLBACK_FRACTION, FALLBACK_MIN_OPS
 from repro.testing.equivalence import assert_same, same
+from repro.testing.executor import backend_session
 from repro.types import FP64
 
 
@@ -156,11 +158,11 @@ class TestIncrementalPageRank:
 class TestRecomputePolicy:
     def test_size_fallback_triggers(self):
         g = DynamicGraph(_random_graph(4, n=16, density=0.3))
-        view = IncrementalBFS(
-            g, 0, policy=RecomputePolicy(max_delta_fraction=0.01, min_delta_ops=2)
-        )
+        view = IncrementalBFS(g, 0)
         view.query()
-        g.apply(random_edge_batch(9, g.n, inserts=8))
+        batch = random_edge_batch(9, g.n, inserts=64).normalized()
+        assert len(batch) > max(FALLBACK_MIN_OPS, FALLBACK_FRACTION * g.nvals())
+        g.apply(batch)
         got = view.query()
         assert view.stats.size_fallbacks == 1
         assert view.stats.full_recomputes == 2
@@ -198,3 +200,76 @@ class TestViewsAcrossBackends:
                 pr.query(), pagerank(snap, tol=1e-12, max_iter=300),
                 exact=False, rtol=1e-6,
             )
+
+
+# One refresh rule on every view: cached, full, incremental, and the two
+# fallbacks, scripted on cuda_sim so a cached query can be seen to launch
+# nothing.
+_PR_KW = dict(tol=1e-12, max_iter=300)
+_VIEWS = {
+    "bfs": (lambda g: IncrementalBFS(g, 0), lambda m: bfs_levels(m, 0)),
+    "cc": (IncrementalCC, connected_components),
+    "pagerank": (
+        lambda g: IncrementalPageRank(g, **_PR_KW), lambda m: pagerank(m, **_PR_KW)
+    ),
+}
+
+
+class TestRefreshRule:
+    @pytest.mark.parametrize("algo", sorted(_VIEWS))
+    def test_every_path_of_the_rule(self, algo):
+        make_view, oracle = _VIEWS[algo]
+        n = 40
+        ring = np.arange(n, dtype=np.int64)
+        with backend_session("cuda_sim"):
+            g = DynamicGraph(
+                Matrix.from_lists(ring, (ring + 1) % n, np.ones(n), n, n, FP64)
+            )
+            g.apply(random_edge_batch(1, n, inserts=40))  # chords, pre-view
+            view = make_view(g)
+            prof = get_device().profiler
+            counts = dict(full_recomputes=0, incremental_updates=0,
+                          cached_hits=0, delete_fallbacks=0, size_fallbacks=0)
+
+            def step(**moved):
+                for key, by in moved.items():
+                    counts[key] += by
+                launches = prof.launch_count
+                got = view.query()
+                if "cached_hits" in moved:
+                    assert prof.launch_count == launches, "a cached query launched"
+                assert view.stats.as_dict() == counts
+                want = oracle(g.snapshot())
+                if algo == "pagerank":
+                    assert same(got, want, exact=False, rtol=1e-6)
+                else:
+                    assert_same(got, want, exact=True)
+
+            step(full_recomputes=1)
+            step(cached_hits=1)
+
+            g.insert_edges([3, 17], [29, 8], [1.0, 1.0])
+            step(incremental_updates=1)
+
+            # The size fallback counts only ops pending since the last
+            # query: a batch of exactly the threshold stays incremental.
+            limit = max(FALLBACK_MIN_OPS, FALLBACK_FRACTION * g.nvals())
+            k = int(limit)
+            assert k == limit and k < n
+            rows = np.arange(k, dtype=np.int64)
+            g.insert_edges(rows, (rows * 3 + 11) % n, np.ones(k))
+            step(incremental_updates=1)
+
+            # (0, v) with lv[v] == 1 is a present BFS tree edge.
+            lv = bfs_levels(g.snapshot(), 0)
+            v = int(lv.indices_array()[lv.values_array() == 1][0])
+            assert g.has_edge(0, v)
+            g.delete_edges([0], [v])
+            if algo == "pagerank":
+                step(incremental_updates=1)  # warm restart absorbs deletes
+            else:
+                step(full_recomputes=1, delete_fallbacks=1)
+
+            rows = np.arange(k + 1, dtype=np.int64)
+            g.insert_edges(rows, (rows * 7 + 5) % n, np.ones(k + 1))
+            step(full_recomputes=1, size_fallbacks=1)

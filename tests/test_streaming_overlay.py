@@ -1,12 +1,12 @@
-"""Hypothesis property tests for the delta-COO overlay.
+"""Hypothesis property tests for the pending delta and its merge.
 
-The overlay is only sound if it is *invisible*: folding pending ops into
-the CSR (compaction) must land bit-identically on the same arrays a
-from-scratch rebuild produces, deletes of absent edges must change
-nothing, and reads through the overlay (point lookups, edge lists, and
-full GraphBLAS ops on the compacted matrix) must agree with reads of an
-independently materialised graph — across semirings, masks, and SpMSpV
-directions.
+A graph's pending delta (a normalized ``EdgeBatch``) is only sound if it
+is *invisible*: folding pending ops into the CSR (compaction) must land
+bit-identically on the same arrays a from-scratch rebuild produces,
+deletes of absent edges must change nothing, and reads through the delta
+(point lookups, edge lists, and full GraphBLAS ops on the compacted
+matrix) must agree with reads of an independently materialised graph —
+across semirings, masks, and SpMSpV directions.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.core.descriptor import Descriptor
 from repro.core.matrix import Matrix
 from repro.core.semiring import MIN_PLUS, PLUS_TIMES
 from repro.core.vector import Vector
-from repro.streaming import DeltaOverlay, DynamicGraph, EdgeBatch, merge_overlay
+from repro.streaming import DynamicGraph, EdgeBatch, merge_overlay
 from repro.types import FP64
 
 
@@ -109,17 +109,16 @@ class TestMergeOverlay:
     @given(graph_and_batch())
     @settings(max_examples=80, deadline=None)
     def test_overlay_absorb_last_wins(self, data):
-        """Re-absorbing ops for the same edge keeps only the last one."""
+        """Chaining ops for the same edge with ``then`` keeps only the last."""
         dense, batch = data
         if len(batch) == 0:
             return
-        overlay = DeltaOverlay()
-        overlay.absorb(batch)
         # Override every touched edge with a delete; the merge must agree
         # with applying the batch then deleting those edges.
-        overlay.absorb(EdgeBatch.deletes(batch.rows, batch.cols))
+        delta = batch.then(EdgeBatch.deletes(batch.rows, batch.cols))
+        assert len(delta) == len(batch.normalized())
         base = CSRMatrix.from_dense(dense)
-        got = CSRMatrix(base.nrows, base.ncols, *merge_overlay(base, overlay))
+        got = CSRMatrix(base.nrows, base.ncols, *merge_overlay(base, delta))
         expect = _apply_to_dense(dense, batch)
         expect[batch.rows, batch.cols] = 0.0
         _assert_bit_identical(got, CSRMatrix.from_dense(expect))
@@ -139,10 +138,8 @@ class TestMergeOverlay:
             np.array([20.0, 0.0, 6.0, 0.0, 30.0, 9.0, 50.0, 7.0, 8.0]),
             np.array([True, False, True, False, True, True, True, True, True]),
         )
-        overlay = DeltaOverlay()
-        overlay.absorb(batch)
         base = _csr_from_edges(n, base_edges)
-        got = CSRMatrix(n, n, *merge_overlay(base, overlay), FP64)
+        got = CSRMatrix(n, n, *merge_overlay(base, batch.normalized()), FP64)
         want = dict(base_edges)
         for i, j, v, ins in zip(batch.rows, batch.cols, batch.vals, batch.is_insert):
             if ins:
@@ -157,7 +154,7 @@ class TestMergeOverlay:
         """has_edge / edge_value see through pending (uncompacted) ops."""
         dense, batch = data
         g = DynamicGraph(Matrix.from_dense(dense, FP64))
-        g.apply(batch)  # NOT compacted: reads must merge base + overlay
+        g.apply(batch)  # NOT compacted: reads must merge base + delta
         expect = _apply_to_dense(dense, batch)
         n = expect.shape[0]
         for i in range(n):
@@ -180,7 +177,7 @@ class TestOverlayOpAgreement:
         dense, batch = data
         g = DynamicGraph(Matrix.from_dense(dense, FP64))
         g.apply(batch)
-        m_overlay = g.matrix  # compacts the overlay in place
+        m_overlay = g.matrix  # compacts the pending delta in place
         m_fresh = Matrix.from_dense(_apply_to_dense(dense, batch), FP64)
         n = m_fresh.nrows
         rng = np.random.default_rng(vseed)
