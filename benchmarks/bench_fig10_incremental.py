@@ -98,6 +98,7 @@ def _counters():
         prof.launch_count,
         prof.kernel_time_us + prof.transfer_time_us,
         prof.h2d_bytes,
+        prof.kernel_time_us,
     )
 
 
@@ -110,9 +111,9 @@ class _Attribution:
         self._arm0 = None
 
     def run(self, algo, fn):
-        k0, u0, _ = _counters()
+        k0, u0, _, _ = _counters()
         out = fn()
-        k1, u1, _ = _counters()
+        k1, u1, _, _ = _counters()
         self.launches[algo] += k1 - k0
         self.charged_us[algo] += u1 - u0
         return out
@@ -121,12 +122,13 @@ class _Attribution:
         self._arm0 = _counters()
 
     def arm_totals(self):
-        k1, u1, h1 = _counters()
-        k0, u0, h0 = self._arm0
+        k1, u1, h1, t1 = _counters()
+        k0, u0, h0, t0 = self._arm0
         return {
             "kernel_launches": int(k1 - k0),
             "charged_us": round(u1 - u0, 1),
             "h2d_bytes": round(h1 - h0),
+            "kernel_us": round(t1 - t0, 3),
         }
 
 
@@ -387,10 +389,12 @@ def test_fig10_render(benchmark):
                 "incremental": {
                     "kernel_launches": inc_tot["kernel_launches"],
                     "h2d_bytes": inc_tot["h2d_bytes"],
+                    "kernel_us": inc_tot["kernel_us"],
                 },
                 "full_recompute": {
                     "kernel_launches": full_tot["kernel_launches"],
                     "h2d_bytes": full_tot["h2d_bytes"],
+                    "kernel_us": full_tot["kernel_us"],
                 },
             },
         }

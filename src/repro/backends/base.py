@@ -396,12 +396,21 @@ class Backend(ABC):
         """Fold a streaming delta overlay into ``base`` in place.
 
         ``install_arrays`` keeps the container's identity and bumps its
-        version.  Host backends merge for free; the simulated GPU backends
-        override this to charge the delta upload and the merge kernels.
+        version.  One rule on every backend carries Aᵀ across it: the
+        transpose known before the fold (``base.known_transpose()``), if
+        the backend holds it, gets the transposed delta merged in
+        (:func:`~repro.streaming.overlay.compact_merge`) and is seated as
+        the new version's memo.  A host backend holds whatever it knows, and
+        merges for free; the simulated GPU backends override this to charge
+        the delta upload and the merge, and carry only a transpose clean on
+        their devices.
         """
-        from ..streaming.overlay import merge_overlay
+        from ..streaming.overlay import compact_merge
 
-        base.install_arrays(*merge_overlay(base, overlay))
+        arrays, memo = compact_merge(base, overlay, base.known_transpose())
+        base.install_arrays(*arrays)
+        if memo is not None:
+            base.seat_transpose(memo)
 
     def extract_vector(self, u: SparseVector, idx: np.ndarray) -> SparseVector:
         """``t[k] = u[idx[k]]`` keeping only present source entries."""

@@ -398,16 +398,27 @@ class CudaSimBackend(Backend):
     # ------------------------------------------------------------------
 
     def compact(self, base: CSRMatrix, overlay) -> None:
-        """Upload the delta, merge it on-device, keep the result resident."""
+        """Upload the delta and merge it on-device, into A and into the Aᵀ
+        the device holds, in one launch; both results stay resident and the
+        superseded Aᵀ leaves the device."""
         self._ensure_resident(base)
+        t = base.known_transpose()
+        if t is not None and not self._resident.is_clean(t):
+            t = None
         charge_transfer(overlay.nbytes, "h2d", device=self._dev())
-        arrays = self._launch(
+        arrays, memo = self._launch(
             STREAM_COMPACT_MERGE,
-            LaunchConfig.cover(base.nvals + len(overlay)),
+            LaunchConfig.cover(kernels.compact_items(base, overlay, t)),
             base,
             overlay,
+            t,
         )
         base.install_arrays(*arrays)
         # The merged arrays were produced on-device: mark the new version
-        # clean so the next kernel elides the re-upload.
+        # clean so the next kernel elides the re-upload.  The launch marked
+        # the carried memo.
         self.note_result(base)
+        if memo is not None:
+            base.seat_transpose(memo)
+            if t is not base:
+                self._resident.evict(t)

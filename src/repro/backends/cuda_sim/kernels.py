@@ -40,6 +40,7 @@ from ..cpu.spmv import row_gather_product, scatter_product, take_ranges
 
 __all__ = [
     "combine_coalescing",
+    "compact_items",
     "mask_restrict",
     "SPMV_CSR_VECTOR",
     "SPMSV_PUSH",
@@ -771,24 +772,38 @@ SELECT_COMPACT = Kernel(
 # ---------------------------------------------------------------------------
 
 
-def _compact_merge_run(base, overlay):
-    from ...streaming.overlay import merge_overlay
+def _compact_merge_run(base, overlay, t):
+    from ...streaming.overlay import compact_merge
 
-    return merge_overlay(base, overlay)
+    return compact_merge(base, overlay, t)
 
 
-# Device-side merge of base CSR + delta COO: one pass over base.nvals +
-# len(overlay) items, producing the compacted arrays.  The semantic function
-# is the same vectorised three-way merge the host path uses, so every
-# backend materialises bit-identical CSR arrays.
+def compact_items(base: CSRMatrix, overlay, t) -> int:
+    """Items a compaction merges: A's, plus the carried Aᵀ's when ``t``."""
+    n = base.nvals + len(overlay)
+    return n if t is None else n + t.nvals + len(overlay)
+
+
+def _compact_merge_work(base, overlay, t) -> KernelWork:
+    nbytes = base.nbytes + overlay.nbytes
+    if t is not None:
+        nbytes += t.nbytes + overlay.nbytes
+    return KernelWork(
+        flops=2.0 * compact_items(base, overlay, t),
+        bytes_read=float(nbytes),
+        bytes_written=float(nbytes),
+    )
+
+
+# Device-side merge of base CSR + delta COO, and of the held Aᵀ ``t`` (None
+# when not carried) + the transposed delta, in one launch: one pass over
+# both merges' items.  The semantic function is the same vectorised
+# three-way merge the host path uses, so every backend materialises
+# bit-identical CSR arrays.
 # gbsan: ok(access-over-declared) -- run is functional; the declared write covers the caller's install_arrays swap so gbsan invalidates base residency at the launch
 STREAM_COMPACT_MERGE = Kernel(
     "stream_compact_merge",
     _compact_merge_run,
-    lambda base, overlay: KernelWork(
-        flops=2.0 * (base.nvals + len(overlay)),
-        bytes_read=float(base.nbytes + overlay.nbytes),
-        bytes_written=float(base.nbytes + overlay.nbytes),
-    ),
-    accesses=lambda base, overlay: Access(reads=(base,), writes=(base,)),
+    _compact_merge_work,
+    accesses=lambda base, overlay, t: Access(reads=(base, t), writes=(base,)),
 )

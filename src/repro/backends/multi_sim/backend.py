@@ -95,6 +95,7 @@ from ..cuda_sim.kernels import (
     SPGEMM_HASH_MASKED,
     SPMSV_PUSH,
     SPMV_CSR_VECTOR,
+    compact_items,
     mask_restrict,
 )
 from .kernels import PARTIAL_MERGE, STREAM_COMPACT_SHARD, TRANSPOSE_SHARD
@@ -315,7 +316,7 @@ class MultiSimBackend(Backend):
         upload hint for the shard's device, the shard's own value array is
         filled on the device instead of copied.
         """
-        part = PartitionedCSR.of(a, self.nparts, self.splitter)
+        part = self._parts(a)
         sliced = self._is_sliced(a)
         for ex, shard in zip(self._cluster.executors, part.shards):
             if sliced:
@@ -346,8 +347,8 @@ class MultiSimBackend(Backend):
         if a.symmetric:
             return self._row_parts(a)
         executors = self._cluster.executors
-        part = PartitionedCSR.of(a.cached_transpose(), self.nparts, self.splitter)
-        if all(ex._resident.is_clean(s) for ex, s in zip(executors, part.shards)):
+        part = self._parts(a.cached_transpose())
+        if self._held(part):
             for ex, shard in zip(executors, part.shards):
                 ex._resident.mark(shard)  # LRU touch
             return part
@@ -362,6 +363,17 @@ class MultiSimBackend(Backend):
                 )
         self._cluster.collective("all_to_all", float(a.nbytes))
         return part
+
+    def _parts(self, m: CSRMatrix) -> PartitionedCSR:
+        """This cluster's partition of ``m`` (memoised on ``m``)."""
+        return PartitionedCSR.of(m, self.nparts, self.splitter)
+
+    def _held(self, part: PartitionedCSR) -> bool:
+        """Every device holds its shard of ``part`` clean."""
+        return all(
+            ex._resident.is_clean(s)
+            for ex, s in zip(self._cluster.executors, part.shards)
+        )
 
     # ------------------------------------------------------------------
     # The per-device path
@@ -785,26 +797,43 @@ class MultiSimBackend(Backend):
 
     @_sharded
     def compact(self, base: CSRMatrix, overlay) -> None:
-        """Each shard uploads and merges its slice of the delta, then an
-        all-to-all moves rows across the ownership split."""
-        from ...streaming.overlay import merge_overlay
+        """Each device uploads its slice of the delta and merges it into its
+        A shard and, when every device holds its Aᵀ shard, into that shard
+        too, in one launch; then an all-to-all moves rows (and the
+        transposed delta) across the ownership split.  The carried Aᵀ's
+        shards stay resident and the superseded ones leave the devices."""
+        from ...streaming.overlay import compact_merge
 
         self._ensure_available(base)
-        arrays = merge_overlay(base, overlay)
-        per_items = max((base.nvals + len(overlay)) / self.nparts, 1.0)
+        t = base.known_transpose()
+        old = None if t is None or t is base else self._parts(t)
+        if old is not None and not self._held(old):
+            t = old = None
+        arrays, memo = compact_merge(base, overlay, t)
+        per_items = max(compact_items(base, overlay, t) / self.nparts, 1.0)
         per_delta = max(overlay.nbytes // self.nparts, 1)
         item_bytes = base.type.nbytes + 8  # value + column index per item
         for p in range(self.nparts):
             charge_transfer(per_delta, "h2d", device=self._dev(p))
+            reads = (base,) if old is None else (base, old.shards[p])
             launch(
                 STREAM_COMPACT_SHARD, LaunchConfig.cover(int(per_items)),
-                per_items, item_bytes, device=self._dev(p), san_reads=(base,),
+                per_items, item_bytes, device=self._dev(p), san_reads=reads,
             )
         # Inserts can move a row's slice across the ownership split; charge
         # the redistribution like the sharded transpose does.
-        self._cluster.collective("all_to_all", float(overlay.nbytes))
+        moved = overlay.nbytes if memo is None else 2 * overlay.nbytes
+        self._cluster.collective("all_to_all", float(moved))
         base.install_arrays(*arrays)
         self.note_result(base)
+        if memo is None:
+            return
+        base.seat_transpose(memo)
+        for ex, shard in zip(self._cluster.executors, self._parts(memo).shards):
+            ex._resident.mark(shard)  # merged on its device
+        if old is not None:
+            for ex, shard in zip(self._cluster.executors, old.shards):
+                ex._resident.evict(shard)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

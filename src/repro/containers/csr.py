@@ -134,7 +134,8 @@ class CSRMatrix:
         multi_sim's row shards) are dropped with the old arrays.  This is
         the install path for streaming compaction (:mod:`repro.streaming`),
         where a delta overlay is merged into the base CSR without
-        reregistering the graph anywhere.
+        reregistering the graph anywhere; a compaction that carried Aᵀ
+        then seats it through :meth:`seat_transpose`.
         """
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
@@ -337,9 +338,20 @@ class CSRMatrix:
         """
         hit = self.known_transpose()
         if hit is None:
-            hit = self._aux["tcsr"] = self.transpose()
-            hit._aux["tsrc"] = weakref.ref(self)
+            hit = self.seat_transpose(self.transpose())
         return hit
+
+    def seat_transpose(self, t: "CSRMatrix") -> "CSRMatrix":
+        """Make ``t`` this version's Aᵀ memo and return it.
+
+        :meth:`cached_transpose` seats its build here, and streaming
+        compaction the transpose it carried (after ``install_arrays`` has
+        bumped the version).  ``t`` gets the weak back-link, so
+        :meth:`known_transpose` works from both sides.
+        """
+        self._aux["tcsr"] = t
+        t._aux["tsrc"] = weakref.ref(self)
+        return t
 
     def transpose(self) -> "CSRMatrix":
         """CSR of the transpose (a stable counting-sort by column)."""

@@ -75,17 +75,15 @@ class ResidentSet:
                 self._entries.move_to_end(key)
                 dev.allocator.record_h2d_elided(container.nbytes)
                 if san is not None:
-                    # Self-heal a sanitizer enabled mid-session: the shadow
-                    # learns about clean entries it never saw marked.
-                    san.on_resident_mark(dev, container, entry[1])
+                    # Self-heal a sanitizer enabled mid-session, stamped with
+                    # what this set recorded: the shadow never relearns an
+                    # entry it already tracks.
+                    san.on_resident_elide(dev, container, entry[1], entry[2])
                 return
             # Host copy mutated since upload: the device copy is stale.
             # Free the old block (it lands in the pool) and re-upload.
-            entry[1].free()
-            del self._entries[key]
+            self.evict(container)
             dev.rebinds += 1
-            if san is not None:
-                san.on_resident_evict(dev, container)
         nbytes = container.nbytes
         # Lazy-optimizer payload demotion (see repro.lazy.passes): an
         # iso-valued payload is filled on-device rather than copied, so the
@@ -131,10 +129,18 @@ class ResidentSet:
         if san is not None:
             san.on_resident_mark(dev, container, buf)
         while len(self._entries) > self._cap:
-            _, (old_container, old_buf, _) = self._entries.popitem(last=False)
-            old_buf.free()
-            if san is not None:
-                san.on_resident_evict(dev, old_container)
+            self.evict(next(iter(self._entries.values()))[0])
+
+    def evict(self, container: Any) -> None:
+        """Free the container's device block, if it holds one (e.g. an Aᵀ
+        memo a compaction superseded)."""
+        entry = self._entries.pop(id(container), None)
+        if entry is None:
+            return
+        entry[1].free()
+        san = _gbsan.ACTIVE
+        if san is not None:
+            san.on_resident_evict(self._device_fn(), container)
 
     def evict_all(self) -> None:
         """Forget residency (e.g. between benchmark repetitions)."""

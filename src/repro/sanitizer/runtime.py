@@ -425,6 +425,20 @@ class Sanitizer:
             return
         shadow[id(container)] = _ResEntry(container, version, buffer)
 
+    def on_resident_elide(
+        self, device: "Device", container: Any, buffer: Any, version: int
+    ) -> None:
+        """A ResidentSet elided an upload, holding ``container`` at ``version``.
+
+        Learns only an entry the shadow never saw (a sanitizer enabled
+        mid-session), stamped with the set's version, not the container's:
+        the shadow must not relearn residency from the set it checks, or a
+        wrong version test in the set could never read as stale.
+        """
+        shadow = self._mirror.setdefault(id(device), {})
+        if id(container) not in shadow:
+            shadow[id(container)] = _ResEntry(container, version, buffer)
+
     def on_resident_evict(self, device: "Device", container: Any) -> None:
         """Entry dropped from a ResidentSet (device buffer freed)."""
         shadow = self._mirror.setdefault(id(device), {})

@@ -146,6 +146,18 @@ class EdgeBatch:
             self.rows[sel], self.cols[sel], self.vals[sel], self.is_insert[sel]
         )
 
+    def transposed(self) -> "EdgeBatch":
+        """The ops on Aᵀ: rows and cols swapped, re-sorted by ``(row, col)``.
+
+        Swapping is a bijection on edges, so a normalized batch stays
+        normalized: only the order changes.
+        """
+        order = np.lexsort((self.rows, self.cols))
+        return EdgeBatch(
+            self.cols[order], self.rows[order], self.vals[order],
+            self.is_insert[order],
+        )
+
     def then(self, later: "EdgeBatch") -> "EdgeBatch":
         """This batch's ops followed by ``later``'s, normalized: later ops win.
 

@@ -9,10 +9,12 @@ never rewrites the CSR.
 
 **Compaction** folds the pending delta into the base CSR in place
 (:meth:`~repro.containers.csr.CSRMatrix.install_arrays` preserves the
-container's identity and bumps its version, so aux caches (Aᵀ and
-multi_sim's partitions among them), residency entries and lazy-tape
-fingerprints all invalidate through the version stamp).  The active
-backend performs and charges the merge through its
+container's identity and bumps its version, so aux caches (multi_sim's
+partitions among them), residency entries and lazy-tape fingerprints all
+invalidate through the version stamp).  Aᵀ is the exception: when the
+backend holds it, the same merge folds the transposed delta into it and
+the result becomes the new version's memo.  The active backend performs
+and charges the merge through its
 :meth:`~repro.backends.base.Backend.compact` hook: host backends install
 for free, the simulated devices charge a delta upload plus merge kernels.
 Compaction runs eagerly once the pending delta holds at least

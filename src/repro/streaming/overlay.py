@@ -6,6 +6,9 @@ normalized :class:`~repro.streaming.batch.EdgeBatch` (last op per
 ``base ⊕ delta`` as ``(indptr, indices, values)`` arrays with one
 vectorised three-way merge — the host semantics of the device-side
 compaction kernel the cost model charges (see :mod:`repro.streaming.graph`).
+:func:`compact_merge` is the one compaction merge every backend runs: A's
+merge and, when the caller holds Aᵀ, the same merge of the transposed
+delta into it.
 
 Merge semantics per ``(i, j)``:
 
@@ -16,14 +19,14 @@ Merge semantics per ``(i, j)``:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..containers.csr import CSRMatrix, flat_keys
 from .batch import EdgeBatch
 
-__all__ = ["merge_overlay"]
+__all__ = ["compact_merge", "merge_overlay"]
 
 
 def merge_overlay(
@@ -35,7 +38,8 @@ def merge_overlay(
     pending delta (second), take the *last* entry of every ``(row, col)``
     group — so pending ops shadow base entries — then drop groups whose
     final op is a delete.  Equivalent to rebuilding from scratch, which the
-    overlay property tests check bit-for-bit.
+    overlay property tests check bit-for-bit.  Base values keep their own
+    dtype; only the delta's values are cast to it.
     """
     if len(overlay) == 0:
         return base.indptr.copy(), base.indices.copy(), base.values.copy()
@@ -43,7 +47,7 @@ def merge_overlay(
     all_rows = np.concatenate([b_rows, overlay.rows])
     all_cols = np.concatenate([base.indices, overlay.cols])
     all_vals = np.concatenate(
-        [base.values.astype(np.float64, copy=False), overlay.vals]
+        [base.values, overlay.vals.astype(base.values.dtype)]
     )
     keep_op = np.concatenate(
         [np.ones(b_rows.size, dtype=bool), overlay.is_insert]
@@ -62,3 +66,21 @@ def merge_overlay(
         base.nrows, base.ncols, all_rows[sel], all_cols[sel], all_vals[sel], base.type
     )
     return out.indptr, out.indices, out.values
+
+
+def compact_merge(
+    base: CSRMatrix, delta: EdgeBatch, t: Optional[CSRMatrix] = None
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Optional[CSRMatrix]]:
+    """``base ⊕ delta`` as arrays, and the carried transpose.
+
+    ``t`` is Aᵀ as the caller holds it (``base`` itself when it is
+    symmetric), or None.  Given ``t``, the new Aᵀ is ``t ⊕ deltaᵀ``,
+    returned as a fresh container: the old ``t`` may still be held by
+    others, so it is never rewritten.
+    """
+    arrays = merge_overlay(base, delta)
+    if t is None:
+        return arrays, None
+    return arrays, CSRMatrix(
+        t.nrows, t.ncols, *merge_overlay(t, delta.transposed()), t.type
+    )

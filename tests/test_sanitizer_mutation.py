@@ -9,16 +9,27 @@ mutation.  The planted bug below skips the H2D refresh between
 sanitizer's residency shadow must flag it as a stale read.  The fixed
 path (:meth:`repro.streaming.DynamicGraph.compact`, which launches the
 merge on-device and marks the result clean via ``note_result``) must stay
-finding-free under the same workload.
+finding-free under the same workload.  A second control plants the bug in
+the resident set itself (an ``ensure`` that ignores versions): the shadow
+must not relearn residency from the set it checks.
 """
+
+import contextlib
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
 import repro.sanitizer as gbsan
+from repro import generators
 from repro.algorithms.bfs import bfs_levels
+from repro.backends.base import Backend
+from repro.backends.cuda_sim.backend import CudaSimBackend
 from repro.backends.dispatch import get_backend
 from repro.core.matrix import Matrix
+from repro.gpu import residency
+from repro.gpu.residency import ResidentSet
 from repro.streaming import DynamicGraph, EdgeBatch, merge_overlay
 from repro.testing.executor import backend_session
 from repro.types import FP64
@@ -96,3 +107,51 @@ def test_fixed_path_clean_under_repeated_batches():
                     g.compact()
         findings = san.drain()
     assert findings == [], f"streaming workload raised findings: {findings}"
+
+
+# ---------------------------------------------------------------------------
+# Positive control: the shadow must not relearn residency from the set
+# ---------------------------------------------------------------------------
+
+
+def _eliding_ensure():
+    """``ResidentSet.ensure`` with its version test planted away: any entry
+    elides, however far the container's version has moved."""
+    src = textwrap.dedent(inspect.getsource(ResidentSet.ensure))
+    planted = src.replace("if entry[2] == version:", "if True:")
+    assert planted != src, "ensure's version test moved; re-plant the mutation"
+    scope: dict = {}
+    exec(compile(planted, residency.__file__, "exec"), dict(vars(residency)), scope)
+    return scope["ensure"]
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["from-start", "mid-session"])
+@pytest.mark.parametrize("directed", [False, True], ids=["symmetric", "directed"])
+def test_planted_eliding_ensure_is_caught(monkeypatch, directed, late):
+    """An ``ensure`` that ignores versions, after a compaction that folds on
+    the host and skips ``note_result``, feeds kernels a stale device copy.
+
+    The fold still carries Aᵀ (the host rule), so the pull that follows
+    reads the carried memo.  With the sanitizer enabled from the start the
+    shadow keeps the pre-fold version it saw marked; enabled mid-session it
+    learns the version the set recorded.  Either way the read is stale.
+    """
+    monkeypatch.setattr(ResidentSet, "ensure", _eliding_ensure())
+    monkeypatch.setattr(CudaSimBackend, "compact", Backend.compact)
+    m = _ring(12) if directed else generators.cycle_graph(12)
+    with contextlib.ExitStack() as stack:
+        san = None if late else stack.enter_context(gbsan.sanitized())
+        stack.enter_context(backend_session("cuda_sim"))
+        g = DynamicGraph(m)
+        bfs_levels(g.matrix, 0, direction="pull")  # A and Aᵀ resident
+        if san is None:
+            san = stack.enter_context(gbsan.sanitized())
+        san.drain()
+        g.apply(_batch())
+        assert g.compact()
+        assert m.container.known_transpose() is not None  # Aᵀ was carried
+        bfs_levels(g.matrix, 0, direction="pull")
+        findings = san.drain()
+    assert "stale-read" in {f.kind for f in findings}, (
+        f"stale device copy behind an eliding ensure not caught: {findings}"
+    )
