@@ -4,8 +4,8 @@ This package is the substrate of the ``multi_sim`` backend: block-row
 sharded containers (:mod:`.partition`), a P2P link/topology model
 (:mod:`.topology`), collective and sparse-exchange communication
 primitives with byte accounting (:mod:`.comm`), and a per-device
-scheduler owning one simulated device + stream per shard
-(:mod:`.cluster`).
+scheduler owning one simulated device per shard, whose clocks are the
+cluster's time (:mod:`.cluster`).
 
 None of it is GraphBLAS-specific: the partitioned containers wrap the
 ordinary :class:`~repro.containers.csr.CSRMatrix` /

@@ -189,8 +189,8 @@ class PartitionedVector:
     """A sparse vector split into P owned ranges by the same splitters.
 
     ``shard(p)`` is the owner's local view (indices rebased to the shard's
-    row range); ``replicated()`` is the full vector, the view a device
-    holds after an allgather.  Shards are computed lazily and cached.
+    row range); ``source`` is the full vector, the view a device holds
+    after an allgather.  Shards are computed lazily and cached.
     """
 
     __slots__ = ("source", "splitters", "_shards")
@@ -222,10 +222,6 @@ class PartitionedVector:
             sh = SparseVector(hi - lo, u.indices[s:e] - lo, u.values[s:e], u.type)
         self._shards[p] = sh
         return sh
-
-    def replicated(self) -> SparseVector:
-        """The full vector (what every device holds after an allgather)."""
-        return self.source
 
     @staticmethod
     def reassemble(

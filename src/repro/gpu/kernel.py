@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from ..exceptions import InvalidLaunchError
 from ..sanitizer import runtime as _gbsan
-from ..sanitizer.access import Access, is_tracked, label
+from ..sanitizer.access import Access
 from .costmodel import KernelWork
 from .device import Device, get_device
 from .profiler import LaunchRecord
@@ -120,8 +120,6 @@ def launch(
     # sanitizer checks bindings against a replay that really happens.
     deferred = graph is not None and graph.on_launch(name, work, dev)
     san = _gbsan.ACTIVE
-    read_labels: Tuple[str, ...] = ()
-    write_labels: Tuple[str, ...] = ()
     if san is not None:
         declared = (
             kernel.accesses(*args, **kwargs)
@@ -130,8 +128,6 @@ def launch(
         )
         access = declared.merged(tuple(san_reads), tuple(san_writes))
         san.on_launch(kernel.name, access, dev, stream)
-        read_labels = tuple(label(o) for o in access.reads if is_tracked(o))
-        write_labels = tuple(label(o) for o in access.writes if is_tracked(o))
     if deferred:
         return kernel.run(*args, **kwargs)
     dt = dev.cost_model.kernel_time_us(work)
@@ -149,8 +145,6 @@ def launch(
             flops=work.flops,
             bytes=work.bytes_total,
             threads=work.threads,
-            reads=read_labels,
-            writes=write_labels,
         )
     )
     return kernel.run(*args, **kwargs)

@@ -20,11 +20,6 @@ class LaunchRecord:
     An aggregated ``graph_replay[...]`` record carries its member kernels in
     ``members`` as ``(name, busy_us, flops, bytes)`` tuples so per-kernel
     attribution survives replay aggregation (see :meth:`Profiler.by_kernel`).
-
-    ``reads``/``writes`` hold the launch's declared access sets as buffer
-    labels.  They are populated only while the sanitizer is enabled (access
-    resolution is skipped otherwise) and exist for diagnostics — a gbsan
-    report can be correlated with the launch record that triggered it.
     """
 
     name: str
@@ -35,8 +30,6 @@ class LaunchRecord:
     bytes: float = 0.0
     threads: int = 0
     members: Tuple[Tuple[str, float, float, float], ...] = field(default=())
-    reads: Tuple[str, ...] = field(default=())
-    writes: Tuple[str, ...] = field(default=())
 
     @property
     def end_us(self) -> float:

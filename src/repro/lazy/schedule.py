@@ -61,13 +61,8 @@ def tape_len() -> int:
 
 def recording() -> bool:
     """True when frontend ops should record instead of executing."""
-    if _FLUSHING:
+    if _FLUSHING or current().lazy == "off":
         return False
-    mode = current().lazy
-    if mode == "off":
-        return False
-    if mode == "on":
-        return True
     return bool(getattr(current_backend(), "lazy_by_default", False))
 
 
@@ -224,18 +219,18 @@ def _flush(tape: List[Node], root: Optional[LazyValue]) -> None:
     uniform = all(n.backend is be for n in nodes)
     if uniform and pol.fuse:
         nodes = passes.fuse(nodes)
-    # The device passes run for a lazy front-end backend (cuda_sim, and
-    # multi_sim on all of its shard devices).
-    lazy_be = uniform and bool(getattr(be, "lazy_by_default", False))
-    devices = be.devices() if lazy_be else []
-    if lazy_be:
+    # Only a backend that opts in via ``lazy_by_default`` records, so a
+    # uniform tape belongs to a lazy front-end backend and the device
+    # passes run (cuda_sim, and multi_sim on all of its shard devices).
+    devices = be.devices() if uniform else []
+    if uniform:
         if pol.sink:
             passes.sink(nodes)
         if pol.direction:
             passes.choose_directions(nodes)
         if pol.dme:
             passes.register_iso_hints(nodes, devices)
-    if not (lazy_be and pol.capture):
+    if not (uniform and pol.capture):
         for node in nodes:
             _execute(node)
         return

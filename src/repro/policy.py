@@ -9,15 +9,13 @@ choice — results are bit-identical under any policy — and
 :func:`policy` is the only way to change it: a scope that settles the lazy
 tape (:func:`repro.lazy.wait`: force pending work, close open capture
 aggregates) on entry and again on exit, so recorded work always runs under
-the policy it was recorded under.  :func:`current` is the read side.  The
-``REPRO_LAZY`` environment variable sets the initial ``lazy`` field, and
+the policy it was recorded under.  :func:`current` is the read side, and
 :func:`parse_suffixes` maps backend-spec suffixes
 (:mod:`repro.testing.executor`) to overrides.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Iterable, Iterator, Tuple
@@ -28,7 +26,7 @@ __all__ = ["Policy", "current", "parse_suffixes", "policy"]
 
 #: Values of the two multi-way fields; every other field is a bool.
 CHOICES: Dict[str, Tuple[str, ...]] = {
-    "lazy": ("auto", "on", "off"),
+    "lazy": ("auto", "off"),
     "lanes": ("auto", "scalar", "vector", "merge", "off"),
 }
 
@@ -38,8 +36,8 @@ class Policy:
     """Every optimisation switch; the defaults turn everything on.
 
     - ``lazy`` — ``auto`` records on backends that opt in via
-      ``lazy_by_default`` (cuda_sim, multi_sim), ``on`` records on every
-      backend, ``off`` runs eagerly (:mod:`repro.lazy`);
+      ``lazy_by_default`` (cuda_sim, multi_sim), ``off`` runs eagerly
+      (:mod:`repro.lazy`);
     - ``fuse``, ``dme``, ``sink``, ``direction``, ``capture`` — the lazy
       optimizer's passes (:mod:`repro.lazy.passes`, :mod:`repro.lazy.capture`);
     - ``lanes`` — ``auto`` bins rows per launch, a lane name forces that
@@ -69,22 +67,7 @@ class Policy:
                 )
 
 
-_ENV_LAZY = {
-    "": "auto", "auto": "auto",
-    "1": "on", "on": "on", "true": "on", "yes": "on",
-    "0": "off", "off": "off", "false": "off", "no": "off",
-}
-
-
-def _lazy_from_env() -> str:
-    raw = os.environ.get("REPRO_LAZY", "").strip().lower()
-    if raw not in _ENV_LAZY:
-        accepted = ", ".join(k for k in _ENV_LAZY if k)
-        raise InvalidValueError(f"REPRO_LAZY={raw!r}; accepted: {accepted}")
-    return _ENV_LAZY[raw]
-
-
-_CURRENT = Policy(lazy=_lazy_from_env())
+_CURRENT = Policy()
 
 
 def current() -> Policy:

@@ -10,8 +10,9 @@ gets a :class:`Timeline` carrying a vector clock.  Ordering edges come from:
 * ``record_event`` / ``wait_event`` pairs (the waiter joins the recorded
   snapshot),
 * ``stream.synchronize()`` (the device default timeline joins the stream),
-* cluster barriers and collectives (all participating timelines join a
-  common frontier — see :class:`repro.distributed.cluster.OrderingEdge`).
+* cluster barriers and collectives (every device timeline of the cluster
+  and the host join a common frontier — see
+  :meth:`repro.distributed.cluster.SimCluster.barrier`).
 
 Two accesses conflict iff they touch the same buffer, at least one writes,
 and neither happens-before the other — the standard vector-clock race

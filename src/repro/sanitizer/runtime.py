@@ -483,10 +483,9 @@ class Sanitizer:
     def on_stream_sync(self, stream: Any) -> None:
         join(self._host, self._stream_tl(stream).vc)
 
-    def on_cluster_edge(self, edge: Any, devices: Any, streams: Any) -> None:
-        """Apply one explicit cluster ordering edge (barrier/collective)."""
+    def on_cluster_sync(self, devices: Any) -> None:
+        """A cluster barrier or collective: the devices and the host meet."""
         tls = [self._device_tl(d) for d in devices]
-        tls.extend(self._stream_tl(s) for s in streams)
         tls.append(self._host)
         frontier = merge_frontier(tls)
         for tl in tls:

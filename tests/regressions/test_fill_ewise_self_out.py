@@ -39,11 +39,11 @@ def _run(lazy: str, mask, accum):
     "mask, accum", [(M, None), (None, PLUS), (M, PLUS)], ids=["mask", "accum", "both"]
 )
 def test_write_into_the_fill_is_not_fused(mask, accum):
-    assert _run("on", mask, accum) == _run("off", mask, accum)
+    assert _run("auto", mask, accum) == _run("off", mask, accum)
 
 
 def test_overwriting_the_fill_still_fuses():
     reset_device()
-    assert _run("on", None, None) == _run("off", None, None)
+    assert _run("auto", None, None) == _run("off", None, None)
     names = {r.name for r in get_device().profiler.records}
     assert "fill_ewise_fused_v" in names

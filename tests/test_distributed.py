@@ -224,6 +224,30 @@ class TestCluster:
         for d in c.devices:
             assert d.clock_us == pytest.approx(110.0)
 
+    def test_back_to_back_collectives_end_every_clock_together(self):
+        from repro.distributed.cluster import SimCluster
+
+        c = SimCluster(3)
+        c.devices[2].advance(100.0)
+        c.charge_comm("allgather", 10.0, 3000.0)
+        end1 = 100.0 + 10.0
+        for d in c.devices:
+            assert d.clock_us == end1
+        # Device 1 runs ahead, device 0 sits idle, device 2 finishes early.
+        c.devices[1].advance(25.5)
+        c.devices[2].advance(3.0)
+        start2 = end1 + 25.5
+        c.charge_comm("broadcast", 4.25, 300.0)
+        for d in c.devices:
+            assert d.clock_us == start2 + 4.25
+            comm = [r for r in d.profiler.records if r.kind == "comm"]
+            assert [(r.name, r.start_us, r.duration_us) for r in comm] == [
+                ("comm_allgather", 100.0, 10.0),
+                ("comm_broadcast", start2, 4.25),
+            ]
+            assert [r.bytes for r in comm] == [1000.0, 100.0]
+        assert c.makespan_us == start2 + 4.25
+
     def test_comm_records_excluded_from_kernel_aggregates(self):
         from repro.distributed.cluster import SimCluster
 

@@ -102,7 +102,7 @@ class TestBitIdentity:
         with gb.use_backend("cuda_sim"):
             with policy(lazy="off"):
                 eager = _pipeline(g, u, m, semiring, accum, monoid, desc)
-            with policy(lazy="on"):
+            with policy(lazy="auto"):
                 lazy = _pipeline(g, u, m, semiring, accum, monoid, desc)
         assert _snapshot(eager[:4]) == _snapshot(lazy[:4])
         # Scalar reduction: bit-identical, not merely close.
@@ -119,7 +119,7 @@ class TestBitIdentity:
             with policy(lazy="off"):
                 expect = _snapshot(_pipeline(g, u, m, semiring, accum, monoid, desc)[:4])
             for name in ("fuse", "dme", "sink", "direction", "capture"):
-                with policy(lazy="on", **{name: False}):
+                with policy(**{name: False}):
                     got = _snapshot(_pipeline(g, u, m, semiring, accum, monoid, desc)[:4])
                 assert got == expect, f"pass {name}=off diverged"
 
@@ -141,7 +141,7 @@ class TestCounterConservation:
     def _run_counted(self, fn, lazy: bool):
         _fresh()
         with gb.use_backend("cuda_sim"):
-            with policy(lazy="on" if lazy else "off"):
+            with policy(lazy="auto" if lazy else "off"):
                 keep = fn()
             wait()
             dev = get_device()
@@ -185,7 +185,7 @@ class TestFusionPasses:
     def test_ewise_reduce_fuses_into_one_kernel(self):
         g, u, _ = _graph(16, 3)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             d = gb.Vector.sparse(gb.FP64, 16)
             ewise_apply(d, u, u, MINUS, ABS)
             total = ops.reduce(d, PLUS_MONOID)
@@ -197,7 +197,7 @@ class TestFusionPasses:
     def test_fill_ewise_fuses_and_skips_fill_materialization(self):
         _, u, _ = _graph(16, 4)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             s = gb.Vector.sparse(gb.FP64, 16)
             assign_scalar(s, 0.25)
             ops.ewise_add(s, s, u, PLUS)
@@ -212,7 +212,7 @@ class TestFusionPasses:
         # delete it; both results stay correct.
         _, u, _ = _graph(16, 5)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             s = gb.Vector.sparse(gb.FP64, 16)
             assign_scalar(s, 0.25)
             out = gb.Vector.sparse(gb.FP64, 16)
@@ -231,7 +231,7 @@ class TestDeadMaterializationElimination:
     def test_dead_temporary_never_launches(self):
         g, u, _ = _graph(16, 6)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             del w  # never observed: must not launch, transfer, or allocate
@@ -243,7 +243,7 @@ class TestDeadMaterializationElimination:
     def test_overwritten_output_drops_previous_producer(self):
         g, u, _ = _graph(16, 7)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             # Unmasked, unaccumulated overwrite: the first product's value
@@ -257,7 +257,7 @@ class TestDeadMaterializationElimination:
     def test_accumulated_output_keeps_previous_producer(self):
         g, u, _ = _graph(16, 8)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             ops.mxv(w, g, u, MIN_PLUS, accum=PLUS)  # reads the first result
@@ -322,7 +322,7 @@ class TestForcingPoints:
     def test_observers_force_and_mutators_settle(self):
         g, u, _ = _graph(16, 9)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             assert tape_len() == 1
@@ -336,7 +336,7 @@ class TestForcingPoints:
     def test_scalar_reduce_forces(self):
         g, u, _ = _graph(16, 10)
         _fresh()
-        with gb.use_backend("cuda_sim"), policy(lazy="on"):
+        with gb.use_backend("cuda_sim"):
             w = gb.Vector.sparse(gb.FP64, 16)
             ops.mxv(w, g, u, PLUS_TIMES)
             ops.reduce(w, PLUS_MONOID)
@@ -345,20 +345,19 @@ class TestForcingPoints:
     def test_backend_exit_forces(self):
         g, u, _ = _graph(16, 11)
         _fresh()
-        with policy(lazy="on"):
-            with gb.use_backend("cuda_sim"):
-                w = gb.Vector.sparse(gb.FP64, 16)
-                ops.mxv(w, g, u, PLUS_TIMES)
-                assert tape_len() == 1
-            assert tape_len() == 0
-            assert get_device().profiler.launch_count > 0
+        with gb.use_backend("cuda_sim"):
+            w = gb.Vector.sparse(gb.FP64, 16)
+            ops.mxv(w, g, u, PLUS_TIMES)
+            assert tape_len() == 1
+        assert tape_len() == 0
+        assert get_device().profiler.launch_count > 0
         del w
 
     def test_mode_restored_by_contexts(self):
         before = current().lazy
-        with policy(lazy="on"):
-            assert current().lazy == "on"
-            with policy(lazy="off"):
-                assert current().lazy == "off"
-            assert current().lazy == "on"
+        with policy(lazy="off"):
+            assert current().lazy == "off"
+            with policy(lazy="auto"):
+                assert current().lazy == "auto"
+            assert current().lazy == "off"
         assert current().lazy == before

@@ -120,7 +120,7 @@ def test_lazy_equals_eager(name, kind, accum):
     desc = MASK_DESCS[kind]
     eager = _run(name, "off", MASK, accum, desc)
     reset_device()
-    lazy = _run(name, "on", MASK, accum, desc)
+    lazy = _run(name, "auto", MASK, accum, desc)
     assert lazy == eager
     kernel = FORMS[name][3]
     if kernel is not None:
@@ -140,7 +140,7 @@ def test_sink_restricts_exactly_the_declared_inputs(name, kind, monkeypatch):
         return restrict(container, mask)
 
     monkeypatch.setattr(be, "sink_restrict", spy)
-    _run(name, "on", MASK, None, MASK_DESCS[kind])
+    _run(name, "auto", MASK, None, MASK_DESCS[kind])
     declared = FORMS[name][2]
     if kind == "complemented":
         assert seen == []
@@ -152,7 +152,7 @@ def test_sink_restricts_exactly_the_declared_inputs(name, kind, monkeypatch):
 def test_wrong_size_mask_raises_at_the_call(name):
     prepare, call, _, _ = FORMS[name]
     bad = gb.Vector.from_lists([0], [1.0], N + 1)
-    with policy(lazy="on"), use_backend("cuda_sim"):
+    with use_backend("cuda_sim"):
         out = OUT0.dup()
         prepared = prepare()
         before = tape_len()

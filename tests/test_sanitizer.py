@@ -362,6 +362,21 @@ class TestZeroFalsePositives:
                 _workload()
                 assert san.findings == [], san.report()
 
+    def test_multi_sim_joins_device_timelines_only(self):
+        from repro.algorithms.bfs import bfs_levels
+        from repro.generators.rmat import rmat
+
+        be = get_backend("multi_sim").configure(nparts=2)
+        be.reset()
+        with use_backend(be):
+            with sz.sanitized() as san:
+                bfs_levels(rmat(7, 8, seed=3), 0)
+                assert be.cluster.comm.stats.total_count > 0
+                for d in be.cluster.devices:
+                    assert id(d) in san._timelines
+                    assert san._dev_streams[id(d)] == []
+                assert san.findings == [], san.report()
+
     def test_cuda_sim_clean_without_reuse(self):
         with use_backend("cuda_sim"):
             with policy(capture=False):

@@ -159,7 +159,8 @@ def weighted_graph():
     return generators.rmat(8, 8, seed=5, weighted=True)
 
 
-@pytest.mark.parametrize("lazy", ["on", "off"])
+# multi_sim records under "auto", so that case runs with the lazy tape on.
+@pytest.mark.parametrize("lazy", [pytest.param("auto", id="on"), "off"])
 @pytest.mark.parametrize("nparts", [2, 4])
 @pytest.mark.parametrize("algo", sorted(ALGOS))
 def test_multi_sim_matches_cpu_bit_for_bit(weighted_graph, algo, nparts, lazy):

@@ -30,10 +30,10 @@ launches and charges on its own.
 After each program the tool records, per device: every profiler record
 (name, kind, start, duration, flops, bytes, threads, replay members),
 the profiler's H2D bytes, the allocator's elided-upload counters, the
-clock and the rebind count; and per cluster: comm stats, makespan and the
-ordering-edge count.  A fuzz or mutation program adds the result of each
-op (a container's indices, values and dtype, a scalar, or the name of the
-error it raised): every backend runs the write pipeline, assign and the
+clock and the rebind count; and per cluster: comm stats and makespan.
+A fuzz or mutation program adds the result of each op (a container's
+indices, values and dtype, a scalar, or the name of the error it
+raised): every backend runs the write pipeline, assign and the
 other frontend merges through shared code, so the cross-backend fuzzer
 cannot see a change there, but an old-vs-new diff of these digests can.
 A serve program adds each query record (qid,
@@ -128,7 +128,6 @@ def _counters(spec: str) -> Dict[str, Any]:
         "devices": [_device_counters(d) for d in cluster.devices],
         "comm": {"counts": stats.counts, "bytes": stats.bytes, "time_us": stats.time_us},
         "makespan_us": cluster.makespan_us,
-        "edges": len(cluster.edges),
     }
 
 
