@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Inside the simulated GPU: profiling, memory, cost-model knobs, streams.
+"""Inside the simulated GPU: profiling, memory, cost-model knobs, overlap.
 
 Runs SSSP on the cuda_sim backend and dissects what the "device" did:
 per-kernel time/flops/bytes, PCIe traffic, the effect of ablating cost-model
-terms, and a two-stream overlap demonstration — the observability a real
+terms, and a two-device overlap demonstration — the observability a real
 CUDA backend gives through nvprof, reproduced by the simulator substrate.
 
 Run:  python examples/gpu_profiling.py
@@ -15,7 +15,8 @@ import repro as gb
 from repro.backends.dispatch import get_backend
 from repro.core import operations as ops
 from repro.core.semiring import PLUS_TIMES
-from repro.gpu import Kernel, KernelWork, LaunchConfig, Stream, launch
+from repro.distributed.cluster import SimCluster
+from repro.gpu import Kernel, KernelWork, LaunchConfig, launch
 from repro.gpu.device import get_device, reset_device
 
 
@@ -59,8 +60,8 @@ def ablate_cost_model() -> None:
         print(f"  {label:14s}: {dev.profiler.kernel_time_us:8.2f}")
 
 
-def demonstrate_streams() -> None:
-    print("\nstream overlap (two independent 'halves' of a computation):")
+def demonstrate_overlap() -> None:
+    print("\ndevice overlap (two independent 'halves' of a computation):")
     reset_device()
     dev = get_device()
 
@@ -74,25 +75,24 @@ def demonstrate_streams() -> None:
         ),
     )
     data = np.random.default_rng(0).random(1 << 18)
+    cfg = LaunchConfig.cover(data.size)
 
-    # Serial: both kernels on the default timeline.
-    launch(half, LaunchConfig.cover(data.size), data, device=dev)
-    launch(half, LaunchConfig.cover(data.size), data, device=dev)
+    # Serial: both kernels on one device's timeline.
+    launch(half, cfg, data, device=dev)
+    launch(half, cfg, data, device=dev)
     serial = dev.clock_us
 
-    # Overlapped: one kernel per stream.
-    reset_device()
-    dev = get_device()
-    s1, s2 = Stream(dev), Stream(dev)
-    launch(half, LaunchConfig.cover(data.size), data, device=dev, stream=s1)
-    launch(half, LaunchConfig.cover(data.size), data, device=dev, stream=s2)
-    overlapped = max(s1.synchronize(), s2.synchronize())
+    # Overlapped: one kernel per device; the barrier joins the two clocks.
+    cluster = SimCluster(2)
+    for d in cluster.devices:
+        launch(half, cfg, data, device=d)
+    overlapped = cluster.barrier()
     print(f"  serial:     {serial:8.1f} µs")
-    print(f"  two streams:{overlapped:8.1f} µs  "
+    print(f"  two devices:{overlapped:8.1f} µs  "
           f"({serial / overlapped:.2f}x from overlap)")
 
 
 if __name__ == "__main__":
     profile_sssp()
     ablate_cost_model()
-    demonstrate_streams()
+    demonstrate_overlap()

@@ -13,7 +13,7 @@ call graph; these six rules need only one module's syntax tree:
     Anywhere in the tree, a ``Kernel`` whose name contains ``fused`` must
     declare ``accesses=``.  Fused kernels are *emitted by the optimizer*
     (the lazy pass pipeline rewrites tapes to launch them), so an
-    undeclared one would silently skip the race/residency checks exactly
+    undeclared one would silently skip the residency checks exactly
     on the launches the optimizer invented.
 
 ``container-mutation``

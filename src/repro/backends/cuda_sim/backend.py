@@ -7,8 +7,7 @@ GBTL-CUDA's backend orchestrated CUSP kernels:
   use and cached (a resident set), so repeated operations on the same graph
   pay the PCIe cost once — as a real GPU graph library keeps the graph on
   the device across BFS iterations;
-- results are **created device-resident** (no download charged; use
-  :meth:`CudaSimBackend.download` to model an explicit copy-out).  The rule
+- results are **created device-resident** (no download charged).  The rule
   is stated once, in :meth:`CudaSimBackend._launch`: every container a
   launch returns is marked clean in the resident set, so no operation
   marks its own result;
@@ -143,13 +142,6 @@ class CudaSimBackend(Backend):
         that reads it elides the H2D copy (the data never left the device).
         """
         self._resident.mark(container)
-
-    def download(self, container) -> Any:
-        """Model an explicit D2H copy of a result; returns the container."""
-        charge_transfer(
-            container.nbytes, "d2h", device=self._dev(), container=container
-        )
-        return container
 
     def evict_all(self) -> None:
         """Forget residency (e.g. between benchmark repetitions)."""

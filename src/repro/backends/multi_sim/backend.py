@@ -292,19 +292,6 @@ class MultiSimBackend(Backend):
         """Frontend write-pipeline output: devices hold their owned slices."""
         self._mark_sliced(container)
 
-    @_sharded
-    def download(self, container) -> Any:
-        """Model the D2H copy-out; sliced results stream from every device."""
-        if self._is_sliced(container):
-            per = int(container.nbytes / self.nparts)
-            for p in range(self.nparts):
-                charge_transfer(per, "d2h", device=self._dev(p), container=container)
-        else:
-            charge_transfer(
-                container.nbytes, "d2h", device=self._dev(0), container=container
-            )
-        return container
-
     # ------------------------------------------------------------------
     # Partitions (memoised on the containers themselves)
     # ------------------------------------------------------------------

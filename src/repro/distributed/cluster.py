@@ -20,8 +20,7 @@ The execution model is BSP-with-overlap:
 Comm charges are recorded on each device profiler with ``kind="comm"``, a
 class the single-device aggregates (kernel time, transfer time, launch
 count, H2D bytes) ignore by construction, so per-device counters keep
-meaning exactly what they mean on one device.  Each barrier joins every
-device's timeline (and the host's) in gbsan's happens-before order.
+meaning exactly what they mean on one device.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Any, List
 
 from ..gpu.device import Device, DeviceProperties, K40
 from ..gpu.profiler import LaunchRecord
-from ..sanitizer import runtime as _gbsan
 from .comm import CommModel
 from .topology import DGX_NVLINK, Topology
 
@@ -70,9 +68,6 @@ class SimCluster:
         for d in self.devices:
             if d.clock_us < t:
                 d.advance(t - d.clock_us)
-        san = _gbsan.ACTIVE
-        if san is not None:
-            san.on_cluster_sync(self.devices)
         return t
 
     def collective(self, primitive: str, nbytes: float, *price_args: Any) -> None:
@@ -110,9 +105,6 @@ class SimCluster:
                     bytes=per_dev_bytes,
                 )
             )
-        san = _gbsan.ACTIVE
-        if san is not None:
-            san.on_cluster_sync(self.devices)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -3,7 +3,8 @@
 This package stands in for the GPU hardware the paper evaluated on (see
 DESIGN.md "Hardware substitution"): a device model with allocator, SIMT
 divergence/coalescing estimators, an analytic roofline cost model, kernel
-launch machinery, streams/events, and a profiler.  Kernel *semantics* run
+launch machinery, and a profiler.  Each device runs its launches and
+transfers in program order on one timeline.  Kernel *semantics* run
 for real on the host; only *time* is modeled.
 """
 
@@ -22,7 +23,6 @@ from .kernel import Kernel, LaunchConfig, charge_transfer, launch
 from .memory import DeviceAllocator, DeviceBuffer, MemoryStats
 from .profiler import LaunchRecord, Profiler
 from .simt import COALESCING, divergence_thread_per_row, divergence_warp_per_row
-from .stream import Event, Stream
 
 __all__ = [
     "CostModel",
@@ -47,6 +47,4 @@ __all__ = [
     "COALESCING",
     "divergence_thread_per_row",
     "divergence_warp_per_row",
-    "Event",
-    "Stream",
 ]

@@ -12,7 +12,7 @@ Kernels additionally declare their **access sets** (``accesses``): a callable
 receiving the launch arguments verbatim and returning an
 :class:`~repro.sanitizer.access.Access` naming the containers the kernel
 reads and writes.  The declarations are free when the sanitizer is off and
-drive gbsan's race/residency/lifetime checkers when it is on (see
+drive gbsan's residency/lifetime checkers when it is on (see
 :mod:`repro.sanitizer`).  Call sites whose operands travel through thunks or
 raw arrays pass ``san_reads``/``san_writes`` to :func:`launch` instead.
 """
@@ -91,16 +91,14 @@ def launch(
     config: LaunchConfig,
     *args: Any,
     device: Optional[Device] = None,
-    stream: Any = None,
     san_reads: Tuple[Any, ...] = (),
     san_writes: Tuple[Any, ...] = (),
     **kwargs: Any,
 ) -> Any:
     """Execute a kernel on the simulated device and charge its time.
 
-    Returns whatever the kernel's semantic function returns.  When a stream
-    is given the launch is enqueued on that stream's timeline; otherwise it
-    runs on the device's default (serialising) timeline.
+    Returns whatever the kernel's semantic function returns.  The launch
+    runs on the device's one timeline, in program order.
 
     ``san_reads``/``san_writes`` extend the kernel's declared access sets at
     the call site (for operands that reach the kernel as raw arrays or
@@ -112,7 +110,7 @@ def launch(
     if work.threads <= 1:
         work = replace(work, threads=config.threads)
     name = kernel.name if work.lane is None else f"{kernel.name}[{work.lane}]"
-    graph = dev.active_graph if stream is None else None
+    graph = dev.active_graph
     # Inside a lazy flush: a capture charges normally; a replay charges the
     # busy time now and defers the record to the aggregate's commit (one
     # launch overhead for the whole loop).  Semantics always execute — the
@@ -127,15 +125,12 @@ def launch(
             else _EMPTY_ACCESS
         )
         access = declared.merged(tuple(san_reads), tuple(san_writes))
-        san.on_launch(kernel.name, access, dev, stream)
+        san.on_launch(kernel.name, access, dev)
     if deferred:
         return kernel.run(*args, **kwargs)
     dt = dev.cost_model.kernel_time_us(work)
-    if stream is not None:
-        start = stream.enqueue(dt)
-    else:
-        start = dev.clock_us
-        dev.advance(dt)
+    start = dev.clock_us
+    dev.advance(dt)
     dev._profiler.record(
         LaunchRecord(
             name=name,
@@ -159,8 +154,8 @@ def charge_transfer(
     """Charge one H2D/D2H transfer to the device clock; returns duration.
 
     ``container`` (when the transfer moves a tracked container rather than
-    loose bytes) feeds the sanitizer's happens-before and residency
-    checkers; it does not affect accounting.
+    loose bytes) feeds the sanitizer's residency checker; it does not
+    affect accounting.
     """
     dev = device or get_device()
     dt = dev.cost_model.transfer_time_us(nbytes)

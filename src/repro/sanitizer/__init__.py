@@ -1,6 +1,6 @@
 """gbsan — sanitizer suite for the simulated GPU stack.
 
-Runtime checkers (race / residency / pool-lifetime / loop-replay, see
+Runtime checkers (residency / pool-lifetime / loop-replay, see
 :mod:`repro.sanitizer.runtime`).  The static kernel-contract checks live in
 gbcheck (:mod:`repro.analysis`, ``tools/gbcheck.py``).
 

@@ -2,24 +2,20 @@
 
 A single module-level :data:`ACTIVE` instance (``None`` when disabled) is
 probed by the instrumentation points in :mod:`repro.gpu` and
-:mod:`repro.distributed.cluster`.  Disabled, every hook site costs one
+:mod:`repro.backends.multi_sim`.  Disabled, every hook site costs one
 attribute load and an ``is None`` test — the sanitizer is zero-overhead by
 default and enabled explicitly (``repro.sanitizer.enable()`` or the
 ``GBSAN`` environment variable).
 
+Each device is one host-synchronous timeline: its launches and transfers
+run in program order, so gbsan keeps no happens-before state.  Data that
+crosses devices (which meet only at
+:class:`~repro.distributed.cluster.SimCluster` barriers and collectives) is
+checked by residency instead: a device reads only what was uploaded to it
+or marked resident on it.
+
 Checkers (all driven by the per-launch :class:`~repro.sanitizer.access.Access`
 sets):
-
-**Races** — FastTrack-style vector clocks.  Timelines: the host (issuing
-thread), each device's default queue, and each :class:`~repro.gpu.stream.Stream`.
-Default-queue operations and transfers are device-synchronising in the
-simulator's timing semantics (they start at ``device.clock_us``, which is
-the max over all stream timelines), so they join every stream of their
-device; stream launches are asynchronous — ordered after their issue point
-but unordered with other streams until an event/synchronize/barrier edge.
-A write to a buffer that is unordered with the previous write (W/W) or with
-outstanding reads (R/W), or a read unordered with the previous write (W/R),
-is reported as a race.
 
 **Residency** — a shadow copy of each device's
 :class:`~repro.gpu.residency.ResidentSet`.  A kernel read of a container
@@ -54,7 +50,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..exceptions import SanitizerError
 from .access import Access, is_tracked, label
-from .hb import Epoch, Timeline, join, merge_frontier
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..gpu.device import Device
@@ -75,7 +70,7 @@ _BLOCK_IDS = itertools.count(1)
 class Finding:
     """One detected hazard."""
 
-    kind: str  # race | unresident-read | stale-read | missing-note-result |
+    kind: str  # unresident-read | stale-read | missing-note-result |
     #            use-after-free | pool-alias | leak | stale-replay
     message: str
     site: str  # kernel / operation name where detected
@@ -85,19 +80,6 @@ class Finding:
     def __str__(self) -> str:
         buf = f" [{self.buffer}]" if self.buffer else ""
         return f"gbsan[{self.kind}] at {self.site} on {self.device}:{buf} {self.message}"
-
-
-class _BufState:
-    """FastTrack per-buffer access history."""
-
-    __slots__ = ("obj", "last_write", "write_site", "reads")
-
-    def __init__(self, obj: Any) -> None:
-        self.obj = obj  # strong ref pins id()
-        self.last_write: Optional[Epoch] = None
-        self.write_site: str = ""
-        # tid -> (clock, site) of the latest read on that timeline.
-        self.reads: Dict[int, Tuple[int, str]] = {}
 
 
 @dataclass
@@ -132,13 +114,8 @@ class Sanitizer:
         self.strict = strict
         self.findings: List[Finding] = []
         self._seen: Set[Tuple[str, ...]] = set()
-        self._host = Timeline("host")
-        self._timelines: Dict[int, Timeline] = {}  # id(device|stream) -> tl
-        self._anchors: Dict[int, Any] = {}  # pins ids of timeline owners
-        self._dev_streams: Dict[int, List[int]] = {}  # id(device) -> stream keys
-        self._bufs: Dict[int, _BufState] = {}  # id(container) -> history
+        self._anchors: Dict[int, Any] = {}  # pins the objects whose ids key state
         self._mirror: Dict[int, Dict[int, _ResEntry]] = {}  # id(device) -> shadow
-        self._events: Dict[int, Dict[int, int]] = {}  # id(event) -> vc snapshot
         self._alloc: Dict[int, _AllocState] = {}  # id(allocator) -> shadow
         # id(loop aggregate) -> (its capture's rebind stamp,
         #                        {id(container): (container, buffer at capture)})
@@ -181,71 +158,30 @@ class Sanitizer:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # timelines
+    # residency checks on one launch
     # ------------------------------------------------------------------
 
-    def _device_tl(self, device: "Device") -> Timeline:
+    def _shadow(self, device: "Device") -> Dict[int, _ResEntry]:
+        """The device's ResidentSet shadow; pins the device while it is kept.
+
+        The shadow is keyed by ``id(device)``: a dropped device whose id
+        passed to a new one would hand the new device its residency.
+        """
         key = id(device)
-        tl = self._timelines.get(key)
-        if tl is None:
-            tl = Timeline(f"dev:{device.props.name}@{key:#x}")
-            self._timelines[key] = tl
+        shadow = self._mirror.get(key)
+        if shadow is None:
+            shadow = self._mirror[key] = {}
             self._anchors[key] = device
-            self._dev_streams.setdefault(key, [])
-        return tl
+        return shadow
 
-    def _stream_tl(self, stream: Any) -> Timeline:
-        key = id(stream)
-        tl = self._timelines.get(key)
-        if tl is None:
-            tl = Timeline(f"stream@{key:#x}")
-            self._timelines[key] = tl
-            self._anchors[key] = stream
-            dev_tl = self._device_tl(stream.device)
-            join(tl, dev_tl.vc)  # a new stream observes prior device work
-            self._dev_streams.setdefault(id(stream.device), []).append(key)
-        return tl
-
-    def _sync_epoch(self, device: "Device", site: str) -> Tuple[Timeline, Epoch]:
-        """Tick a device-synchronising op (default-queue launch, transfer)."""
-        tl = self._device_tl(device)
-        join(tl, self._host.vc)
-        for skey in self._dev_streams.get(id(device), ()):
-            stl = self._timelines.get(skey)
-            if stl is not None:
-                join(tl, stl.vc)
-        epoch = tl.tick()
-        join(self._host, tl.vc)  # host blocks until the sync op completes
-        return tl, epoch
-
-    def _async_epoch(self, stream: Any) -> Tuple[Timeline, Epoch]:
-        """Tick an asynchronous stream launch (ordered after its issue point)."""
-        tl = self._stream_tl(stream)
-        join(tl, self._host.vc)
-        return tl, tl.tick()
-
-    # ------------------------------------------------------------------
-    # race + residency checks on one launch
-    # ------------------------------------------------------------------
-
-    def on_launch(
-        self,
-        kernel_name: str,
-        access: Access,
-        device: "Device",
-        stream: Any = None,
-    ) -> None:
+    def on_launch(self, kernel_name: str, access: Access, device: "Device") -> None:
         """Check one kernel launch's declared accesses (called pre-execution)."""
-        if stream is None:
-            tl, _ = self._sync_epoch(device, kernel_name)
-        else:
-            tl, _ = self._async_epoch(stream)
-        loop = getattr(device, "active_graph", None) if stream is None else None
-        shadow = self._mirror.setdefault(id(device), {})
+        loop = device.active_graph
+        shadow = self._shadow(device)
         for obj in access.reads:
             if not is_tracked(obj):
                 continue
-            self._check_read(obj, tl, kernel_name, device, shadow)
+            self._check_residency(obj, kernel_name, device, shadow)
             if loop is not None:
                 entry = shadow.get(id(obj))
                 buf = entry.buffer if entry is not None else None
@@ -253,73 +189,11 @@ class Sanitizer:
         for obj in access.writes:
             if not is_tracked(obj):
                 continue
-            self._check_write(obj, tl, kernel_name, device, shadow)
-
-    def _buf_state(self, obj: Any) -> _BufState:
-        st = self._bufs.get(id(obj))
-        if st is None:
-            st = _BufState(obj)
-            self._bufs[id(obj)] = st
-        return st
-
-    def _check_read(
-        self,
-        obj: Any,
-        tl: Timeline,
-        site: str,
-        device: "Device",
-        shadow: Dict[int, _ResEntry],
-    ) -> None:
-        st = self._buf_state(obj)
-        if st.last_write is not None and not tl.ordered_after(st.last_write):
-            self._emit(
-                "race",
-                f"read is unordered with write at {st.write_site} "
-                "(no stream/event/barrier edge between them)",
-                site,
-                repr(device),
-                label(obj),
-            )
-        st.reads[tl.tid] = (tl.clock, site)
-        self._check_residency(obj, site, device, shadow)
-
-    def _check_write(
-        self,
-        obj: Any,
-        tl: Timeline,
-        site: str,
-        device: "Device",
-        shadow: Dict[int, _ResEntry],
-    ) -> None:
-        st = self._buf_state(obj)
-        if st.last_write is not None and not tl.ordered_after(st.last_write):
-            self._emit(
-                "race",
-                f"write is unordered with write at {st.write_site} "
-                "(no stream/event/barrier edge between them)",
-                site,
-                repr(device),
-                label(obj),
-            )
-        for tid, (clock, rsite) in st.reads.items():
-            if tid != tl.tid and not tl.ordered_after((tid, clock)):
-                self._emit(
-                    "race",
-                    f"write is unordered with read at {rsite} "
-                    "(no stream/event/barrier edge between them)",
-                    site,
-                    repr(device),
-                    label(obj),
-                )
-                break
-        st.last_write = (tl.tid, tl.clock)
-        st.write_site = site
-        st.reads.clear()
-        # The device now holds the freshest copy; it stays "dirty" until the
-        # backend marks it clean (note_result -> ResidentSet.mark).
-        entry = shadow.get(id(obj))
-        if entry is not None and not entry.freed:
-            entry.device_wrote = site
+            # The device now holds the freshest copy; it stays "dirty" until
+            # the backend marks it clean (note_result -> ResidentSet.mark).
+            entry = shadow.get(id(obj))
+            if entry is not None and not entry.freed:
+                entry.device_wrote = kernel_name
 
     def _check_residency(
         self, obj: Any, site: str, device: "Device", shadow: Dict[int, _ResEntry]
@@ -362,49 +236,23 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def on_transfer(self, container: Any, kind: str, device: "Device") -> None:
-        """HB + residency bookkeeping for one tracked-container transfer."""
-        if not is_tracked(container):
+        """Residency bookkeeping for one tracked-container transfer."""
+        if kind != "h2d" or not is_tracked(container):
             return
-        site = f"memcpy_{kind}"
-        tl, _ = self._sync_epoch(device, site)
-        shadow = self._mirror.setdefault(id(device), {})
-        entry = shadow.get(id(container))
-        st = self._buf_state(container)
-        if kind == "h2d":
-            if st.last_write is not None and not tl.ordered_after(st.last_write):
-                self._emit(
-                    "race",
-                    f"upload is unordered with device write at {st.write_site}",
-                    site,
-                    repr(device),
-                    label(container),
-                )
-            # The eviction that precedes a stale re-upload tombstones the
-            # entry, so the dirty marker is honoured even on freed entries.
-            if entry is not None and entry.device_wrote:
-                self._emit(
-                    "missing-note-result",
-                    f"re-uploading a container the device itself produced at "
-                    f"{entry.device_wrote}; the result was never marked clean "
-                    "(note_result/dirty-bit gap), so the host copy looks newer "
-                    "and the upload is redundant",
-                    site,
-                    repr(device),
-                    label(container),
-                )
-            st.last_write = (tl.tid, tl.clock)
-            st.write_site = site
-            st.reads.clear()
-        else:  # d2h
-            if st.last_write is not None and not tl.ordered_after(st.last_write):
-                self._emit(
-                    "race",
-                    f"download is unordered with write at {st.write_site}",
-                    site,
-                    repr(device),
-                    label(container),
-                )
-            st.reads[tl.tid] = (tl.clock, site)
+        entry = self._shadow(device).get(id(container))
+        # The eviction that precedes a stale re-upload tombstones the entry,
+        # so the dirty marker is honoured even on freed entries.
+        if entry is not None and entry.device_wrote:
+            self._emit(
+                "missing-note-result",
+                f"re-uploading a container the device itself produced at "
+                f"{entry.device_wrote}; the result was never marked clean "
+                "(note_result/dirty-bit gap), so the host copy looks newer "
+                "and the upload is redundant",
+                f"memcpy_{kind}",
+                repr(device),
+                label(container),
+            )
 
     # ------------------------------------------------------------------
     # ResidentSet shadow
@@ -414,7 +262,7 @@ class Sanitizer:
         self, device: "Device", container: Any, buffer: Any
     ) -> None:
         """Entry created/refreshed in a ResidentSet (container clean on-device)."""
-        shadow = self._mirror.setdefault(id(device), {})
+        shadow = self._shadow(device)
         entry = shadow.get(id(container))
         version = getattr(container, "version", 0)
         if entry is not None and not entry.freed:
@@ -435,13 +283,13 @@ class Sanitizer:
         the shadow must not relearn residency from the set it checks, or a
         wrong version test in the set could never read as stale.
         """
-        shadow = self._mirror.setdefault(id(device), {})
+        shadow = self._shadow(device)
         if id(container) not in shadow:
             shadow[id(container)] = _ResEntry(container, version, buffer)
 
     def on_resident_evict(self, device: "Device", container: Any) -> None:
         """Entry dropped from a ResidentSet (device buffer freed)."""
-        shadow = self._mirror.setdefault(id(device), {})
+        shadow = self._shadow(device)
         entry = shadow.get(id(container))
         if entry is not None:
             entry.freed = True
@@ -458,39 +306,9 @@ class Sanitizer:
         """
         if not is_tracked(child):
             return
-        shadow = self._mirror.setdefault(id(device), {})
-        shadow[id(child)] = _ResEntry(
+        self._shadow(device)[id(child)] = _ResEntry(
             child, getattr(child, "version", 0), None, derived=True
         )
-
-    # ------------------------------------------------------------------
-    # streams and events
-    # ------------------------------------------------------------------
-
-    def on_stream_created(self, stream: Any) -> None:
-        self._stream_tl(stream)
-
-    def on_event_record(self, stream: Any, event: Any) -> None:
-        tl = self._stream_tl(stream)
-        self._events[id(event)] = dict(tl.vc)
-        self._anchors[id(event)] = event
-
-    def on_event_wait(self, stream: Any, event: Any) -> None:
-        snapshot = self._events.get(id(event))
-        if snapshot is not None:
-            join(self._stream_tl(stream), snapshot)
-
-    def on_stream_sync(self, stream: Any) -> None:
-        join(self._host, self._stream_tl(stream).vc)
-
-    def on_cluster_sync(self, devices: Any) -> None:
-        """A cluster barrier or collective: the devices and the host meet."""
-        tls = [self._device_tl(d) for d in devices]
-        tls.append(self._host)
-        frontier = merge_frontier(tls)
-        for tl in tls:
-            join(tl, frontier)
-            tl.tick()
 
     # ------------------------------------------------------------------
     # allocator shadow (pool lifetime)

@@ -1,12 +1,11 @@
 """Placing batches on overlapping execution lanes (streams).
 
-The simulated device executes kernels one at a time in wall clock, but its
-*modeled* timelines overlap exactly like CUDA streams
-(:mod:`repro.gpu.stream`: "work launched on different streams overlaps").
-The scheduler exploits that: each batch's device cost is metered once by
-the engine, then *placed* on the least-loaded of ``streams`` virtual lanes
-— start = max(ready, lane free), completion = start + duration — so
-concurrent batches overlap the way stream-dispatched launches would, and
+The simulated device runs its launches in program order on one timeline;
+stream overlap is modeled here, at the serving layer, and nowhere else.
+Each batch's device cost is metered once by the engine, then *placed* on
+the least-loaded of ``streams`` virtual lanes — start = max(ready, lane
+free), completion = start + duration — so concurrent batches overlap the
+way launches on separate CUDA streams would, and
 per-query completion times (hence p50/p99 latency and sustained QPS) fall
 out deterministically.
 

@@ -156,7 +156,7 @@ def run_fuzz(
     """Fuzz ``programs`` seeds starting at ``seed``; returns failure count.
 
     With ``sanitize=True`` every program also runs under gbsan
-    (:mod:`repro.sanitizer`): any race/residency/lifetime/replay finding
+    (:mod:`repro.sanitizer`): any residency/lifetime/replay finding
     counts as a failure even when the numeric results agree — the fuzzer
     doubles as a sanitizer false-positive hunt and as a net for bugs whose
     symptom is mis-accounting rather than wrong output.

@@ -61,17 +61,6 @@ class TestResidency:
         # container produced by the frontend pipeline, so it uploads once.
         assert len(h2d) <= 3
 
-    def test_explicit_download_charged(self):
-        a, u = make_inputs()
-        be = get_backend("cuda_sim")
-        dev = get_device()
-        with use_backend("cuda_sim"):
-            w = gb.Vector.sparse(gb.FP64, 64)
-            ops.mxv(w, a, u, PLUS_TIMES)
-        be.download(w.container)
-        d2h = [r for r in dev.profiler.records if r.kind == "d2h"]
-        assert len(d2h) == 1
-
     def test_evict_all_forces_reupload(self):
         a, u = make_inputs()
         be = get_backend("cuda_sim")

@@ -1,4 +1,4 @@
-"""Kernel launch machinery, profiler, streams/events."""
+"""Kernel launch machinery and profiler."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.gpu.costmodel import KernelWork
 from repro.gpu.device import Device, DeviceProperties, K40
 from repro.gpu.kernel import Kernel, LaunchConfig, charge_transfer, launch
 from repro.gpu.profiler import LaunchRecord, Profiler
-from repro.gpu.stream import Event, Stream
 
 DOUBLER = Kernel(
     "doubler",
@@ -92,53 +91,3 @@ class TestProfiler:
         r = LaunchRecord("k", "kernel", 2.0, 3.0)
         assert r.end_us == 5.0
 
-
-class TestStreams:
-    def test_stream_timeline(self):
-        d = Device()
-        s = Stream(d)
-        start = s.enqueue(10.0)
-        assert start == 0.0 and s.timeline_us == 10.0
-        assert d.clock_us == 10.0
-
-    def test_two_streams_overlap(self):
-        d = Device()
-        s1, s2 = Stream(d), Stream(d)
-        s1.enqueue(10.0)
-        s2.enqueue(10.0)
-        # Overlapping streams: device time is max, not sum.
-        assert d.clock_us == 10.0
-
-    def test_event_dependency_serialises(self):
-        d = Device()
-        s1, s2 = Stream(d), Stream(d)
-        s1.enqueue(10.0)
-        ev = s1.record_event()
-        s2.wait_event(ev)
-        s2.enqueue(5.0)
-        assert s2.timeline_us == 15.0
-        assert d.clock_us == 15.0
-
-    def test_wait_unrecorded_event_raises(self):
-        s = Stream(Device())
-        with pytest.raises(ValueError):
-            s.wait_event(Event())
-
-    def test_synchronize_returns_timeline(self):
-        d = Device()
-        s = Stream(d)
-        s.enqueue(3.0)
-        assert s.synchronize() == s.timeline_us
-
-    def test_launch_on_stream(self):
-        d = Device()
-        s = Stream(d)
-        launch(DOUBLER, LaunchConfig.cover(4), np.arange(4.0), device=d, stream=s)
-        assert s.timeline_us > 0
-        assert d.profiler.launch_count == 1
-
-    def test_new_stream_starts_at_device_now(self):
-        d = Device()
-        d.advance(42.0)
-        s = Stream(d)
-        assert s.timeline_us == 42.0
