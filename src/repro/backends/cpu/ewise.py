@@ -56,8 +56,28 @@ def ewise_mult_indexed(
     return idx, vals
 
 
+def _by_position(u: SparseVector, v: SparseVector):
+    """``(at, lhs, rhs)`` where a full operand meets the other one.
+
+    ``at`` holds the sparse operand's positions (a slice when both are
+    full), and ``lhs``/``rhs`` are the operands' values there: a full
+    operand is read by position, with no membership probe.
+    """
+    at = slice(None) if u.is_full and v.is_full else (v if u.is_full else u).indices
+    lhs = u.values[at] if u.is_full else u.values
+    rhs = v.values[at] if v.is_full else v.values
+    return at, lhs, rhs
+
+
 def ewise_add_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     out_t = op.result_type(promote(u.type, v.type))
+    if u.is_full or v.is_full:
+        # The union is every position: the result is full.
+        vals = (u if u.is_full else v).values.astype(out_t.dtype)
+        if u.nvals and v.nvals:
+            at, lhs, rhs = _by_position(u, v)
+            vals[at] = op(lhs, rhs)
+        return SparseVector(u.size, None, vals, out_t)
     idx, vals = union_merge(
         u.indices, u.values, v.indices, v.values, op, out_t.dtype, u.size
     )
@@ -66,6 +86,13 @@ def ewise_add_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVecto
 
 def ewise_mult_vec(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     out_t = op.result_type(promote(u.type, v.type))
+    if u.is_full or v.is_full:
+        # The intersection is the other operand's positions.
+        if not (u.nvals and v.nvals):
+            return SparseVector.empty(u.size, out_t)
+        at, lhs, rhs = _by_position(u, v)
+        vals = np.array(op(lhs, rhs), dtype=out_t.dtype)
+        return SparseVector(u.size, None if isinstance(at, slice) else at, vals, out_t)
     idx, vals = ewise_mult_indexed(
         u.indices, u.values, v.indices, v.values, op, out_t.dtype, u.size
     )

@@ -26,7 +26,7 @@ def apply_vec(u: SparseVector, op: UnaryOp) -> SparseVector:
     if u.nvals == 0:
         return SparseVector.empty(u.size, out_t)
     vals = np.asarray(op(u.values)).astype(out_t.dtype, copy=False)
-    return SparseVector(u.size, u.indices.copy(), vals, out_t)
+    return SparseVector(u.size, None if u.is_full else u.indices.copy(), vals, out_t)
 
 
 def apply_mat(a: CSRMatrix, op: UnaryOp) -> CSRMatrix:

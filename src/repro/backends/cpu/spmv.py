@@ -125,7 +125,7 @@ def row_gather_product(
         flat_idx = csr.indices[take]
         flat_vals = csr.values[take]
         row_ids = np.repeat(rows, lens)
-    if u.nvals == u.size:
+    if u.is_full:
         # Dense-vector fast path: every column is present, so the membership
         # probe collapses to a direct gather — the win that makes pull the
         # right direction for dense frontiers (Fig. 5).
@@ -226,7 +226,7 @@ def choose_direction(
     )
     # Sort-free push no longer pays the old 4× sort penalty; keep a 2×
     # margin for its scattered (atomic-like) writes.
-    push_cost = float(push_deg[u.indices].sum()) * 2.0
+    push_cost = float((push_deg if u.is_full else push_deg[u.indices]).sum()) * 2.0
     # The mask covers the output vector, whose length is the pull-side row
     # count (a.nrows for mxv, a.ncols for vxm) — so size the complement off it.
     rows = mask_pull_rows(mask, desc, mask.size) if mask is not None else None

@@ -84,6 +84,21 @@ def combine_coalescing(parts: Iterable[Tuple[float, str]]) -> Tuple[float, float
 _IDX = 8  # bytes per index (int64)
 
 
+def _entry_bytes(x, item: int) -> int:
+    """Bytes one stored entry of operand ``x`` moves at value width ``item``.
+
+    A full vector is stored, and read by position, as its values alone;
+    every other operand (a sparse vector, a matrix) pairs each value with
+    its index.
+    """
+    return item if isinstance(x, SparseVector) and x.is_full else item + _IDX
+
+
+def _stream_bytes(x, y, item: int) -> float:
+    """Bytes an element-wise kernel reads streaming both operands' entries."""
+    return float(x.nvals) * _entry_bytes(x, item) + float(y.nvals) * _entry_bytes(y, item)
+
+
 def _reads_all(*args, **kwargs) -> Access:
     """Access declaration: every container operand is read, none written.
 
@@ -156,11 +171,12 @@ def _spmv_work(
         [
             (2.0 * nrows * _IDX, "sequential"),  # indptr
             (nnz * (_IDX + item), "segmented"),  # column indices + values
-            (nnz * (u.type.nbytes + _IDX), "gather"),  # x[col] lookups (binary probe)
+            # x[col] lookups: by position into a full x, else a binary probe
+            (nnz * _entry_bytes(u, u.type.nbytes), "gather"),
             *sched.extra_read_parts,  # lane bookkeeping (bins / merge path)
         ]
     )
-    written = float(min(nrows, u.nvals * 8 + nrows)) * (out_type.nbytes + _IDX)
+    written = float(nrows) * (out_type.nbytes + _IDX)
     return KernelWork(
         flops=2.0 * nnz,
         bytes_read=reads,
@@ -325,7 +341,8 @@ def _frontier_pull_work(levels, frontier, tcsr, value, semiring, desc) -> Kernel
         [
             (2.0 * unvisited * _IDX, "sequential"),  # indptr
             (nnz * (_IDX + item), "segmented"),  # columns + values
-            (nnz * (frontier.type.nbytes + _IDX), "gather"),  # frontier probes
+            # frontier probes
+            (nnz * _entry_bytes(frontier, frontier.type.nbytes), "gather"),
             *sched.extra_read_parts,  # lane bookkeeping (bins / merge path)
         ]
     )
@@ -362,7 +379,7 @@ def _ewise_apply_work(x, y, binop, unop, union) -> KernelWork:
     n = float(x.nvals + y.nvals)
     n_out = n if union else float(min(x.nvals, y.nvals))
     item = max(x.type.nbytes, y.type.nbytes)
-    reads, coal = combine_coalescing([(n * (item + _IDX), "sequential")])
+    reads, coal = combine_coalescing([(_stream_bytes(x, y, item), "sequential")])
     # One launch and one output pass — the separate ewise+apply pair writes
     # the intermediate and immediately re-reads it; fusing erases that round
     # trip (and one launch latency).
@@ -421,7 +438,7 @@ def _ewise_reduce_work(u, v, binop, unop, union, monoid, out_type) -> KernelWork
     n = float(u.nvals + v.nvals)
     n_out = n if union else float(min(u.nvals, v.nvals))
     item = max(u.type.nbytes, v.type.nbytes)
-    reads, coal = combine_coalescing([(n * (item + _IDX), "sequential")])
+    reads, coal = combine_coalescing([(_stream_bytes(u, v, item), "sequential")])
     # The separate ewise + reduce_tree pair writes the intermediate and
     # immediately re-reads it (2·n_out·item in the tree's first pass);
     # fusing keeps partials in registers/shared memory, so only the ewise
@@ -456,7 +473,7 @@ def _fill_ewise_work(value, size, fill_type, other, binop, fill_first) -> Kernel
     n = float(size)
     m = float(other.nvals)
     item = max(fill_type.nbytes, other.type.nbytes)
-    reads, coal = combine_coalescing([(m * (item + _IDX), "sequential")])
+    reads, coal = combine_coalescing([(m * _entry_bytes(other, item), "sequential")])
     # Eager would scatter-assign n fill entries, then stream n+m entries
     # through the union; fused, the constant operand costs no memory
     # traffic at all — only the sparse operand is read.
@@ -580,7 +597,7 @@ def _ewise_work(a, b, op) -> KernelWork:
     """Two sparse vectors or two CSR matrices: stream both entry lists."""
     n = float(a.nvals + b.nvals)
     item = max(a.type.nbytes, b.type.nbytes)
-    reads, coal = combine_coalescing([(n * (item + _IDX), "sequential")])
+    reads, coal = combine_coalescing([(_stream_bytes(a, b, item), "sequential")])
     return KernelWork(
         flops=n,
         bytes_read=reads,

@@ -3,12 +3,13 @@
 - :class:`COO` — build/staging triplets;
 - :class:`CSRMatrix` — canonical row-compressed compute format;
 - :class:`CSCMatrix` — column view for pull-direction kernels;
-- :class:`SparseVector` — sparse frontiers and results;
-- :class:`BitmapVector` — dense-with-presence-mask state vectors;
+- :class:`SparseVector` — sparse frontiers and results, stored as values
+  alone when full;
+- :mod:`~repro.containers.bitmap` — dense-keyspace membership
+  (``locate``/``union``/``union_merge``);
 - :mod:`~repro.containers.convert` — conversions between them.
 """
 
-from .bitmap import BitmapVector
 from .coo import COO, dedupe_triplets
 from .csc import CSCMatrix
 from .csr import CSRMatrix
@@ -16,7 +17,6 @@ from .sparsevec import SparseVector
 from . import convert
 
 __all__ = [
-    "BitmapVector",
     "COO",
     "CSCMatrix",
     "CSRMatrix",

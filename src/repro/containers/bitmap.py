@@ -1,34 +1,22 @@
-"""Dense bitmap vector container and dense-keyspace membership.
+"""Dense-keyspace membership over sorted key sets.
 
-A bitmap vector stores a dense value array plus a dense presence mask.  It is
-the format of choice when a vector is nearly full (PageRank ranks, SSSP
-distances, CC labels) — the GPU kernels in GBTL-CUDA likewise switch between
-sparse frontiers and dense state vectors.  Conversion to/from
-:class:`~repro.containers.sparsevec.SparseVector` is O(n).
-
-The same switch serves membership over sorted key sets.  :func:`locate`
-finds needles in a sorted, unique haystack and :func:`union` merges two
-such sets; over a small enough keyspace both run on one reusable int32
-*slot map*, so a probe is one gather instead of a binary
-search and a union is a bitmap OR instead of a sort.  Both branches return
-the same arrays, so the choice is invisible to every caller.
-:func:`union_merge` builds the valued union on them: eWiseAdd and the
-write pipeline's accumulate step, for vectors and, over row-major keys
+:func:`locate` finds needles in a sorted, unique haystack and :func:`union`
+merges two such sets; over a small enough keyspace both run on one reusable
+int32 *slot map*, so a probe is one gather instead of a binary search and a
+union is a bitmap OR instead of a sort.  Both branches return the same
+arrays, so the choice is invisible to every caller.  :func:`union_merge`
+builds the valued union on them: eWiseAdd and the write pipeline's
+accumulate step, for vectors and, over row-major keys
 (:meth:`~repro.containers.csr.CSRMatrix.flat_keys`), for matrices.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..exceptions import IndexOutOfBoundsError, InvalidObjectError
-from ..types import GrBType, from_dtype
-from .sparsevec import SparseVector
-
 __all__ = [
-    "BitmapVector",
     "SLOT_MAP_CAP",
     "dense_keyspace_ok",
     "locate",
@@ -36,73 +24,6 @@ __all__ = [
     "union_merge",
 ]
 
-
-class BitmapVector:
-    """Dense values + dense boolean presence mask."""
-
-    __slots__ = ("size", "mask", "dense", "type")
-
-    def __init__(self, size: int, mask: np.ndarray, dense: np.ndarray, typ: Optional[GrBType] = None):
-        self.size = int(size)
-        self.mask = np.ascontiguousarray(mask, dtype=bool)
-        dense = np.asarray(dense)
-        if typ is not None:
-            dense = dense.astype(typ.dtype, copy=False)
-        self.dense = np.ascontiguousarray(dense)
-        self.type = typ if typ is not None else from_dtype(self.dense.dtype)
-
-    @classmethod
-    def empty(cls, size: int, typ: GrBType) -> "BitmapVector":
-        return cls(size, np.zeros(size, dtype=bool), np.zeros(size, dtype=typ.dtype), typ)
-
-    @classmethod
-    def full(cls, size: int, value, typ: GrBType) -> "BitmapVector":
-        return cls(size, np.ones(size, dtype=bool), np.full(size, value, dtype=typ.dtype), typ)
-
-    @classmethod
-    def from_sparse(cls, sv: SparseVector) -> "BitmapVector":
-        out = cls.empty(sv.size, sv.type)
-        out.mask[sv.indices] = True
-        out.dense[sv.indices] = sv.values
-        return out
-
-    @property
-    def nvals(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    @property
-    def nbytes(self) -> int:
-        return self.mask.nbytes + self.dense.nbytes
-
-    def get(self, i: int):
-        if not 0 <= i < self.size:
-            raise IndexOutOfBoundsError(f"index {i} outside [0, {self.size})")
-        return self.dense[i] if self.mask[i] else None
-
-    def set(self, i: int, value) -> None:
-        if not 0 <= i < self.size:
-            raise IndexOutOfBoundsError(f"index {i} outside [0, {self.size})")
-        self.mask[i] = True
-        self.dense[i] = value
-
-    def to_sparse(self) -> SparseVector:
-        idx = np.flatnonzero(self.mask)
-        return SparseVector(self.size, idx, self.dense[idx].copy(), self.type)
-
-    def copy(self) -> "BitmapVector":
-        return BitmapVector(self.size, self.mask.copy(), self.dense.copy(), self.type)
-
-    def validate(self) -> None:
-        if self.mask.shape != (self.size,) or self.dense.shape != (self.size,):
-            raise InvalidObjectError("bitmap arrays have wrong length")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BitmapVector(size={self.size}, nvals={self.nvals}, {self.type.name})"
-
-
-# ---------------------------------------------------------------------------
-# Dense-keyspace membership
-# ---------------------------------------------------------------------------
 
 #: Largest keyspace the slot map covers: four bytes per key, 128 MB.
 SLOT_MAP_CAP = 1 << 25

@@ -1,7 +1,7 @@
 """Conversions between sparse container formats.
 
 Frontends and kernels convert between COO (build), CSR (row compute), CSC
-(column compute), sparse vectors, and bitmap vectors.  All conversions are
+(column compute) and sparse vectors.  All conversions are
 value-preserving and keep the container canonical (sorted, deduplicated).
 """
 
@@ -13,7 +13,6 @@ import numpy as np
 
 from ..core.operators import BinaryOp
 from ..types import GrBType
-from .bitmap import BitmapVector
 from .coo import COO
 from .csc import CSCMatrix
 from .csr import CSRMatrix
@@ -25,8 +24,6 @@ __all__ = [
     "csc_to_csr",
     "build_matrix",
     "build_vector",
-    "sparse_to_bitmap",
-    "bitmap_to_sparse",
     "matrix_row_as_vector",
     "vector_as_row_matrix",
     "vector_as_col_matrix",
@@ -68,14 +65,6 @@ def build_vector(
 ) -> SparseVector:
     """``GrB_Vector_build`` analogue."""
     return SparseVector.from_lists(size, indices, vals, typ, dup)
-
-
-def sparse_to_bitmap(sv: SparseVector) -> BitmapVector:
-    return BitmapVector.from_sparse(sv)
-
-
-def bitmap_to_sparse(bv: BitmapVector) -> SparseVector:
-    return bv.to_sparse()
 
 
 def matrix_row_as_vector(csr: CSRMatrix, i: int) -> SparseVector:

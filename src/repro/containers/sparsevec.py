@@ -4,6 +4,14 @@ A sparse vector stores its present indices (strictly increasing) and values.
 It is the one-dimensional analogue of :class:`~repro.containers.csr.CSRMatrix`
 and is used by every ``mxv``/``vxm``/ewise kernel as well as by algorithm
 frontiers (BFS frontiers are sparse vectors, the key GBTL-CUDA idiom).
+
+A vector with every entry present (``nvals == size``, ``size > 0``) is
+*full*: its canonical index set is ``0..size-1``, so it stores its values
+alone, the dense array GBTL-CUDA's SpMV reads by position.  The form follows
+from the entry count and nothing else.  :attr:`SparseVector.indices` builds
+the ``arange`` on a full vector's first read and keeps it (structure never
+changes in place), while :attr:`~SparseVector.nbytes`, and with it every
+simulated upload, device block and collective, charges the values only.
 """
 
 from __future__ import annotations
@@ -20,20 +28,35 @@ __all__ = ["SparseVector"]
 
 
 class SparseVector:
-    """Canonical sparse vector: sorted unique ``indices`` + ``values``."""
+    """Canonical sparse vector: sorted unique ``indices`` + ``values``.
 
-    __slots__ = ("size", "indices", "values", "type", "_version", "_aux")
+    ``indices=None``, or any canonical index set of ``size`` entries, makes
+    a full vector, which keeps no index array (see the module docstring).
+    """
+
+    __slots__ = ("size", "_indices", "values", "type", "_version", "_aux")
 
     def __init__(self, size: int, indices, values, typ: Optional[GrBType] = None):
         self.size = int(size)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         values = np.asarray(values)
         if typ is not None:
             values = values.astype(typ.dtype, copy=False)
         self.values = np.ascontiguousarray(values)
         self.type = typ if typ is not None else from_dtype(self.values.dtype)
+        if indices is None or (self.size and len(indices) == self.size):
+            self._indices = None
+        else:
+            self._indices = np.ascontiguousarray(indices, dtype=np.int64)
         self._version = 0
         self._aux: dict = {}
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Sorted present indices (read-only); a full vector's ``arange``
+        is built on first read and kept."""
+        if self._indices is None:
+            self._indices = np.arange(self.size, dtype=np.int64)
+        return self._indices
 
     # ------------------------------------------------------------------
     # Version stamp + auxiliary-structure cache
@@ -120,12 +143,7 @@ class SparseVector:
     @classmethod
     def full(cls, size: int, value, typ: GrBType) -> "SparseVector":
         """A vector with every position present, all equal to ``value``."""
-        return cls(
-            size,
-            np.arange(size, dtype=np.int64),
-            np.full(size, value, dtype=typ.dtype),
-            typ,
-        )
+        return cls(size, None, np.full(size, value, dtype=typ.dtype), typ)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -133,16 +151,26 @@ class SparseVector:
 
     @property
     def nvals(self) -> int:
-        return int(self.indices.size)
+        return int(self.values.size)
+
+    @property
+    def is_full(self) -> bool:
+        """Every entry present: the vector is stored as its values alone."""
+        return 0 < self.size == self.values.size
 
     @property
     def nbytes(self) -> int:
+        """Bytes of the stored form: values, plus indices unless full."""
+        if self.is_full:
+            return self.values.nbytes
         return self.indices.nbytes + self.values.nbytes
 
     def get(self, i: int):
         """The stored value at ``i``, or None if implicit."""
         if not 0 <= i < self.size:
             raise IndexOutOfBoundsError(f"index {i} outside [0, {self.size})")
+        if self.is_full:
+            return self.values[i]
         k = np.searchsorted(self.indices, i)
         if k < self.indices.size and self.indices[k] == i:
             return self.values[k]
@@ -153,6 +181,8 @@ class SparseVector:
             yield int(self.indices[k]), self.values[k]
 
     def to_dense(self, fill=0) -> np.ndarray:
+        if self.is_full:
+            return self.values.astype(self.type.dtype)
         out = np.full(self.size, fill, dtype=self.type.dtype)
         out[self.indices] = self.values
         return out
@@ -161,6 +191,8 @@ class SparseVector:
         """Dense boolean presence map (cached; treat read-only)."""
 
         def build():
+            if self.is_full:
+                return np.ones(self.size, dtype=bool)
             m = np.zeros(self.size, dtype=bool)
             m[self.indices] = True
             return m
@@ -168,20 +200,23 @@ class SparseVector:
         return self._cached("present_mask", build)
 
     def copy(self) -> "SparseVector":
-        return SparseVector(self.size, self.indices.copy(), self.values.copy(), self.type)
+        idx = None if self.is_full else self.indices.copy()
+        return SparseVector(self.size, idx, self.values.copy(), self.type)
 
     def astype(self, typ: GrBType) -> "SparseVector":
         if typ is self.type:
             return self
-        return SparseVector(self.size, self.indices, self.values.astype(typ.dtype), typ)
+        # A full vector's kept arange has ``size`` entries: the copy drops it.
+        return SparseVector(self.size, self._indices, self.values.astype(typ.dtype), typ)
 
     def validate(self) -> None:
-        if self.indices.size != self.values.size:
+        idx = self._indices
+        if (self.size if idx is None else idx.size) != self.values.size:
             raise InvalidObjectError("indices and values lengths differ")
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.size:
+        if idx is not None and idx.size:
+            if idx.min() < 0 or idx.max() >= self.size:
                 raise InvalidObjectError("index out of range")
-            if np.any(np.diff(self.indices) <= 0):
+            if np.any(np.diff(idx) <= 0):
                 raise InvalidObjectError("indices not strictly increasing")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

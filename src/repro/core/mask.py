@@ -64,8 +64,15 @@ def vector_mask_at(
     """
     if mask is None:
         return np.ones(positions.size, dtype=bool)
-    truthy = _mask_truthy_sorted(mask.indices, mask.values, desc.structural_mask)
-    hit = locate(truthy, positions, mask.size)[0]
+    if mask.is_full:
+        # Every position is stored: read the mask by position.
+        if desc.structural_mask:
+            hit = np.ones(positions.size, dtype=bool)
+        else:
+            hit = mask.values[positions].astype(bool)
+    else:
+        truthy = _mask_truthy_sorted(mask.indices, mask.values, desc.structural_mask)
+        hit = locate(truthy, positions, mask.size)[0]
     return ~hit if desc.complement_mask else hit
 
 

@@ -284,7 +284,8 @@ class Vector:
         return (
             a.size == b.size
             and a.nvals == b.nvals
-            and bool(np.array_equal(a.indices, b.indices))
+            # With equal counts, one full vector means both are, at 0..size-1.
+            and (a.is_full or bool(np.array_equal(a.indices, b.indices)))
             and bool(np.array_equal(a.values, b.values))
         )
 

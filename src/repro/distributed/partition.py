@@ -214,10 +214,12 @@ class PartitionedVector:
         if hit is not None:
             return hit
         lo, hi = int(self.splitters[p]), int(self.splitters[p + 1])
+        u = self.source
         if self.nparts == 1:
-            sh = self.source
+            sh = u
+        elif u.is_full:
+            sh = SparseVector(hi - lo, None, u.values[lo:hi], u.type)
         else:
-            u = self.source
             s, e = np.searchsorted(u.indices, (lo, hi))
             sh = SparseVector(hi - lo, u.indices[s:e] - lo, u.values[s:e], u.type)
         self._shards[p] = sh
@@ -233,17 +235,18 @@ class PartitionedVector:
         offsetting and concatenating preserves the canonical form.
         """
         size = int(splitters[-1])
-        if len(shards) == 1:
-            sh = shards[0]
-            return SparseVector(size, sh.indices, sh.values, typ or sh.type)
-        idx = [sh.indices + int(lo) for sh, lo in zip(shards, splitters[:-1])]
         vals = [sh.values for sh in shards]
-        typ = typ or shards[0].type
+        if sum(v.size for v in vals) == size:
+            idx = None  # every position present: the result is full
+        else:
+            idx = np.concatenate(
+                [sh.indices + int(lo) for sh, lo in zip(shards, splitters[:-1])]
+            )
         return SparseVector(
             size,
-            np.concatenate(idx) if idx else np.empty(0, np.int64),
-            np.concatenate(vals) if vals else np.empty(0, typ.dtype),
-            typ,
+            idx,
+            vals[0] if len(vals) == 1 else np.concatenate(vals),
+            typ or shards[0].type,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

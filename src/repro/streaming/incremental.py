@@ -81,9 +81,7 @@ class ViewStats:
 
 def _dense(v: Vector, n: int) -> np.ndarray:
     """``v`` as a dense INT64 array, -1 where absent."""
-    out = np.full(n, -1, dtype=np.int64)
-    out[v.indices_array()] = v.values_array()
-    return out
+    return np.asarray(v.to_dense(-1), dtype=np.int64)
 
 
 class _View:

@@ -297,6 +297,7 @@ def build_env(program: Program, perm: Optional[np.ndarray] = None) -> Env:
 
     env.vectors.append(rand_vector(0.5))
     env.vectors.append(rand_vector(max(0.1, 3.0 / n)))
+    env.vectors.append(rand_vector(1.0))  # full: every entry present
     env.mask_vectors.append(rand_mask(0.4))
     env.mask_vectors.append(rand_mask(0.15))
 
@@ -385,11 +386,12 @@ def generate_program(
     count = int(n_ops if n_ops is not None else rng.integers(2, 7))
     ops = _FULL_OPS if profile == "full" else _EQUIVARIANT_OPS
 
-    # Slot metadata mirrors build_env: matrices [graph], vectors [u0, u1].
-    # Generated weights are integral, so even PLUS folds of *initial* values
-    # are exact; taint appears once an inexact semiring product runs.
+    # Slot metadata mirrors build_env: matrices [graph], vectors [u0, u1,
+    # u2 (full)].  Generated weights are integral, so even PLUS folds of
+    # *initial* values are exact; taint appears once an inexact semiring
+    # product runs.
     mats = [_SlotMeta()]
-    vecs = [_SlotMeta(), _SlotMeta()]
+    vecs = [_SlotMeta(), _SlotMeta(), _SlotMeta()]
 
     def pick_mat() -> int:
         return int(rng.integers(0, len(mats)))
@@ -744,7 +746,7 @@ def annotate_exactness(program: Program) -> List[bool]:
     from .equivalence import product_exact, reduce_exact
 
     mats = [False]          # graph matrix: exact
-    vecs = [False, False]   # u0, u1: exact
+    vecs = [False, False, False]   # u0, u1, u2: exact
     flags: List[bool] = []
 
     for spec in program.ops:

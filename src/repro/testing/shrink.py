@@ -74,9 +74,9 @@ def _refs(spec) -> List[Tuple[str, str]]:
     return out
 
 
-# Initial env slot counts (see programs.build_env): one graph matrix, two
+# Initial env slot counts (see programs.build_env): one graph matrix, three
 # value vectors.  Masks live in their own pools and are never op results.
-_INITIAL = {"v": 2, "m": 1, "s": 0}
+_INITIAL = {"v": 3, "m": 1, "s": 0}
 
 
 def result_slots(program: Program) -> List[Tuple[str, int]]:

@@ -134,9 +134,3 @@ class TestConvert:
         m = convert.vector_as_col_matrix(v)
         assert m.shape == (4, 1) and m.get(3, 0) == 2.0
         m.validate()
-
-    def test_sparse_bitmap_roundtrip(self):
-        v = convert.build_vector(6, [2, 5], [1.0, 2.0])
-        bv = convert.sparse_to_bitmap(v)
-        back = convert.bitmap_to_sparse(bv)
-        np.testing.assert_array_equal(back.indices, v.indices)

@@ -1,9 +1,8 @@
-"""SparseVector and BitmapVector containers."""
+"""SparseVector container."""
 
 import numpy as np
 import pytest
 
-from repro.containers.bitmap import BitmapVector
 from repro.containers.sparsevec import SparseVector
 from repro.core.operators import PLUS, SECOND
 from repro.exceptions import (
@@ -109,39 +108,3 @@ class TestSparseVectorAccess:
         with pytest.raises(InvalidObjectError):
             bad.validate()
 
-
-class TestBitmapVector:
-    def test_roundtrip_sparse(self):
-        sv = SparseVector.from_lists(6, [1, 4], [10.0, 40.0])
-        bv = BitmapVector.from_sparse(sv)
-        assert bv.nvals == 2
-        back = bv.to_sparse()
-        np.testing.assert_array_equal(back.indices, sv.indices)
-        np.testing.assert_array_equal(back.values, sv.values)
-
-    def test_empty_and_full(self):
-        assert BitmapVector.empty(4, FP64).nvals == 0
-        assert BitmapVector.full(4, 2.0, FP64).nvals == 4
-
-    def test_get_set(self):
-        bv = BitmapVector.empty(4, FP64)
-        assert bv.get(2) is None
-        bv.set(2, 5.0)
-        assert bv.get(2) == 5.0
-
-    def test_bounds(self):
-        bv = BitmapVector.empty(4, FP64)
-        with pytest.raises(IndexOutOfBoundsError):
-            bv.get(4)
-        with pytest.raises(IndexOutOfBoundsError):
-            bv.set(-1, 0.0)
-
-    def test_copy_independent(self):
-        bv = BitmapVector.full(2, 1.0, FP64)
-        c = bv.copy()
-        c.dense[0] = 9.0
-        assert bv.dense[0] == 1.0
-
-    def test_validate(self):
-        bv = BitmapVector.full(3, 1.0, FP64)
-        bv.validate()

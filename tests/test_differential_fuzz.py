@@ -176,10 +176,10 @@ class TestShrinker:
         kinds = [k for k, _ in slots]
         first_v = next((s for k, s in slots if k == "v"), None)
         if first_v is not None:
-            assert first_v == 2  # two seed vectors
+            assert first_v == len(env.vectors) == 3  # three seed vectors
         first_m = next((s for k, s in slots if k == "m"), None)
         if first_m is not None:
-            assert first_m == 1  # one seed graph matrix
+            assert first_m == len(env.matrices) == 1  # one seed graph matrix
         assert set(kinds) <= {"v", "m", "s"}
 
     def test_shrinks_synthetic_failure_to_one_op(self):
